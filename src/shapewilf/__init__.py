@@ -17,6 +17,7 @@ from .core import (
     InvalidPattern,
     NotAvoiding,
     NotFerrers,
+    ParseError,
     ShapeMismatch,
     Word,
     border_path,
@@ -46,6 +47,7 @@ from .matcher import (
 from .enumeration import (
     POSITIVE_ROWS,
     UNCONSTRAINED,
+    CorruptCache,
     CountRecord,
     ResultCache,
     brute_count_fillings,

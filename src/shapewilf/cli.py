@@ -2,12 +2,15 @@
 
 Exit status: 0 on success, 1 when a verification scan found a mismatch
 against published values (or an --expect assertion failed), 2 on usage
-errors, including malformed shapes, patterns, and contents.
+errors, including malformed shapes, patterns, and contents, and 3 when the
+--cache file holds a line that is not a count record (a torn last line is
+only skipped, with a warning).
 """
 
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .core import (
     BadComposition,
@@ -16,6 +19,7 @@ from .core import (
     InvalidPattern,
     NotAvoiding,
     NotFerrers,
+    ParseError,
     ShapeMismatch,
     format_word,
     parse_composition,
@@ -30,6 +34,7 @@ from .matcher import contains
 from .enumeration import (
     POSITIVE_ROWS,
     UNCONSTRAINED,
+    CorruptCache,
     ResultCache,
     counted,
     enumerate_fillings,
@@ -50,7 +55,7 @@ USAGE_ERRORS = (
     ContentMismatch,
     ShapeMismatch,
     NotAvoiding,
-    ValueError,
+    ParseError,
 )
 
 
@@ -63,7 +68,8 @@ def _parse_content(text: str):
 
 
 def _open_cache(args):
-    return ResultCache(args.cache) if getattr(args, "cache", None) else None
+    """A context manager giving the --cache ResultCache, or None without --cache."""
+    return ResultCache(args.cache) if args.cache else nullcontext()
 
 
 def _emit_report(report, args) -> None:
@@ -84,7 +90,8 @@ def _cmd_count(args) -> int:
     shape = parse_shape(args.shape)
     patterns = parse_patterns(args.patterns)
     content = _parse_content(args.content)
-    record = counted(shape, content, patterns, cache=_open_cache(args), jobs=args.jobs)
+    with _open_cache(args) as cache:
+        record = counted(shape, content, patterns, cache=cache)
     if args.out == "json":
         print(json.dumps(record.to_json()))
     else:
@@ -95,7 +102,8 @@ def _cmd_count(args) -> int:
 def _cmd_count_words(args) -> int:
     rectangle = parse_shape(",".join([str(args.length)] * args.alphabet))
     patterns = parse_patterns(args.patterns)
-    record = counted(rectangle, UNCONSTRAINED, patterns, cache=_open_cache(args), jobs=args.jobs)
+    with _open_cache(args) as cache:
+        record = counted(rectangle, UNCONSTRAINED, patterns, cache=cache)
     if args.out == "json":
         out = record.to_json()
         out.update({"length": args.length, "alphabet": args.alphabet})
@@ -165,20 +173,18 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    report = reproduce_table(args.table, jobs=args.jobs, cache=_open_cache(args))
+    with _open_cache(args) as cache:
+        report = reproduce_table(args.table, cache=cache)
     _emit_report(report, args)
     return 0 if report.verdict == VERDICT_EQUAL else 1
 
 
 def _cmd_check_equiv(args) -> int:
-    report = check_equivalence(
-        parse_patterns(args.omega),
-        parse_patterns(args.sigma),
-        args.max_cols,
-        args.max_rows,
-        jobs=args.jobs,
-        cache=_open_cache(args),
-    )
+    with _open_cache(args) as cache:
+        report = check_equivalence(
+            parse_patterns(args.omega), parse_patterns(args.sigma), args.max_cols, args.max_rows,
+            cache=cache,
+        )
     _emit_report(report, args)
     if args.expect and report.verdict != args.expect:
         print(f"expected verdict {args.expect}, got {report.verdict}", file=sys.stderr)
@@ -187,7 +193,8 @@ def _cmd_check_equiv(args) -> int:
 
 
 def _cmd_scan_conj1(args) -> int:
-    report = scan_conjecture1(args.max_cols, args.max_rows, jobs=args.jobs, cache=_open_cache(args))
+    with _open_cache(args) as cache:
+        report = scan_conjecture1(args.max_cols, args.max_rows, cache=cache)
     if args.out == "plain":
         for rec_a, rec_b in report.strict_inequalities():
             print(f"strict: {rec_a.to_json()['shape']}: {rec_a.count} < {rec_b.count}")
@@ -196,13 +203,10 @@ def _cmd_scan_conj1(args) -> int:
 
 
 def _cmd_scan_conj2(args) -> int:
-    report = scan_conjecture2(
-        parse_word(args.beta),
-        args.max_length,
-        args.max_alphabet,
-        jobs=args.jobs,
-        cache=_open_cache(args),
-    )
+    with _open_cache(args) as cache:
+        report = scan_conjecture2(
+            parse_word(args.beta), args.max_length, args.max_alphabet, cache=cache
+        )
     _emit_report(report, args)
     if args.out == "plain" and report.verdict == VERDICT_UNEQUAL:
         witness = report.mismatches[0]
@@ -219,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, content_default=None):
         p.add_argument("--patterns", default="", help="pattern set, e.g. 231 or 231+221")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes (counts only)")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="accepted for compatibility and ignored: counts run in-process",
+        )
         p.add_argument("--cache", help="append-only JSONL result cache")
         p.add_argument("--out", choices=["plain", "json", "csv"], default="plain")
         if content_default is not None:
@@ -292,6 +299,9 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CorruptCache as exc:
+        print(f"error: damaged cache: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

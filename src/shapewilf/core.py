@@ -32,6 +32,10 @@ class NotAvoiding(ValueError):
     """Input contains a pattern it was required to avoid."""
 
 
+class ParseError(ValueError):
+    """Text is not a comma-separated list of integers."""
+
+
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
 BorderVertexPath = tuple[tuple[int, int], ...]
@@ -268,4 +272,4 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse {what} {text!r}: expected comma-separated integers")
+        raise ParseError(f"cannot parse {what} {text!r}: expected comma-separated integers")

@@ -1,21 +1,30 @@
 """Exhaustive counting and enumeration of pattern-avoiding fillings.
 
-The engine places columns left to right.  Its state is the prefix of placed
-rows plus, depending on the counting regime, the remaining row capacities
-(fixed content) or the set of still-empty rows (at-least-one-per-row).  A
-branch is pruned as soon as the newest column completes an occurrence of a
-forbidden pattern (exact, since every occurrence has a rightmost column) or
-the remaining capacities can no longer be scheduled into the remaining
-columns (rows have deadlines because column heights weakly decrease).
+Counts use a column-by-column transfer matrix: a ``dict`` from state to the
+number of column prefixes that reach it, advanced one column at a time with no
+recursion.  An occurrence of a pattern x (k letters, r positions) lives on
+rows rho_1 < ... < rho_k and is a subsequence rho_{x_1} ... rho_{x_r} of the
+first rows[rho_k - 1] columns, so each (pattern, rho) pair is a tracker whose
+state is its greedy leftmost-match progress; greedy matching is exact for a
+fixed target word, and a branch dies when some tracker completes.  A tracker
+is dropped once rho_k exceeds the next column's height (heights weakly
+decrease, so it never comes back), which merges states.  Beside the
+progresses a state holds the remaining row capacities (fixed content) or the
+set of still-empty rows (at-least-one-per-row), and a state is pruned when
+those can no longer be scheduled into the remaining columns (Hall condition:
+rows have deadlines because column heights weakly decrease).
 
-All counts are exact Python integers.
+``enumerate_fillings`` streams the fillings themselves by backtracking over
+the same columns with the same prunes.  All counts are exact Python integers.
+Every count runs in the calling process; the ``jobs`` keyword of the count
+functions is still accepted, so older callers keep working, and is ignored.
 """
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator
 
 from .core import (
@@ -43,62 +52,94 @@ def canonical_patterns(patterns) -> tuple[Word, ...]:
     return tuple(sorted(unique, key=lambda p: (len(p), p)))
 
 
-def _count_engine(shape, patterns, caps=None, positive=False, first_row=None) -> int:
+def _trackers(shape: FerrersShape, patterns) -> list[tuple[int, Word]]:
+    """(top row, target word) for each pattern and row subset that fits the shape.
+
+    The subset rho_1 < ... < rho_k of a pattern x hosts an occurrence exactly
+    when the word rho_{x_1} ... rho_{x_r} is a subsequence of the first
+    rows[rho_k - 1] columns.  Sorted by top row, so that the trackers still
+    live at a column of height h are the prefix with top row <= h.
+    """
+    rows = shape.rows
+    out = []
+    for pattern in patterns:
+        for rho in combinations(range(1, len(rows) + 1), max(pattern)):
+            if rows[rho[-1] - 1] >= len(pattern):
+                out.append((rho[-1], tuple(rho[v - 1] for v in pattern)))
+    out.sort(key=lambda tracker: tracker[0])
+    return out
+
+
+def _count_engine(shape, patterns, caps=None, positive=False) -> int:
     heights = shape.heights
-    width = shape.width
     rows = shape.rows
     m = shape.n_rows
-    checkers = [LastColumnChecker(p) for p in patterns]
-    placed: list[int] = []
-    remaining = list(caps) if caps is not None else None
-    filled = [0] * (m + 1)
+    trackers = _trackers(shape, patterns)
+    tops = [top for top, _ in trackers]
+    live = [bisect_right(tops, h) for h in range(m + 1)]  # live trackers under height h
 
-    def feasible(done: int) -> bool:
+    def feasible(regime, done: int) -> bool:
         # Hall condition: rows >= t can only be fed by columns <= rows[t-1].
         need = 0
         for t in range(m, 0, -1):
-            if remaining is not None:
-                need += remaining[t - 1]
-            elif filled[t] == 0:
-                need += 1
+            need += regime[t - 1] if caps is not None else (regime >> (t - 1)) & 1
             if need and need > rows[t - 1] - done:
                 return False
         return True
 
-    def rec(j: int) -> int:
-        if j == width:
-            return 1
-        h = heights[j]
+    if caps is not None:
+        start = tuple(caps)  # remaining 1's per row
+    elif positive:
+        start = (1 << m) - 1  # bit t-1 set while row t is empty
+    else:
+        start = None
+    # A state is (greedy match progress of each live tracker, regime state).
+    states = {((0,) * live[heights[0]], start): 1}
+    movers_height = None
+    for j, h in enumerate(heights):
         done = j + 1
-        total = 0
-        if j == 0 and first_row is not None:
-            candidates = (first_row,) if first_row <= h else ()
-        else:
-            candidates = range(1, h + 1)
-        for row in candidates:
-            if remaining is not None:
-                if remaining[row - 1] == 0:
-                    continue
-                remaining[row - 1] -= 1
-            filled[row] += 1
-            placed.append(row)
-            ok = True
-            if remaining is not None or positive:
-                ok = feasible(done)
-            if ok:
-                for checker in checkers:
-                    if checker.fires(placed, j, row, h):
-                        ok = False
-                        break
-            if ok:
-                total += rec(done)
-            placed.pop()
-            filled[row] -= 1
-            if remaining is not None:
-                remaining[row - 1] += 1
-        return total
-
-    return rec(0)
+        keep = live[heights[done]] if done < len(heights) else 0
+        if h != movers_height:
+            # per row: the live trackers whose target uses it, with target length
+            movers = [
+                [(i, target, len(target)) for i, (_, target) in enumerate(trackers[: live[h]])
+                 if row in target]
+                for row in range(h + 1)
+            ]
+            movers_height = h
+        steps: dict = {}  # regime -> [(row, next regime)], for this column
+        nxt: dict = {}
+        for (progress, regime), n in states.items():
+            moves = steps.get(regime)
+            if moves is None:
+                moves = []
+                for row in range(1, h + 1):
+                    if caps is not None:
+                        if regime[row - 1] == 0:
+                            continue
+                        after = regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:]
+                    elif positive:
+                        after = regime & ~(1 << (row - 1))
+                    else:
+                        moves.append((row, None))
+                        continue
+                    if feasible(after, done):
+                        moves.append((row, after))
+                steps[regime] = moves
+            for row, after in moves:
+                advanced = list(progress[:keep])
+                for i, target, r in movers[row]:
+                    t = progress[i]
+                    if target[t] == row:
+                        if t + 1 == r:
+                            break  # the column completes an occurrence
+                        if i < keep:
+                            advanced[i] = t + 1
+                else:
+                    key = (tuple(advanced), after)
+                    nxt[key] = nxt.get(key, 0) + n
+        states = nxt
+    return sum(states.values())
 
 
 def _iter_engine(shape, patterns, caps=None, positive=False) -> Iterator[tuple[int, ...]]:
@@ -153,27 +194,6 @@ def _iter_engine(shape, patterns, caps=None, positive=False) -> Iterator[tuple[i
     return rec(0)
 
 
-def _count_worker(args) -> int:
-    shape_rows, patterns, caps, positive, first_row = args
-    shape = make_shape(shape_rows)
-    return _count_engine(shape, patterns, caps=caps, positive=positive, first_row=first_row)
-
-
-def _dispatch_count(shape, patterns, caps=None, positive=False, jobs=1) -> int:
-    if jobs <= 1:
-        return _count_engine(shape, patterns, caps=caps, positive=positive)
-    # Split on the first column's row choices; summing the subtree counts is
-    # identical to the sequential run.
-    first_rows = [
-        r for r in range(1, shape.heights[0] + 1) if caps is None or caps[r - 1] > 0
-    ]
-    if len(first_rows) <= 1:
-        return _count_engine(shape, patterns, caps=caps, positive=positive)
-    tasks = [(shape.rows, tuple(patterns), caps, positive, r) for r in first_rows]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return sum(pool.map(_count_worker, tasks))
-
-
 def _check_content(shape: FerrersShape, content) -> Composition:
     comp = make_composition(content)
     if len(comp) != shape.n_rows:
@@ -191,13 +211,13 @@ def count_fillings(shape: FerrersShape, content, patterns, jobs: int = 1) -> int
     """Number of avoiding fillings with exactly content[i] 1's in row i."""
     comp = _check_content(shape, content)
     patterns = canonical_patterns(patterns)
-    return _dispatch_count(shape, patterns, caps=list(comp), jobs=jobs)
+    return _count_engine(shape, patterns, caps=comp)
 
 
 def count_all_fillings(shape: FerrersShape, patterns, jobs: int = 1) -> int:
     """Number of avoiding fillings with unconstrained row contents."""
     patterns = canonical_patterns(patterns)
-    return _dispatch_count(shape, patterns, jobs=jobs)
+    return _count_engine(shape, patterns)
 
 
 def count_positive_fillings(shape: FerrersShape, patterns, jobs: int = 1) -> int:
@@ -205,14 +225,14 @@ def count_positive_fillings(shape: FerrersShape, patterns, jobs: int = 1) -> int
     if shape.n_rows > shape.width:
         return 0
     patterns = canonical_patterns(patterns)
-    return _dispatch_count(shape, patterns, positive=True, jobs=jobs)
+    return _count_engine(shape, patterns, positive=True)
 
 
 def count_words(n: int, m: int, patterns, jobs: int = 1) -> int:
     """Number of avoiding words of length n over the alphabet {1..m}."""
     if n < 1 or m < 1:
         raise BadComposition(f"need positive length and alphabet size, got {n}, {m}")
-    return count_all_fillings(make_shape((n,) * m), patterns, jobs=jobs)
+    return count_all_fillings(make_shape((n,) * m), patterns)
 
 
 def count_words_direct(n: int, m: int, patterns) -> int:
@@ -308,21 +328,61 @@ class CountRecord:
         return {"shape": shape_text, "content": content, "patterns": patterns, "count": self.count}
 
 
+class CorruptCache(Exception):
+    """A result-cache line, other than a torn last line, is not a count record."""
+
+
+def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], int]:
+    row = json.loads(line)
+    key = (row["shape"], row["content"], row["patterns"])
+    count = row["count"]
+    if not all(isinstance(part, str) for part in key) or type(count) is not int:
+        raise TypeError("shape, content and patterns must be strings and count an integer")
+    return key, count
+
+
 class ResultCache:
-    """Append-only JSONL cache of count records, keyed by the text encodings."""
+    """Append-only JSONL cache of count records, keyed by the text encodings.
+
+    Records go through one line-buffered handle, opened at the first ``add``
+    and closed by ``close`` or at the end of a ``with`` block, so every record
+    reaches the file as one whole line.  A torn last line, as a crash while
+    appending leaves behind, is skipped with a warning on stderr and cut off
+    the file, so the next record starts a fresh line; any other line that is
+    not a count record raises ``CorruptCache``.
+    """
 
     def __init__(self, path: str):
         self.path = path
         self._known: dict[tuple[str, str, str], int] = {}
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    key = (row["shape"], row["content"], row["patterns"])
-                    self._known.setdefault(key, row["count"])
+        self._handle = None
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        lines = data.split(b"\n")
+        tail = lines.pop()  # empty unless the last line lacks its newline
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    key, count = _cache_entry(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CorruptCache(
+                        f"{path}: line {number} is not a count record ({exc})"
+                    ) from exc
+                self._known.setdefault(key, count)
+        if tail.strip():
+            try:
+                key, count = _cache_entry(tail)
+            except (ValueError, KeyError, TypeError):
+                print(f"warning: {path}: skipped torn last line {len(lines) + 1}", file=sys.stderr)
+                with open(path, "r+b") as handle:
+                    handle.truncate(len(data) - len(tail))
+            else:
+                self._known.setdefault(key, count)
+                with open(path, "ab") as handle:
+                    handle.write(b"\n")
 
     def get(self, key: tuple[str, str, str]):
         return self._known.get(key)
@@ -332,8 +392,20 @@ class ResultCache:
         if key in self._known:
             return
         self._known[key] = record.count
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record.to_json()) + "\n")
+        if self._handle is None:
+            self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
+        self._handle.write(json.dumps(record.to_json()) + "\n")
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "ResultCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def counted(shape: FerrersShape, content, patterns, cache=None, jobs: int = 1) -> CountRecord:
@@ -345,12 +417,24 @@ def counted(shape: FerrersShape, content, patterns, cache=None, jobs: int = 1) -
         if hit is not None:
             return CountRecord(shape, content, patterns, hit)
     if content == UNCONSTRAINED:
-        n = count_all_fillings(shape, patterns, jobs=jobs)
+        n = count_all_fillings(shape, patterns)
     elif content == POSITIVE_ROWS:
-        n = count_positive_fillings(shape, patterns, jobs=jobs)
+        n = count_positive_fillings(shape, patterns)
     else:
-        n = count_fillings(shape, content, patterns, jobs=jobs)
+        n = count_fillings(shape, content, patterns)
     record = CountRecord(shape, content, patterns, n)
     if cache is not None:
         cache.add(record)
     return record
+
+
+def __getattr__(name):
+    # Counts start no processes.  The pool class stays reachable as a module
+    # attribute because bench/tracing.py wraps it to count pools started; it
+    # is imported only on that lookup, so importing shapewilf does not load
+    # multiprocessing.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

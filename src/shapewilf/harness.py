@@ -4,7 +4,9 @@ Every published count lives in a fixture file (fixtures/table*.json) so that
 reproducing a table is a regression check: the scan recomputes each cell and
 reports computed-vs-published mismatches.  Equivalence scans sweep all shapes
 within bounds (ordered by cell count, then lexicographically) and all
-positive contents, comparing the avoider counts of two pattern sets.
+positive contents, comparing the avoider counts of two pattern sets.  The
+``jobs`` keyword of the scans is still accepted for older callers and ignored:
+every count runs in-process.
 """
 
 import csv
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .core import (
+    InvalidPattern,
     Word,
     direct_sum,
     format_patterns,
@@ -139,7 +142,7 @@ def reproduce_table(table_id: int, jobs: int = 1, cache=None) -> ScanReport:
         else:
             content = parse_composition(cell["content"])
         for pattern, expected in ((pattern_a, cell["a"]), (pattern_b, cell["b"])):
-            record = counted(shape, content, (pattern,), cache=cache, jobs=jobs)
+            record = counted(shape, content, (pattern,), cache=cache)
             report.records.append(record)
             if record.count != expected:
                 report.mismatches.append(
@@ -185,8 +188,8 @@ def check_equivalence(
     )
     for shape in iter_shapes(max_cols, max_rows):
         for content in compositions(shape.width, shape.n_rows, positive=True):
-            rec_a = counted(shape, content, omega, cache=cache, jobs=jobs)
-            rec_b = counted(shape, content, sigma, cache=cache, jobs=jobs)
+            rec_a = counted(shape, content, omega, cache=cache)
+            rec_b = counted(shape, content, sigma, cache=cache)
             report.records += [rec_a, rec_b]
             if rec_a.count != rec_b.count:
                 report.mismatches.append(
@@ -207,8 +210,8 @@ def scan_conjecture1(max_cols: int, max_rows: int, jobs: int = 1, cache=None) ->
     """
     report = ScanReport(scope=f"conjecture1 cols<={max_cols} rows<={max_rows}")
     for shape in iter_shapes(max_cols, max_rows):
-        rec_a = counted(shape, POSITIVE_ROWS, (P231,), cache=cache, jobs=jobs)
-        rec_b = counted(shape, POSITIVE_ROWS, (P312,), cache=cache, jobs=jobs)
+        rec_a = counted(shape, POSITIVE_ROWS, (P231,), cache=cache)
+        rec_b = counted(shape, POSITIVE_ROWS, (P312,), cache=cache)
         report.records += [rec_a, rec_b]
         if rec_a.count > rec_b.count:
             report.mismatches.append(
@@ -231,7 +234,7 @@ def scan_conjecture2(
     if beta:
         validate_pattern(beta)
         if len(set(beta)) != len(beta):
-            raise ValueError(f"beta must be a permutation, got {beta}")
+            raise InvalidPattern(f"beta must be a permutation, got {beta}")
     x = direct_sum(P231, beta)
     y = direct_sum(P312, beta)
     report = ScanReport(
@@ -241,8 +244,8 @@ def scan_conjecture2(
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
             rectangle = make_shape((n,) * m)
-            rec_a = counted(rectangle, UNCONSTRAINED, (x,), cache=cache, jobs=jobs)
-            rec_b = counted(rectangle, UNCONSTRAINED, (y,), cache=cache, jobs=jobs)
+            rec_a = counted(rectangle, UNCONSTRAINED, (x,), cache=cache)
+            rec_b = counted(rectangle, UNCONSTRAINED, (y,), cache=cache)
             report.records += [rec_a, rec_b]
             if rec_a.count != rec_b.count:
                 report.mismatches.append(

@@ -132,3 +132,36 @@ def test_jobs_flag(capsys):
                          "--patterns", "231", "--jobs", "2")
     assert status == 0
     assert out.strip() == "18"
+
+
+def test_parse_errors_are_usage_errors(capsys):
+    status, _, err = run(capsys, "count", "--shape", "5,x", "--patterns", "231")
+    assert status == 2
+    assert "cannot parse shape" in err
+    status, _, err = run(capsys, "scan-conj2", "--beta", "11", "--max-length", "3",
+                         "--max-alphabet", "3")
+    assert status == 2
+    assert "permutation" in err
+
+
+def test_torn_cache_line_is_skipped(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    status, cold, _ = run(capsys, "table", "4", "--cache", str(cache), "--out", "json")
+    assert status == 0
+    whole = cache.read_bytes().splitlines(keepends=True)
+    cache.write_bytes(b"".join(whole[:-1]) + whole[-1][: len(whole[-1]) // 2])
+    status, out, err = run(capsys, "table", "4", "--cache", str(cache), "--out", "json")
+    assert status == 0
+    assert out == cold
+    assert f"skipped torn last line {len(whole)}" in err
+    assert cache.read_bytes() == b"".join(whole)
+
+
+def test_damaged_cache_has_its_own_exit_status(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text('{"shape": "5,5,4", "content": \n{"shape": "3,3", "content": "2,1"}\n')
+    status, out, err = run(capsys, "count", "--shape", "5,5,4", "--content", "2,2,1",
+                           "--patterns", "231", "--cache", str(cache))
+    assert status == 3
+    assert out == ""
+    assert "line 1 is not a count record" in err

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import shapewilf
 from shapewilf import (
     BadComposition,
+    CorruptCache,
     POSITIVE_ROWS,
     ResultCache,
     UNCONSTRAINED,
@@ -193,6 +198,53 @@ def test_engine_matches_brute_force(patterns):
         )
 
 
+def test_long_words_need_no_recursion():
+    # nondecreasing words over {1, 2}: one per position of the first 2
+    assert count_words(2000, 2, [(2, 1)]) == 2001
+
+
+def test_import_does_not_load_multiprocessing():
+    probe = "import sys, shapewilf; print('multiprocessing' in sys.modules)"
+    assert run_python(probe).strip() == "False"
+
+
+# Repeated letters, several patterns at once, and patterns with more letters
+# than small shapes have rows.
+PATTERN_SETS = [
+    (), (P231,), (P312,), ((2, 2, 1),), ((1, 2, 1),), ((2, 1, 2),), ((2, 1, 1),),
+    ((1, 2),), ((1, 1),), ((1, 2, 3, 4),), ((2, 1, 3, 4),), (P231, (2, 2, 1)),
+    (P312, (2, 1, 2)), (P231, (1, 2, 1)), (P312, (2, 1, 1)), ((2, 1), (1, 2, 3)),
+    ((1, 2, 3), (3, 2, 1), (1, 1, 1)),
+]
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4).map(
+        lambda rows: make_shape(sorted(rows, reverse=True))
+    ),
+    st.sampled_from(PATTERN_SETS),
+    st.data(),
+)
+@settings(deadline=None, max_examples=100)
+def test_engine_matches_brute_force_on_random_shapes(shape, patterns, data):
+    assert count_all_fillings(shape, patterns) == brute_count_fillings(shape, patterns)
+    assert count_positive_fillings(shape, patterns) == brute_count_fillings(
+        shape, patterns, positive=True
+    )
+    contents = list(compositions(shape.width, shape.n_rows))
+    if contents:
+        content = data.draw(st.sampled_from(contents))
+        assert count_fillings(shape, content, patterns) == brute_count_fillings(
+            shape, patterns, content=content
+        )
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.sampled_from(PATTERN_SETS))
+@settings(deadline=None, max_examples=80)
+def test_word_counts_match_direct_count(n, m, patterns):
+    assert count_words(n, m, patterns) == count_words_direct(n, m, patterns)
+
+
 def test_parallel_counts_match_sequential():
     shape = parse_shape("6,6,6,4")
     assert count_positive_fillings(shape, [P231], jobs=2) == 425
@@ -214,6 +266,92 @@ def test_result_cache(tmp_path):
     reloaded = ResultCache(str(path))
     assert reloaded.get(("5,5,4", "2,2,1", "231")) == 18
     assert len(path.read_text().splitlines()) == 3
+
+
+def run_python(code, *args):
+    """Run ``python -c code args`` with this shapewilf importable; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(shapewilf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.stdout
+
+
+def test_cache_records_written_by_another_process_read_back(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    writer = (
+        "import sys\n"
+        "from shapewilf import ResultCache, counted, parse_shape\n"
+        "with ResultCache(sys.argv[1]) as cache:\n"
+        "    for content in [(2, 2, 1), (1, 1, 3), 'positive-rows']:\n"
+        "        counted(parse_shape('5,5,4'), content, [(2, 3, 1)], cache=cache)\n"
+    )
+    run_python(writer, str(path))
+    fresh = ResultCache(str(path))
+    assert fresh.get(("5,5,4", "2,2,1", "231")) == 18
+    assert fresh.get(("5,5,4", "1,1,3", "231")) == count_fillings(parse_shape("5,5,4"), (1, 1, 3), [P231])
+    assert fresh.get(("5,5,4", "positive-rows", "231")) == 82
+    assert len(path.read_text().splitlines()) == 3
+
+
+def test_cache_records_are_whole_lines_before_close(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    with ResultCache(str(path)) as cache:
+        counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache)
+        assert ResultCache(str(path)).get(("5,5,4", "2,2,1", "231")) == 18
+        counted(parse_shape("5,5,4"), (1, 1, 3), [P312], cache=cache)
+    assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
+
+
+def _torn_cache(path):
+    """A two-record cache whose last line was cut short while being appended."""
+    shape = parse_shape("5,5,4")
+    with ResultCache(str(path)) as cache:
+        counted(shape, (2, 2, 1), [P231], cache=cache)
+        counted(shape, (1, 1, 3), [P312], cache=cache)
+    whole, last = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(whole + last[: len(last) // 2])
+    return whole
+
+
+def test_cache_skips_a_torn_last_line_and_cuts_it_off(tmp_path, capsys):
+    path = tmp_path / "counts.jsonl"
+    whole = _torn_cache(path)
+    with ResultCache(str(path)) as cache:
+        assert "skipped torn last line 2" in capsys.readouterr().err
+        assert path.read_bytes() == whole
+        assert cache.get(("5,5,4", "2,2,1", "231")) == 18
+        assert cache.get(("5,5,4", "1,1,3", "312")) is None
+        assert counted(parse_shape("5,5,4"), (1, 1, 3), [P312], cache=cache).count == 8
+    assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
+
+
+def test_cache_keeps_a_whole_last_record_without_its_newline(tmp_path, capsys):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231",
+                                "count": 18}))
+    with ResultCache(str(path)) as cache:
+        assert cache.get(("5,5,4", "2,2,1", "231")) == 18
+        counted(parse_shape("5,5,4"), (1, 1, 3), [P312], cache=cache)
+    assert capsys.readouterr().err == ""
+    assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ['{"shape": "5,5,4", "content": "2,2', '{"shape": "5,5,4"}', '[1, 2]',
+     '{"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": "18"}'],
+)
+def test_cache_rejects_a_bad_line_before_the_last(tmp_path, bad_line):
+    path = tmp_path / "counts.jsonl"
+    good = json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18})
+    text = f"{good}\n{bad_line}\n{good}\n"
+    path.write_text(text)
+    with pytest.raises(CorruptCache, match="line 2"):
+        ResultCache(str(path))
+    assert path.read_text() == text  # a damaged cache is reported, not repaired
 
 
 def test_counted_dispatches_regimes():
