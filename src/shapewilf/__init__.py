@@ -45,6 +45,7 @@ from .matcher import (
     word_contains,
 )
 from .enumeration import (
+    CONTENTS,
     POSITIVE_ROWS,
     UNCONSTRAINED,
     CorruptCache,
@@ -59,6 +60,7 @@ from .enumeration import (
     count_words_direct,
     counted,
     enumerate_fillings,
+    walk_shapes,
 )
 from .bijection import (
     BandStructure,

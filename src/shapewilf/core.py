@@ -65,9 +65,13 @@ class FerrersShape:
                     f"row {i} is {rows[i - 1]}"
                 )
         object.__setattr__(self, "rows", rows)
-        width = rows[0]
-        heights = tuple(sum(1 for r in rows if r >= j) for j in range(1, width + 1))
-        object.__setattr__(self, "heights", heights)
+        heights = []
+        covering = len(rows)  # rows reaching the column; lengths weakly decrease
+        for j in range(1, rows[0] + 1):
+            while rows[covering - 1] < j:
+                covering -= 1
+            heights.append(covering)
+        object.__setattr__(self, "heights", tuple(heights))
 
     @property
     def n_rows(self) -> int:

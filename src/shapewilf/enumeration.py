@@ -1,29 +1,36 @@
 """Exhaustive counting and enumeration of pattern-avoiding fillings.
 
 Counts use a column-by-column transfer matrix: a ``dict`` from state to the
-number of column prefixes that reach it, advanced one column at a time with no
-recursion.  An occurrence of a pattern x (k letters, r positions) lives on
-rows rho_1 < ... < rho_k and is a subsequence rho_{x_1} ... rho_{x_r} of the
-first rows[rho_k - 1] columns, so each (pattern, rho) pair is a tracker whose
-state is its greedy leftmost-match progress; greedy matching is exact for a
-fixed target word, and a branch dies when some tracker completes.  A tracker
-is dropped once rho_k exceeds the next column's height (heights weakly
-decrease, so it never comes back), which merges states.  Beside the
-progresses a state holds the remaining row capacities (fixed content) or the
-set of still-empty rows (at-least-one-per-row), and a state is pruned when
-those can no longer be scheduled into the remaining columns (Hall condition:
-rows have deadlines because column heights weakly decrease).
+number of column prefixes that reach it, advanced one column at a time by
+``step`` with no recursion.  An occurrence of a pattern x (k letters, r
+positions) lives on rows rho_1 < ... < rho_k and is a subsequence
+rho_{x_1} ... rho_{x_r} of the first rows[rho_k - 1] columns, so each
+(pattern, rho) pair is a tracker whose state is its greedy leftmost-match
+progress; greedy matching is exact for a fixed target word, and a branch dies
+when some tracker completes.  On entry to a column of height h the trackers
+with rho_k > h are dropped (heights weakly decrease, so they never come
+back), which merges states.  Beside the progresses a state holds a regime
+state: the remaining row capacities (fixed content), the set of still-empty
+rows (at-least-one-per-row) or nothing, and a state is pruned when its rows
+can no longer be filled in time (Hall condition: rows have deadlines because
+column heights weakly decrease).
 
-``enumerate_fillings`` streams the fillings themselves by backtracking over
-the same columns with the same prunes.  All counts are exact Python integers.
-Every count runs in the calling process; the ``jobs`` keyword of the count
-functions is still accepted, so older callers keep working, and is ignored.
+Three drivers share ``step``: the single-shape count, ``walk_shapes``, which
+walks the tree of column-height sequences depth first and carries each
+shape's state dict to the shapes one column longer (so a whole scan pays one
+step per shape, and every positive content of a shape is counted at once),
+and ``enumerate_fillings``, which expands one state at a time in
+lexicographic order.  None of them recurses, so widths in the thousands are
+fine.  All counts are exact Python integers.  Every count runs in the calling
+process; the ``jobs`` keyword of the count functions is still accepted, so
+older callers keep working, and is ignored.
 """
 
 import json
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
 from typing import Iterator
 
@@ -40,10 +47,11 @@ from .core import (
     make_shape,
     validate_pattern,
 )
-from .matcher import LastColumnChecker, avoids_all
+from .matcher import avoids_all
 
 UNCONSTRAINED = "unconstrained"
 POSITIVE_ROWS = "positive-rows"
+CONTENTS = "contents"  # walk_shapes regime: one count per positive content
 
 
 def canonical_patterns(patterns) -> tuple[Word, ...]:
@@ -52,34 +60,91 @@ def canonical_patterns(patterns) -> tuple[Word, ...]:
     return tuple(sorted(unique, key=lambda p: (len(p), p)))
 
 
-def _trackers(shape: FerrersShape, patterns) -> list[tuple[int, Word]]:
-    """(top row, target word) for each pattern and row subset that fits the shape.
+class _Trackers:
+    """The (pattern, row subset) trackers on rows 1..m, grouped for column steps.
 
     The subset rho_1 < ... < rho_k of a pattern x hosts an occurrence exactly
     when the word rho_{x_1} ... rho_{x_r} is a subsequence of the first
-    rows[rho_k - 1] columns.  Sorted by top row, so that the trackers still
-    live at a column of height h are the prefix with top row <= h.
+    rows[rho_k - 1] columns, so a tracker is made only when row rho_k reaches
+    r columns.  Trackers are sorted by top row, so that the ones still live
+    in a column of height h are the first ``live[h]``.
+    """
+
+    def __init__(self, patterns, rows):
+        found = []
+        for pattern in patterns:
+            for rho in combinations(range(1, len(rows) + 1), max(pattern)):
+                if rows[rho[-1] - 1] >= len(pattern):
+                    found.append((rho[-1], tuple(rho[v - 1] for v in pattern)))
+        found.sort(key=lambda tracker: tracker[0])
+        tops = [top for top, _ in found]
+        self.live = [bisect_right(tops, h) for h in range(len(rows) + 1)]
+        self.targets = [target for _, target in found]
+        self._movers: dict = {}
+
+    def movers(self, h: int) -> list:
+        """Per row: (index, target, length) of each tracker live at height h that uses the row."""
+        movers = self._movers.get(h)
+        if movers is None:
+            live = self.targets[: self.live[h]]
+            movers = self._movers[h] = [
+                [(i, target, len(target)) for i, target in enumerate(live) if row in target]
+                for row in range(h + 1)
+            ]
+        return movers
+
+
+def step(states: dict, h: int, trackers: _Trackers, moves) -> dict:
+    """Advance a state dict by one column of height h.
+
+    A state is (greedy match progress of each live tracker, regime state).  On
+    entry the progress tuples are cut to the trackers with top row <= h, which
+    merges states.  ``moves(regime)`` lists the (row, next regime) pairs a
+    regime state allows in this column; it is called once per distinct one.
+    """
+    cut = trackers.live[h]
+    movers = trackers.movers(h)
+    if states and len(next(iter(states))[0]) > cut:  # all progress tuples are as long
+        merged: dict = {}
+        for (progress, regime), n in states.items():
+            key = (progress[:cut], regime)
+            merged[key] = merged.get(key, 0) + n
+        states = merged
+    options: dict = {}  # regime -> its moves in this column
+    nxt: dict = {}
+    for (progress, regime), n in states.items():
+        rows = options.get(regime)
+        if rows is None:
+            rows = options[regime] = moves(regime)
+        for row, after in rows:
+            advanced = None  # a copy of progress, made once some tracker advances
+            for i, target, r in movers[row]:
+                t = progress[i]
+                if target[t] == row:
+                    if t + 1 == r:
+                        break  # the column completes an occurrence
+                    if advanced is None:
+                        advanced = list(progress)
+                    advanced[i] = t + 1
+            else:
+                key = (progress if advanced is None else tuple(advanced), after)
+                nxt[key] = nxt.get(key, 0) + n
+    return nxt
+
+
+def _shape_regime(shape, caps=None, positive=False):
+    """Start state and ``moves(regime, h, done)`` of a count on one shape.
+
+    The regime state is the remaining 1's per row (fixed content), the bitmask
+    of empty rows (positive rows) or None (unconstrained).  ``moves`` lists the
+    (row, next regime) pairs for column ``done`` of height h, pruning regimes
+    whose rows can no longer be filled in time (Hall condition: rows >= t can
+    only be fed by columns <= rows[t-1]).
     """
     rows = shape.rows
-    out = []
-    for pattern in patterns:
-        for rho in combinations(range(1, len(rows) + 1), max(pattern)):
-            if rows[rho[-1] - 1] >= len(pattern):
-                out.append((rho[-1], tuple(rho[v - 1] for v in pattern)))
-    out.sort(key=lambda tracker: tracker[0])
-    return out
-
-
-def _count_engine(shape, patterns, caps=None, positive=False) -> int:
-    heights = shape.heights
-    rows = shape.rows
     m = shape.n_rows
-    trackers = _trackers(shape, patterns)
-    tops = [top for top, _ in trackers]
-    live = [bisect_right(tops, h) for h in range(m + 1)]  # live trackers under height h
 
     def feasible(regime, done: int) -> bool:
-        # Hall condition: rows >= t can only be fed by columns <= rows[t-1].
         need = 0
         for t in range(m, 0, -1):
             need += regime[t - 1] if caps is not None else (regime >> (t - 1)) & 1
@@ -87,111 +152,137 @@ def _count_engine(shape, patterns, caps=None, positive=False) -> int:
                 return False
         return True
 
+    def moves(regime, h: int, done: int) -> list:
+        out = []
+        for row in range(1, h + 1):
+            if caps is not None:
+                if regime[row - 1] == 0:
+                    continue
+                after = regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:]
+            elif positive:
+                after = regime & ~(1 << (row - 1))
+            else:
+                out.append((row, None))
+                continue
+            if feasible(after, done):
+                out.append((row, after))
+        return out
+
     if caps is not None:
-        start = tuple(caps)  # remaining 1's per row
-    elif positive:
-        start = (1 << m) - 1  # bit t-1 set while row t is empty
-    else:
-        start = None
-    # A state is (greedy match progress of each live tracker, regime state).
-    states = {((0,) * live[heights[0]], start): 1}
-    movers_height = None
-    for j, h in enumerate(heights):
-        done = j + 1
-        keep = live[heights[done]] if done < len(heights) else 0
-        if h != movers_height:
-            # per row: the live trackers whose target uses it, with target length
-            movers = [
-                [(i, target, len(target)) for i, (_, target) in enumerate(trackers[: live[h]])
-                 if row in target]
-                for row in range(h + 1)
-            ]
-            movers_height = h
-        steps: dict = {}  # regime -> [(row, next regime)], for this column
-        nxt: dict = {}
-        for (progress, regime), n in states.items():
-            moves = steps.get(regime)
-            if moves is None:
-                moves = []
-                for row in range(1, h + 1):
-                    if caps is not None:
-                        if regime[row - 1] == 0:
-                            continue
-                        after = regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:]
-                    elif positive:
-                        after = regime & ~(1 << (row - 1))
-                    else:
-                        moves.append((row, None))
-                        continue
-                    if feasible(after, done):
-                        moves.append((row, after))
-                steps[regime] = moves
-            for row, after in moves:
-                advanced = list(progress[:keep])
-                for i, target, r in movers[row]:
-                    t = progress[i]
-                    if target[t] == row:
-                        if t + 1 == r:
-                            break  # the column completes an occurrence
-                        if i < keep:
-                            advanced[i] = t + 1
-                else:
-                    key = (tuple(advanced), after)
-                    nxt[key] = nxt.get(key, 0) + n
-        states = nxt
+        return tuple(caps), moves
+    if positive:
+        return (1 << m) - 1, moves  # bit t-1 set while row t is empty
+    return None, moves
+
+
+def _count_engine(shape, patterns, caps=None, positive=False) -> int:
+    trackers = _Trackers(patterns, shape.rows)
+    start, moves = _shape_regime(shape, caps, positive)
+    states = {((0,) * trackers.live[shape.n_rows], start): 1}
+    for done, h in enumerate(shape.heights, start=1):
+        states = step(states, h, trackers, partial(moves, h=h, done=done))
     return sum(states.values())
 
 
+def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
+    """Yield (column heights, histogram) for every shape within the bounds.
+
+    One depth-first walk per first-column height m covers every weakly
+    decreasing height sequence that starts with m, carrying the state dict of
+    each shape to the shapes that extend it by one column, so every shape
+    costs one ``step``.  The regime state holds the row counts so far
+    (``CONTENTS``) or the bitmask of empty rows (``POSITIVE_ROWS``); a state
+    dies once an empty row lies above the column or more rows are empty than
+    columns remain within ``max_cols``.  The histogram maps every positive
+    content to its number of avoiders (``CONTENTS``), or ``POSITIVE_ROWS`` to
+    the number of avoiders with no empty row; counts of 0 are left out.
+    Shapes come in depth-first order, not in ``iter_shapes`` order.
+    """
+    if regime not in (CONTENTS, POSITIVE_ROWS):
+        raise ValueError(f"regime must be {CONTENTS!r} or {POSITIVE_ROWS!r}, got {regime!r}")
+    patterns = canonical_patterns(patterns)
+    positive = regime == POSITIVE_ROWS
+
+    def moves(state, h: int, done: int) -> list:
+        left = max_cols - done  # columns that may still follow this one
+        out = []
+        if positive:
+            if state >> h:
+                return out  # an empty row above h stays empty
+            for row in range(1, h + 1):
+                after = state & ~(1 << (row - 1))
+                if after.bit_count() <= left:
+                    out.append((row, after))
+        else:
+            if 0 in state[h:]:
+                return out  # an empty row above h stays empty
+            empty = state.count(0)
+            for row in range(1, h + 1):
+                was = state[row - 1]
+                if empty - (was == 0) <= left:
+                    out.append((row, state[: row - 1] + (was + 1,) + state[row:]))
+        return out
+
+    if max_cols < 1:
+        return
+    for m in range(1, max_rows + 1):
+        # Every row of a shape in the walk is at most max_cols long.
+        trackers = _Trackers(patterns, (max_cols,) * m)
+        start = (1 << m) - 1 if positive else (0,) * m
+        stack = [((m,), {((0,) * trackers.live[m], start): 1})]
+        while stack:
+            heights, states = stack.pop()
+            h = heights[-1]
+            states = step(states, h, trackers, partial(moves, h=h, done=len(heights)))
+            histogram: dict = {}
+            for (_, state), n in states.items():
+                if positive:
+                    if state == 0:
+                        histogram[POSITIVE_ROWS] = histogram.get(POSITIVE_ROWS, 0) + n
+                elif 0 not in state:
+                    histogram[state] = histogram.get(state, 0) + n
+            yield heights, histogram
+            if len(heights) < max_cols:
+                stack.extend((heights + (g,), states) for g in range(h, 0, -1))
+
+
 def _iter_engine(shape, patterns, caps=None, positive=False) -> Iterator[tuple[int, ...]]:
+    # Depth first over the same column steps as the count, one state at a
+    # time.  Each move is tagged with its row, so the children of a state stay
+    # apart and come out of ``step`` in increasing row order.
+    trackers = _Trackers(patterns, shape.rows)
+    start, moves = _shape_regime(shape, caps, positive)
     heights = shape.heights
     width = shape.width
-    rows = shape.rows
-    m = shape.n_rows
-    checkers = [LastColumnChecker(p) for p in patterns]
+
+    tags: dict = {}  # (regime, column) -> its tagged moves, shared by every prefix
+
+    def tagged(regime, h: int, done: int) -> list:
+        key = (regime[1], done)
+        out = tags.get(key)
+        if out is None:
+            out = tags[key] = [(row, (row, after)) for row, after in moves(regime[1], h, done)]
+        return out
+
+    columns = [partial(tagged, h=h, done=done) for done, h in enumerate(heights, start=1)]
     placed: list[int] = []
-    remaining = list(caps) if caps is not None else None
-    filled = [0] * (m + 1)
-
-    def feasible(done: int) -> bool:
-        need = 0
-        for t in range(m, 0, -1):
-            if remaining is not None:
-                need += remaining[t - 1]
-            elif filled[t] == 0:
-                need += 1
-            if need and need > rows[t - 1] - done:
-                return False
-        return True
-
-    def rec(j: int) -> Iterator[tuple[int, ...]]:
-        if j == width:
-            yield tuple(placed)
-            return
-        h = heights[j]
-        done = j + 1
-        for row in range(1, h + 1):
-            if remaining is not None:
-                if remaining[row - 1] == 0:
-                    continue
-                remaining[row - 1] -= 1
-            filled[row] += 1
-            placed.append(row)
-            ok = True
-            if remaining is not None or positive:
-                ok = feasible(done)
-            if ok:
-                for checker in checkers:
-                    if checker.fires(placed, j, row, h):
-                        ok = False
-                        break
-            if ok:
-                yield from rec(done)
-            placed.pop()
-            filled[row] -= 1
-            if remaining is not None:
-                remaining[row - 1] += 1
-
-    return rec(0)
+    # children[j] runs over the states after j columns that are still to expand
+    children = [iter([((0,) * trackers.live[shape.n_rows], (0, start))])]
+    while children:
+        j = len(children) - 1
+        state = next(children[j], None)
+        if state is None:
+            children.pop()
+            continue
+        if j:
+            del placed[j - 1 :]
+            placed.append(state[1][0])
+        after = step({state: 1}, heights[j], trackers, columns[j])
+        if j + 1 == width:
+            for _, (row, _) in after:
+                yield (*placed, row)
+        else:
+            children.append(iter(after))
 
 
 def _check_content(shape: FerrersShape, content) -> Composition:

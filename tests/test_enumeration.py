@@ -160,6 +160,18 @@ def test_enumerate_fillings():
     assert [f.col_to_row for f in enumerate_fillings(make_shape((1,)), [])] == [(1,)]
 
 
+def test_enumerate_streams_very_wide_shapes_without_recursing():
+    # the {1,2}-words of length 1200 avoiding 21 are 1^a 2^b, a = 0..1200
+    stream = enumerate_fillings(make_shape((1200, 1200)), [(2, 1)])
+    first = next(stream)
+    assert first.col_to_row == (1,) * 1200
+    count = 1
+    for filling in stream:
+        count += 1
+    assert count == 1201
+    assert filling.col_to_row == (2,) * 1200
+
+
 def test_enumerate_matches_counts_in_every_regime():
     shape = parse_shape("4,4,3")
     patterns = [P231, (2, 1, 2)]

@@ -1,19 +1,34 @@
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapewilf import (
+    CONTENTS,
+    POSITIVE_ROWS,
+    CountRecord,
     ResultCache,
     ScanReport,
     check_equivalence,
+    compositions,
+    counted,
+    harness,
     iter_shapes,
     reproduce_table,
     scan_conjecture1,
     scan_conjecture2,
+    walk_shapes,
 )
 
 P231 = (2, 3, 1)
 P312 = (3, 1, 2)
+# The repeated-letter patterns of theorems 11 and 12, 11, and 1234, which is
+# taller than most shapes in the bounds drawn below.
+WALK_PATTERNS = [P231, P312, (2, 2, 1), (1, 2, 1), (2, 1, 2), (2, 1, 1), (1, 1), (1, 2, 3, 4)]
+pattern_sets = st.lists(st.sampled_from(WALK_PATTERNS), min_size=1, max_size=3)
+max_cols = st.integers(1, 5)
+max_rows = st.integers(1, 4)
 
 
 def test_iter_shapes_order_and_bounds():
@@ -154,3 +169,141 @@ def test_scan_report_is_a_plain_document():
         "mismatches": [],
         "verdict": "equal",
     }
+
+
+# --- the tree walk behind check_equivalence and scan_conjecture1 ----------
+
+
+def per_cell_records(cells, pattern_sets):
+    """The scan records counted one (shape, content) cell at a time."""
+    return [
+        counted(shape, content, patterns)
+        for shape, content in cells
+        for patterns in pattern_sets
+    ]
+
+
+@given(pattern_sets, pattern_sets, max_cols, max_rows)
+@settings(max_examples=20, deadline=None)
+def test_walked_equivalence_scan_matches_per_cell_counts(omega, sigma, cols, rows):
+    cells = [
+        (shape, content)
+        for shape in iter_shapes(cols, rows)
+        for content in compositions(shape.width, shape.n_rows)
+    ]
+    report = check_equivalence(omega, sigma, cols, rows)
+    reference = per_cell_records(cells, (omega, sigma))
+    assert report.records == reference
+    assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
+
+
+@given(max_cols, max_rows)
+@settings(max_examples=20, deadline=None)
+def test_walked_conjecture1_scan_matches_per_cell_counts(cols, rows):
+    cells = [(shape, POSITIVE_ROWS) for shape in iter_shapes(cols, rows)]
+    report = scan_conjecture1(cols, rows)
+    reference = per_cell_records(cells, ((P231,), (P312,)))
+    assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
+
+
+@given(pattern_sets, max_cols, max_rows, st.sampled_from([CONTENTS, POSITIVE_ROWS]))
+@settings(max_examples=20, deadline=None)
+def test_walk_yields_every_shape_once_with_per_cell_counts(patterns, cols, rows, regime):
+    walked = list(walk_shapes(patterns, cols, rows, regime))
+    histograms = dict(walked)
+    shapes = list(iter_shapes(cols, rows))
+    assert len(walked) == len(histograms) == len(shapes)
+    for shape in shapes:
+        histogram = histograms[shape.heights]
+        if regime == POSITIVE_ROWS:
+            contents = [POSITIVE_ROWS]
+        else:
+            contents = list(compositions(shape.width, shape.n_rows))
+        assert set(histogram) <= set(contents)
+        assert 0 not in histogram.values()
+        for content in contents:
+            assert histogram.get(content, 0) == counted(shape, content, patterns).count
+
+
+def test_walk_rejects_an_unknown_regime():
+    with pytest.raises(ValueError):
+        list(walk_shapes([P231], 3, 3, "unconstrained"))
+
+
+def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    omega, sigma = [P231, (2, 2, 1)], [P312, (2, 1, 2)]
+    cold = check_equivalence(omega, sigma, 4, 3)
+    # Every third record is cached with a wrong count, so a reported wrong
+    # count shows that the cached value won over the walk.
+    planted = [
+        CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold.records[::3]
+    ]
+    with ResultCache(str(path)) as cache:
+        for record in planted:
+            cache.add(record)
+    with ResultCache(str(path)) as cache:
+        mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
+    assert [r.count for r in mixed.records] == [
+        r.count + 1000 if i % 3 == 0 else r.count for i, r in enumerate(cold.records)
+    ]
+    assert mixed.verdict == "unequal"
+    # the counted records follow the planted ones in the file, in report order
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines == [r.to_json() for r in planted] + [
+        r.to_json() for i, r in enumerate(cold.records) if i % 3
+    ]
+
+
+def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    omega, sigma = [P231, (1, 2, 1)], [P312, (2, 1, 1)]
+    with ResultCache(path) as cache:
+        cold_equivalence = check_equivalence(omega, sigma, 5, 4, cache=cache)
+        cold_conjecture = scan_conjecture1(5, 4, cache=cache)
+    size = (tmp_path / "cache.jsonl").stat().st_size
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked although every count was cached")
+
+    monkeypatch.setattr(harness, "walk_shapes", no_walk)
+    with ResultCache(path) as cache:
+        warm_equivalence = check_equivalence(omega, sigma, 5, 4, cache=cache)
+        warm_conjecture = scan_conjecture1(5, 4, cache=cache)
+    assert warm_equivalence.to_json() == cold_equivalence.to_json()
+    assert warm_conjecture.to_json() == cold_conjecture.to_json()
+    assert (tmp_path / "cache.jsonl").stat().st_size == size
+    with pytest.raises(AssertionError):
+        check_equivalence(omega, sigma, 5, 4)  # without the cache it must walk
+
+
+def test_scans_of_very_wide_shapes_do_not_recurse():
+    # 1500 one-row shapes: one filling each, avoiding every pattern with two letters
+    report = scan_conjecture1(1500, 1)
+    assert report.verdict == "conjecture-consistent"
+    assert len(report.records) == 3000 and {r.count for r in report.records} == {1}
+    report = check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 1500, 1)
+    assert report.verdict == "equal"
+    assert len(report.records) == 3000 and {r.count for r in report.records} == {1}
+
+
+@pytest.mark.parametrize(
+    "omega, sigma",
+    [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231, (1, 2, 1)], [P312, (2, 1, 1)])],
+)
+def test_theorem_pairs_are_equal_on_every_shape_up_to_7_by_5(omega, sigma):
+    start = time.perf_counter()
+    report = check_equivalence(omega, sigma, 7, 5)
+    elapsed = time.perf_counter() - start
+    assert report.verdict == "equal"
+    assert len(report.records) == 14250
+    print(f"check_equivalence 7x5: {elapsed:.2f} s")
+
+
+def test_conjecture1_holds_on_every_shape_up_to_9_by_5():
+    start = time.perf_counter()
+    report = scan_conjecture1(9, 5)
+    elapsed = time.perf_counter() - start
+    assert report.verdict == "conjecture-consistent"
+    assert len(report.records) == 4002
+    print(f"scan_conjecture1 9x5: {elapsed:.2f} s")
