@@ -21,7 +21,6 @@ from .core import (
     ShapeMismatch,
     Word,
     border_path,
-    column_heights,
     direct_sum,
     filling_content,
     format_composition,
@@ -41,7 +40,6 @@ from .core import (
 from .matcher import (
     avoids_all,
     contains,
-    contains_using_last_column,
     word_contains,
 )
 from .enumeration import (

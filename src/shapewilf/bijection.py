@@ -18,7 +18,6 @@ turns it into content-preserving bijections between fillings avoiding
 
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     ContentMismatch,
     FerrersShape,
     Filling,
+    FrozenValue,
     FullRookPlacement,
     NotAvoiding,
     ShapeMismatch,
@@ -66,8 +66,7 @@ class BijectionFailure(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class BandStructure:
+class BandStructure(FrozenValue):
     """Grouping of blown-up rows back into the original rows.
 
     Band i (1-based) covers the contiguous blown-up rows
@@ -75,9 +74,17 @@ class BandStructure:
     rows; ``band_of[r-1]`` is the band of blown-up row r.
     """
 
-    composition: Composition
-    band_of: tuple[int, ...]
-    row_range: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("composition", "band_of", "row_range")
+
+    def __init__(
+        self,
+        composition: Composition,
+        band_of: tuple[int, ...],
+        row_range: tuple[tuple[int, int], ...],
+    ):
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "band_of", band_of)
+        object.__setattr__(self, "row_range", row_range)
 
 
 def bands_from_composition(content) -> BandStructure:
@@ -343,15 +350,24 @@ def to_231_121_avoider(filling: Filling, content) -> Filling:
     return shrink(alpha_inverse(placement), bands)
 
 
-@dataclass(frozen=True)
-class EquivalenceVariant:
+class EquivalenceVariant(FrozenValue):
     """One of the two content-preserving equivalences, as used by the CLI."""
 
-    name: str
-    source: tuple[Word, Word]
-    target: tuple[Word, Word]
-    forward_direction: Direction
-    inverse_direction: Direction
+    __slots__ = _fields = ("name", "source", "target", "forward_direction", "inverse_direction")
+
+    def __init__(
+        self,
+        name: str,
+        source: tuple[Word, Word],
+        target: tuple[Word, Word],
+        forward_direction: Direction,
+        inverse_direction: Direction,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "forward_direction", forward_direction)
+        object.__setattr__(self, "inverse_direction", inverse_direction)
 
     def forward(self, filling: Filling, content) -> Filling:
         _require_avoids(filling, self.source)

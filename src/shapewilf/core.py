@@ -5,8 +5,6 @@ bottom (French convention), columns 1..width from the left.  A filling places
 exactly one 1 in every column, recorded as the row index of that 1.
 """
 
-from dataclasses import dataclass, field
-
 
 class NotFerrers(ValueError):
     """Row lengths do not form a Ferrers shape."""
@@ -41,19 +39,62 @@ Composition = tuple[int, ...]
 BorderVertexPath = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class FerrersShape:
+class Value:
+    """Value equality and a ``Name(field=value, ...)`` repr over ``_fields``.
+
+    The package's record classes derive from this or from ``FrozenValue``,
+    list their attributes in ``__slots__`` and set them in an explicit
+    ``__init__`` whose positional parameters are ``_fields`` in order, so
+    pickling and copying rebuild an object through its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class FrozenValue(Value):
+    """A hashable ``Value`` whose attributes cannot change after ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+
+class FerrersShape(FrozenValue):
     """Left-justified rows with weakly decreasing lengths bottom to top.
 
     ``rows[i-1]`` is the length of row i.  ``heights[j-1]`` is the number of
-    rows covering column j; it is weakly decreasing as well.
+    rows covering column j; it is weakly decreasing as well.  Shapes compare
+    and hash on ``rows`` alone, which determines ``heights``.
     """
 
-    rows: tuple[int, ...]
-    heights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("rows", "heights")
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
+    def __init__(self, rows: tuple[int, ...]):
+        rows = tuple(rows)
         if not rows:
             raise NotFerrers("a shape needs at least one row")
         for i, length in enumerate(rows):
@@ -64,13 +105,13 @@ class FerrersShape:
                     f"row lengths must not grow upwards: row {i + 1} is {length}, "
                     f"row {i} is {rows[i - 1]}"
                 )
-        object.__setattr__(self, "rows", rows)
         heights = []
         covering = len(rows)  # rows reaching the column; lengths weakly decrease
         for j in range(1, rows[0] + 1):
             while rows[covering - 1] < j:
                 covering -= 1
             heights.append(covering)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "heights", tuple(heights))
 
     @property
@@ -86,44 +127,43 @@ class FerrersShape:
         return sum(self.rows)
 
 
-@dataclass(frozen=True)
-class Filling:
+class Filling(FrozenValue):
     """A 0-1 filling with exactly one 1 per column.
 
     ``col_to_row[j-1]`` is the row of the 1 in column j; it must lie inside
     the shape, i.e. not exceed the column's height.
     """
 
-    shape: FerrersShape
-    col_to_row: tuple[int, ...]
+    __slots__ = _fields = ("shape", "col_to_row")
 
-    def __post_init__(self):
-        col_to_row = tuple(self.col_to_row)
-        object.__setattr__(self, "col_to_row", col_to_row)
-        if len(col_to_row) != self.shape.width:
+    def __init__(self, shape: FerrersShape, col_to_row: tuple[int, ...]):
+        col_to_row = tuple(col_to_row)
+        if len(col_to_row) != shape.width:
             raise ShapeMismatch(
-                f"need one entry per column: got {len(col_to_row)} for width {self.shape.width}"
+                f"need one entry per column: got {len(col_to_row)} for width {shape.width}"
             )
         for j, row in enumerate(col_to_row, start=1):
-            height = self.shape.heights[j - 1]
+            height = shape.heights[j - 1]
             if not 1 <= row <= height:
                 raise ShapeMismatch(f"column {j}: row {row} is outside the shape (height {height})")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "col_to_row", col_to_row)
 
 
-@dataclass(frozen=True)
-class FullRookPlacement:
+class FullRookPlacement(FrozenValue):
     """A filling that also has exactly one 1 per row (a square-content filling)."""
 
-    filling: Filling
+    __slots__ = _fields = ("filling",)
 
-    def __post_init__(self):
-        shape = self.filling.shape
+    def __init__(self, filling: Filling):
+        shape = filling.shape
         if shape.n_rows != shape.width:
             raise ShapeMismatch(
                 f"full placements need as many rows as columns: {shape.n_rows} vs {shape.width}"
             )
-        if sorted(self.filling.col_to_row) != list(range(1, shape.n_rows + 1)):
+        if sorted(filling.col_to_row) != list(range(1, shape.n_rows + 1)):
             raise ShapeMismatch("full placements need exactly one 1 per row")
+        object.__setattr__(self, "filling", filling)
 
     @property
     def shape(self) -> FerrersShape:
@@ -137,11 +177,6 @@ class FullRookPlacement:
 def make_shape(rows) -> FerrersShape:
     """Validate row lengths (bottom to top) and build the shape."""
     return FerrersShape(tuple(rows))
-
-
-def column_heights(shape: FerrersShape) -> tuple[int, ...]:
-    """Number of rows covering each column, left to right."""
-    return shape.heights
 
 
 def make_word(letters) -> Word:

@@ -29,7 +29,6 @@ older callers keep working, and is ignored.
 import json
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
 from typing import Iterator
@@ -39,6 +38,7 @@ from .core import (
     Composition,
     FerrersShape,
     Filling,
+    FrozenValue,
     Word,
     format_composition,
     format_patterns,
@@ -66,16 +66,17 @@ class _Trackers:
     The subset rho_1 < ... < rho_k of a pattern x hosts an occurrence exactly
     when the word rho_{x_1} ... rho_{x_r} is a subsequence of the first
     rows[rho_k - 1] columns, so a tracker is made only when row rho_k reaches
-    r columns.  Trackers are sorted by top row, so that the ones still live
-    in a column of height h are the first ``live[h]``.
+    r columns; rows weakly decrease, so those subsets lie among the rows
+    1..tall that do.  Trackers are sorted by top row, so that the ones still
+    live in a column of height h are the first ``live[h]``.
     """
 
     def __init__(self, patterns, rows):
         found = []
         for pattern in patterns:
-            for rho in combinations(range(1, len(rows) + 1), max(pattern)):
-                if rows[rho[-1] - 1] >= len(pattern):
-                    found.append((rho[-1], tuple(rho[v - 1] for v in pattern)))
+            tall = sum(1 for length in rows if length >= len(pattern))
+            for rho in combinations(range(1, tall + 1), max(pattern)):
+                found.append((rho[-1], tuple(rho[v - 1] for v in pattern)))
         found.sort(key=lambda tracker: tracker[0])
         tops = [top for top, _ in found]
         self.live = [bisect_right(tops, h) for h in range(len(rows) + 1)]
@@ -398,14 +399,19 @@ def content_text(content) -> str:
     return format_composition(content)
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One counted set: shape, content constraint, pattern set, cardinality."""
+class CountRecord(FrozenValue):
+    """One counted set: shape, content constraint, pattern set, cardinality.
 
-    shape: FerrersShape
-    content: object  # Composition, UNCONSTRAINED, or POSITIVE_ROWS
-    patterns: tuple[Word, ...]
-    count: int
+    ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``.
+    """
+
+    __slots__ = _fields = ("shape", "content", "patterns", "count")
+
+    def __init__(self, shape: FerrersShape, content, patterns: tuple[Word, ...], count: int):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "patterns", patterns)
+        object.__setattr__(self, "count", count)
 
     def key(self) -> tuple[str, str, str]:
         return (

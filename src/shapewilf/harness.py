@@ -20,11 +20,12 @@ still accepted for older callers and ignored: every count runs in-process.
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 
 from .core import (
+    FrozenValue,
     InvalidPattern,
+    Value,
     direct_sum,
     format_patterns,
     format_shape,
@@ -54,15 +55,17 @@ VERDICT_CONSISTENT = "conjecture-consistent"
 VERDICT_COUNTEREXAMPLE = "counterexample-found"
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(FrozenValue):
     """One differing pair of counts (computed vs published, or side A vs side B)."""
 
-    shape: str
-    content: str
-    a: int
-    b: int
-    note: str = ""
+    __slots__ = _fields = ("shape", "content", "a", "b", "note")
+
+    def __init__(self, shape: str, content: str, a: int, b: int, note: str = ""):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         out = {"shape": self.shape, "content": self.content, "a": self.a, "b": self.b}
@@ -71,14 +74,25 @@ class Mismatch:
         return out
 
 
-@dataclass
-class ScanReport:
-    """Outcome of a table reproduction or a comparison scan."""
+class ScanReport(Value):
+    """Outcome of a table reproduction or a comparison scan.
 
-    scope: str
-    records: list[CountRecord] = field(default_factory=list)
-    mismatches: list[Mismatch] = field(default_factory=list)
-    verdict: str = VERDICT_EQUAL
+    Reports compare by value, and each gets its own lists unless given some.
+    """
+
+    __slots__ = _fields = ("scope", "records", "mismatches", "verdict")
+
+    def __init__(
+        self,
+        scope: str,
+        records: list[CountRecord] | None = None,
+        mismatches: list[Mismatch] | None = None,
+        verdict: str = VERDICT_EQUAL,
+    ):
+        self.scope = scope
+        self.records = [] if records is None else records
+        self.mismatches = [] if mismatches is None else mismatches
+        self.verdict = verdict
 
     def strict_inequalities(self) -> list[tuple[CountRecord, CountRecord]]:
         """Consecutive record pairs with differing counts (derived, not stored)."""
@@ -168,16 +182,14 @@ def reproduce_table(table_id: int, jobs: int = 1, cache=None) -> ScanReport:
 def iter_shapes(max_cols: int, max_rows: int):
     """All shapes within the bounds, by total cell count, then lexicographically."""
     found: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], cap: int):
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
         if prefix:
             found.append(prefix)
-        if len(prefix) == max_rows:
-            return
-        for length in range(1, cap + 1):
-            grow(prefix + (length,), length)
-
-    grow((), max_cols)
+        if len(prefix) < max_rows:
+            cap = prefix[-1] if prefix else max_cols
+            stack.extend(prefix + (length,) for length in range(1, cap + 1))
     found.sort(key=lambda rows: (sum(rows), rows))
     for rows in found:
         yield make_shape(rows)

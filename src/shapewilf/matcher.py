@@ -12,7 +12,7 @@ permutation patterns are just the special case of distinct letters.
 
 from itertools import combinations
 
-from .core import Filling, FerrersShape, Word, validate_pattern
+from .core import Filling, Word, validate_pattern
 
 
 def contains(filling: Filling, pattern: Word) -> bool:
@@ -98,20 +98,6 @@ class LastColumnChecker:
             if t == n:
                 return True
         return False
-
-
-def contains_using_last_column(shape: FerrersShape, prefix, pattern: Word) -> bool:
-    """Does an occurrence of the pattern end exactly at the last placed column?
-
-    ``prefix`` lists the rows of columns 1..j of a partial filling on ``shape``.
-    """
-    prefix = list(prefix)
-    if not prefix:
-        return False
-    j = len(prefix)
-    if j > shape.width:
-        raise ValueError(f"prefix has {j} columns but the shape only {shape.width}")
-    return LastColumnChecker(pattern).fires(prefix, j - 1, prefix[-1], shape.heights[j - 1])
 
 
 def word_contains(word: Word, pattern: Word) -> bool:

@@ -1,14 +1,24 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from shapewilf import (
+    BandStructure,
+    CountRecord,
+    Direction,
+    EquivalenceVariant,
     Filling,
     FullRookPlacement,
     InvalidPattern,
+    Mismatch,
     NotFerrers,
+    ScanReport,
+    VARIANTS,
     ShapeMismatch,
+    bands_from_composition,
     border_path,
-    column_heights,
     direct_sum,
     filling_content,
     format_patterns,
@@ -52,14 +62,14 @@ def test_make_shape_rejects_non_shapes(rows):
 
 
 def test_column_heights():
-    assert column_heights(make_shape((5, 5, 4))) == (3, 3, 3, 3, 2)
-    assert column_heights(make_shape((1,))) == (1,)
-    assert column_heights(make_shape((10, 10, 10, 7, 4, 4))) == (6, 6, 6, 6, 4, 4, 4, 3, 3, 3)
+    assert make_shape((5, 5, 4)).heights == (3, 3, 3, 3, 2)
+    assert make_shape((1,)).heights == (1,)
+    assert make_shape((10, 10, 10, 7, 4, 4)).heights == (6, 6, 6, 6, 4, 4, 4, 3, 3, 3)
 
 
 @given(shapes())
 def test_column_heights_decrease_and_cover_all_cells(shape):
-    heights = column_heights(shape)
+    heights = shape.heights
     assert all(a >= b for a, b in zip(heights, heights[1:]))
     assert sum(heights) == shape.n_cells
 
@@ -167,3 +177,94 @@ def test_text_encodings_round_trip():
         parse_patterns("13")
     with pytest.raises(ValueError):
         parse_shape("5,x")
+
+
+# --- value semantics of the record classes ---------------------------------
+
+# Per class: a builder that makes a fresh, equal object on every call, an
+# object that differs from it, and a field to try to assign.
+FROZEN_VALUES = {
+    "FerrersShape": (lambda: make_shape([3, 2]), make_shape((3, 3)), "rows"),
+    "Filling": (
+        lambda: Filling(make_shape((3, 2)), [1, 2, 1]),
+        Filling(make_shape((3, 2)), (2, 2, 1)),
+        "col_to_row",
+    ),
+    "FullRookPlacement": (
+        lambda: FullRookPlacement(Filling(make_shape((2, 2)), (2, 1))),
+        FullRookPlacement(Filling(make_shape((2, 2)), (1, 2))),
+        "filling",
+    ),
+    "BandStructure": (
+        lambda: bands_from_composition([2, 1]),
+        BandStructure((2, 1), (1, 1, 2), ((1, 2), (4, 4))),
+        "band_of",
+    ),
+    "EquivalenceVariant": (
+        lambda: EquivalenceVariant(
+            "11", ((2, 3, 1), (2, 2, 1)), ((3, 1, 2), (2, 1, 2)),
+            Direction.INCREASING, Direction.DECREASING,
+        ),
+        VARIANTS["12"],
+        "forward_direction",
+    ),
+    "CountRecord": (
+        lambda: CountRecord(make_shape((5, 5, 4)), (2, 2, 1), ((2, 3, 1),), 18),
+        CountRecord(make_shape((5, 5, 4)), (2, 2, 1), ((2, 3, 1),), 19),
+        "count",
+    ),
+    "Mismatch": (
+        lambda: Mismatch("5,5,4", "2,2,1", 18, 19),
+        Mismatch("5,5,4", "2,2,1", 18, 19, "x"),
+        "note",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_VALUES)
+def test_frozen_records_are_values(name):
+    build, other, field = FROZEN_VALUES[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and not (a == other)
+    assert repr(a) == repr(b) and repr(a).startswith(name + "(")
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert a == b
+
+
+def test_record_equality_needs_the_same_class():
+    placement = FullRookPlacement(Filling(make_shape((2, 2)), (2, 1)))
+    assert placement != placement.filling
+    assert make_shape((3, 2)) != (3, 2)
+    assert VARIANTS["11"] == FROZEN_VALUES["EquivalenceVariant"][0]()
+    assert Mismatch("5,5,4", "2,2,1", 18, 19) == Mismatch("5,5,4", "2,2,1", 18, 19, note="")
+
+
+def test_shapes_compare_and_hash_on_rows_alone():
+    shape, twin = make_shape((3, 2)), make_shape((3, 2))
+    object.__setattr__(twin, "heights", (9,))
+    assert shape == twin and hash(shape) == hash(twin)
+    assert repr(twin) == "FerrersShape(rows=(3, 2))"
+    with pytest.raises(AttributeError):
+        shape.heights = (2, 2, 1)
+
+
+def test_scan_reports_are_mutable_values_with_their_own_lists():
+    first, second = ScanReport("demo"), ScanReport(scope="demo")
+    assert first == second and first.records is not second.records
+    assert first.mismatches is not second.mismatches
+    first.records.append(FROZEN_VALUES["CountRecord"][1])
+    assert second.records == [] and first != second
+    second.records.append(FROZEN_VALUES["CountRecord"][1])
+    assert first == second
+    first.verdict = "unequal"
+    assert first != second
+    assert pickle.loads(pickle.dumps(first)) == first
+    with pytest.raises(TypeError):
+        hash(first)

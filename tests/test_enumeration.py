@@ -220,6 +220,11 @@ def test_import_does_not_load_multiprocessing():
     assert run_python(probe).strip() == "False"
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    probe = "import sys, shapewilf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert run_python(probe).strip() == "[]"
+
+
 # Repeated letters, several patterns at once, and patterns with more letters
 # than small shapes have rows.
 PATTERN_SETS = [

@@ -287,6 +287,17 @@ def test_scans_of_very_wide_shapes_do_not_recurse():
     assert len(report.records) == 3000 and {r.count for r in report.records} == {1}
 
 
+def test_scans_of_very_tall_bounds_do_not_recurse():
+    assert len(list(iter_shapes(1, 1200))) == 1200
+    # one-column shapes: only the one-row shape has a filling with no empty row
+    report = scan_conjecture1(1, 1200)
+    assert report.verdict == "conjecture-consistent"
+    assert [r.count for r in report.records] == [1, 1] + [0] * 2398
+    report = check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 1, 1200)
+    assert report.verdict == "equal"
+    assert [(r.shape.rows, r.count) for r in report.records] == [((1,), 1), ((1,), 1)]
+
+
 @pytest.mark.parametrize(
     "omega, sigma",
     [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231, (1, 2, 1)], [P312, (2, 1, 1)])],

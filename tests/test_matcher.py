@@ -8,12 +8,12 @@ from shapewilf import (
     InvalidPattern,
     avoids_all,
     contains,
-    contains_using_last_column,
     make_shape,
     parse_word,
     word_contains,
     word_to_filling,
 )
+from shapewilf.matcher import LastColumnChecker
 from worked_example import FILLING, SECOND_FILLING, SHAPE
 
 
@@ -98,17 +98,19 @@ def test_window_rule_top_right_cell_dominates(shape, data):
 
 
 def test_contains_using_last_column():
-    square = make_shape((2, 2))
-    assert contains_using_last_column(square, (1, 2), (1, 2))
-    assert not contains_using_last_column(square, (2, 1), (1, 2))
-    assert not contains_using_last_column(SHAPE, FILLING[:5], (2, 3, 1))
-    assert not contains_using_last_column(square, (), (1, 2))
+    # fires(placed, j, row, h): columns 1..j are placed[:j]; column j+1 holds row, height h
+    assert LastColumnChecker((1, 2)).fires((1, 2), 1, 2, 2)
+    assert not LastColumnChecker((1, 2)).fires((2, 1), 1, 1, 2)
+    assert not LastColumnChecker((2, 3, 1)).fires(FILLING[:5], 4, FILLING[4], SHAPE.heights[4])
+    assert not LastColumnChecker((1, 2)).fires((), 0, 2, 2)
 
 
 @given(fillings(max_cols=6, max_rows=4), st.sampled_from(PATTERNS4))
 def test_rightmost_column_decomposition(filling, pattern):
+    checker = LastColumnChecker(pattern)
+    cols = filling.col_to_row
     by_prefix = any(
-        contains_using_last_column(filling.shape, filling.col_to_row[: j + 1], pattern)
+        checker.fires(cols, j, cols[j], filling.shape.heights[j])
         for j in range(filling.shape.width)
     )
     assert by_prefix == contains(filling, pattern)
