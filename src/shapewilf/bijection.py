@@ -82,9 +82,7 @@ class BandStructure(FrozenValue):
         band_of: tuple[int, ...],
         row_range: tuple[tuple[int, int], ...],
     ):
-        object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "band_of", band_of)
-        object.__setattr__(self, "row_range", row_range)
+        self._assign(composition, band_of, row_range)
 
 
 def bands_from_composition(content) -> BandStructure:
@@ -363,11 +361,7 @@ class EquivalenceVariant(FrozenValue):
         forward_direction: Direction,
         inverse_direction: Direction,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "forward_direction", forward_direction)
-        object.__setattr__(self, "inverse_direction", inverse_direction)
+        self._assign(name, source, target, forward_direction, inverse_direction)
 
     def forward(self, filling: Filling, content) -> Filling:
         _require_avoids(filling, self.source)

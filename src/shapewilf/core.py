@@ -72,6 +72,12 @@ class FrozenValue(Value):
 
     __slots__ = ()
 
+    def _assign(self, *values) -> None:
+        """From ``__init__``: set the attributes named in ``__slots__``, in that order."""
+        setter = object.__setattr__
+        for name, value in zip(self.__slots__, values):
+            setter(self, name, value)
+
     def __hash__(self) -> int:
         return hash(self._values())
 
@@ -111,8 +117,7 @@ class FerrersShape(FrozenValue):
             while rows[covering - 1] < j:
                 covering -= 1
             heights.append(covering)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "heights", tuple(heights))
+        self._assign(rows, tuple(heights))
 
     @property
     def n_rows(self) -> int:
@@ -146,8 +151,7 @@ class Filling(FrozenValue):
             height = shape.heights[j - 1]
             if not 1 <= row <= height:
                 raise ShapeMismatch(f"column {j}: row {row} is outside the shape (height {height})")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "col_to_row", col_to_row)
+        self._assign(shape, col_to_row)
 
 
 class FullRookPlacement(FrozenValue):
@@ -163,7 +167,7 @@ class FullRookPlacement(FrozenValue):
             )
         if sorted(filling.col_to_row) != list(range(1, shape.n_rows + 1)):
             raise ShapeMismatch("full placements need exactly one 1 per row")
-        object.__setattr__(self, "filling", filling)
+        self._assign(filling)
 
     @property
     def shape(self) -> FerrersShape:

@@ -408,10 +408,7 @@ class CountRecord(FrozenValue):
     __slots__ = _fields = ("shape", "content", "patterns", "count")
 
     def __init__(self, shape: FerrersShape, content, patterns: tuple[Word, ...], count: int):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "count", count)
+        self._assign(shape, content, patterns, count)
 
     def key(self) -> tuple[str, str, str]:
         return (

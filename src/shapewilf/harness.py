@@ -20,7 +20,7 @@ still accepted for older callers and ignored: every count runs in-process.
 import csv
 import io
 import json
-from importlib import resources
+import os
 
 from .core import (
     FrozenValue,
@@ -61,11 +61,7 @@ class Mismatch(FrozenValue):
     __slots__ = _fields = ("shape", "content", "a", "b", "note")
 
     def __init__(self, shape: str, content: str, a: int, b: int, note: str = ""):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "content", content)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "note", note)
+        self._assign(shape, content, a, b, note)
 
     def to_json(self) -> dict:
         out = {"shape": self.shape, "content": self.content, "a": self.a, "b": self.b}
@@ -146,8 +142,9 @@ class ScanReport(Value):
 def _load_table(table_id: int) -> dict:
     if table_id not in (1, 2, 3, 4):
         raise ValueError(f"table id must be 1..4, got {table_id}")
-    text = resources.files("shapewilf.fixtures").joinpath(f"table{table_id}.json").read_text()
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"table{table_id}.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def reproduce_table(table_id: int, jobs: int = 1, cache=None) -> ScanReport:

@@ -225,6 +225,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert run_python(probe).strip() == "[]"
 
 
+def test_importing_the_cli_loads_no_importlib_resources():
+    # Since Python 3.12 importlib.resources imports inspect. Site hooks (.pth
+    # files) may load it at start-up, so look with them switched off.
+    probe = "import sys, shapewilf.cli; print('importlib.resources' in sys.modules)"
+    assert run_python(probe, flags=["-S"]).strip() == "False"
+
+
 # Repeated letters, several patterns at once, and patterns with more letters
 # than small shapes have rows.
 PATTERN_SETS = [
@@ -285,12 +292,12 @@ def test_result_cache(tmp_path):
     assert len(path.read_text().splitlines()) == 3
 
 
-def run_python(code, *args):
-    """Run ``python -c code args`` with this shapewilf importable; returns its stdout."""
+def run_python(code, *args, flags=()):
+    """Run ``python flags -c code args`` with this shapewilf importable; returns its stdout."""
     src = os.path.dirname(os.path.dirname(shapewilf.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+        [sys.executable, *flags, "-c", code, *args], capture_output=True, text=True, check=True,
         timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     return done.stdout
