@@ -15,22 +15,25 @@ rows (at-least-one-per-row) or nothing, and a state is pruned when its rows
 can no longer be filled in time (Hall condition: rows have deadlines because
 column heights weakly decrease).
 
-Three drivers share ``step``: the single-shape count, ``walk_shapes``, which
-walks the tree of column-height sequences depth first and carries each
-shape's state dict to the shapes one column longer (so a whole scan pays one
-step per shape, and every positive content of a shape is counted at once),
-and ``enumerate_fillings``, which expands one state at a time in
-lexicographic order.  None of them recurses, so widths in the thousands are
-fine.  All counts are exact Python integers.  Every count runs in the calling
-process; the ``jobs`` keyword of the count functions is still accepted, so
-older callers keep working, and is ignored.
+Three callers share ``step``: ``column_states``, which yields a shape's state
+dict after each column (the single-shape count reads the last one, and the
+conjecture-2 scan reads every length of a word rectangle from one pass),
+``walk_shapes``, which walks the tree of column-height sequences depth first
+and carries each shape's state dict to the shapes one column longer (so a
+whole scan pays one step per shape, and every positive content of a shape is
+counted at once), and ``enumerate_fillings``, which expands one state at a
+time in lexicographic order.  None of them recurses, so widths in the
+thousands are fine.  All counts are exact Python integers.  Every count runs
+in the calling process; the ``jobs`` keyword of the count functions is still
+accepted, so older callers keep working, and is ignored.
 """
 
 import json
 import sys
 from bisect import bisect_right
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from operator import sub
 from typing import Iterator
 
 from .core import (
@@ -88,10 +91,11 @@ class _Trackers:
         movers = self._movers.get(h)
         if movers is None:
             live = self.targets[: self.live[h]]
-            movers = self._movers[h] = [
-                [(i, target, len(target)) for i, target in enumerate(live) if row in target]
-                for row in range(h + 1)
-            ]
+            # Rows that no live tracker uses share one empty tuple.
+            movers = self._movers[h] = [()] * (h + 1)
+            for i, target in enumerate(live):
+                for row in set(target):
+                    movers[row] += ((i, target, len(target)),)
         return movers
 
 
@@ -176,12 +180,19 @@ def _shape_regime(shape, caps=None, positive=False):
     return None, moves
 
 
-def _count_engine(shape, patterns, caps=None, positive=False) -> int:
+def column_states(shape, patterns, caps=None, positive=False) -> Iterator[dict]:
+    """Yield the state dict of a count on one shape after each of its columns."""
     trackers = _Trackers(patterns, shape.rows)
     start, moves = _shape_regime(shape, caps, positive)
     states = {((0,) * trackers.live[shape.n_rows], start): 1}
     for done, h in enumerate(shape.heights, start=1):
         states = step(states, h, trackers, partial(moves, h=h, done=done))
+        yield states
+
+
+def _count_engine(shape, patterns, caps=None, positive=False) -> int:
+    for states in column_states(shape, patterns, caps, positive):
+        pass
     return sum(states.values())
 
 
@@ -226,9 +237,10 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
 
     if max_cols < 1:
         return
+    # Every row of a shape in the walk is at most max_cols long, and the
+    # trackers on rows 1..m are the first live[m].
+    trackers = _Trackers(patterns, (max_cols,) * max_rows)
     for m in range(1, max_rows + 1):
-        # Every row of a shape in the walk is at most max_cols long.
-        trackers = _Trackers(patterns, (max_cols,) * m)
         start = (1 << m) - 1 if positive else (0,) * m
         stack = [((m,), {((0,) * trackers.live[m], start): 1})]
         while stack:
@@ -373,20 +385,18 @@ def enumerate_fillings(
 
 
 def compositions(total: int, parts: int, positive: bool = True) -> Iterator[Composition]:
-    """All compositions of ``total`` into ``parts`` parts, lexicographically."""
+    """All compositions of ``total`` into ``parts`` parts, lexicographically.
+
+    Stars and bars: the ``parts - 1`` cuts are points of 1..total-1 (positive
+    parts) or of 0..total with repeats, listed in lexicographic order.
+    """
     if parts < 1:
         raise BadComposition(f"need at least one part, got {parts}")
-    lo = 1 if positive else 0
-
-    def rec(prefix: tuple[int, ...], left: int, k: int) -> Iterator[Composition]:
-        if k == 1:
-            if left >= lo:
-                yield prefix + (left,)
-            return
-        for v in range(lo, left - lo * (k - 1) + 1):
-            yield from rec(prefix + (v,), left - v, k - 1)
-
-    yield from rec((), total, parts)
+    if total < (parts if positive else 0):
+        return
+    choose = combinations if positive else combinations_with_replacement
+    for cuts in choose(range(1, total) if positive else range(total + 1), parts - 1):
+        yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
 # --- count records and the persistent result cache -------------------------
@@ -502,24 +512,28 @@ class ResultCache:
         self.close()
 
 
-def counted(shape: FerrersShape, content, patterns, cache=None, jobs: int = 1) -> CountRecord:
-    """Count one set under any regime, consulting/filling the cache if given."""
-    patterns = canonical_patterns(patterns)
-    record = CountRecord(shape, content, patterns, -1)
+def cached_record(shape, content, patterns, cache, count) -> CountRecord:
+    """The record of a cell: its count in ``cache`` if any, else ``count()``, then cached."""
     if cache is not None:
-        hit = cache.get(record.key())
+        hit = cache.get(CountRecord(shape, content, patterns, -1).key())
         if hit is not None:
             return CountRecord(shape, content, patterns, hit)
-    if content == UNCONSTRAINED:
-        n = count_all_fillings(shape, patterns)
-    elif content == POSITIVE_ROWS:
-        n = count_positive_fillings(shape, patterns)
-    else:
-        n = count_fillings(shape, content, patterns)
-    record = CountRecord(shape, content, patterns, n)
+    record = CountRecord(shape, content, patterns, count())
     if cache is not None:
         cache.add(record)
     return record
+
+
+def counted(shape: FerrersShape, content, patterns, cache=None, jobs: int = 1) -> CountRecord:
+    """Count one set under any regime, consulting/filling the cache if given."""
+    patterns = canonical_patterns(patterns)
+    if content == UNCONSTRAINED:
+        count = partial(count_all_fillings, shape, patterns)
+    elif content == POSITIVE_ROWS:
+        count = partial(count_positive_fillings, shape, patterns)
+    else:
+        count = partial(count_fillings, shape, content, patterns)
+    return cached_record(shape, content, patterns, cache, count)
 
 
 def __getattr__(name):

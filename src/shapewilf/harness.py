@@ -12,8 +12,9 @@ than one transfer-matrix count per (shape, content) cell; bounds such as
 7 columns x 5 rows (7,125 cells) or 9 x 5 (2,001 shapes) take well under a
 second.  Their records still come in shape order, then content order, and a
 ``--cache`` hit wins over the walk, which runs only when some record is not
-cached.  Table reproduction and ``scan_conjecture2``, which stops at its
-first witness, count cell by cell.  The ``jobs`` keyword of the scans is
+cached.  ``scan_conjecture2``, which stops at its first witness, advances one
+column pass per (alphabet, pattern) by a column per length, and table
+reproduction counts cell by cell.  The ``jobs`` keyword of the scans is
 still accepted for older callers and ignored: every count runs in-process.
 """
 
@@ -42,7 +43,9 @@ from .enumeration import (
     POSITIVE_ROWS,
     UNCONSTRAINED,
     CountRecord,
+    cached_record,
     canonical_patterns,
+    column_states,
     compositions,
     content_text,
     counted,
@@ -192,39 +195,45 @@ def iter_shapes(max_cols: int, max_rows: int):
         yield make_shape(rows)
 
 
-def _scan(cells, pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
-    """Records of each pattern set on each (shape, content) cell, one list per cell.
+def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
+    """Yield (shape, content, records of each pattern set) for every cell in the bounds.
 
-    A cached count wins.  Each pattern set whose counts the cache lacks is
-    counted by one ``walk_shapes`` over the bounds, and its new records are
-    added to the cache in report order; a warm cache does no counting.
+    Cells come in shape order, then content order, and the contents of each
+    (width, rows) size are listed once.  A cached count wins.  Each pattern
+    set is counted by one ``walk_shapes`` over the bounds, run at its first
+    count the cache lacks, and its new records reach the cache in report
+    order; a warm cache does no counting.
     """
-    found = [
-        [
-            cache.get(CountRecord(shape, content, patterns, -1).key()) if cache is not None else None
-            for patterns in pattern_sets
-        ]
-        for shape, content in cells
-    ]
-    walks = [
-        dict(walk_shapes(patterns, max_cols, max_rows, regime))
-        if any(counts[side] is None for counts in found)
-        else None
-        for side, patterns in enumerate(pattern_sets)
-    ]
-    out = []
-    for (shape, content), counts in zip(cells, found):
-        records = []
-        for patterns, walk, n in zip(pattern_sets, walks, counts):
-            if n is None:
-                record = CountRecord(shape, content, patterns, walk[shape.heights].get(content, 0))
-                if cache is not None:
-                    cache.add(record)
-            else:
-                record = CountRecord(shape, content, patterns, n)
-            records.append(record)
-        out.append(records)
-    return out
+    walks = [None] * len(pattern_sets)  # per pattern set: its histograms by column heights
+
+    def walked(side: int, shape) -> dict:
+        if walks[side] is None:
+            walks[side] = dict(walk_shapes(pattern_sets[side], max_cols, max_rows, regime))
+        return walks[side][shape.heights]
+
+    sizes: dict = {}
+    for shape in iter_shapes(max_cols, max_rows):
+        size = (shape.width, shape.n_rows)
+        contents = sizes.get(size)
+        if contents is None:
+            contents = sizes[size] = (
+                list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
+            )
+        if cache is None:
+            found = [walked(side, shape) for side in range(len(pattern_sets))]
+            for content in contents:
+                yield shape, content, [
+                    CountRecord(shape, content, p, counts.get(content, 0))
+                    for p, counts in zip(pattern_sets, found)
+                ]
+        else:
+            for content in contents:
+                yield shape, content, [
+                    cached_record(
+                        shape, content, p, cache, lambda: walked(side, shape).get(content, 0)
+                    )
+                    for side, p in enumerate(pattern_sets)
+                ]
 
 
 def check_equivalence(
@@ -237,13 +246,8 @@ def check_equivalence(
         scope=f"equivalence {format_patterns(omega)} vs {format_patterns(sigma)} "
         f"cols<={max_cols} rows<={max_rows}"
     )
-    cells = [
-        (shape, content)
-        for shape in iter_shapes(max_cols, max_rows)
-        for content in compositions(shape.width, shape.n_rows, positive=True)
-    ]
-    scanned = _scan(cells, (omega, sigma), CONTENTS, max_cols, max_rows, cache)
-    for (shape, content), (rec_a, rec_b) in zip(cells, scanned):
+    scanned = _scan((omega, sigma), CONTENTS, max_cols, max_rows, cache)
+    for shape, content, (rec_a, rec_b) in scanned:
         report.records += [rec_a, rec_b]
         if rec_a.count != rec_b.count:
             report.mismatches.append(
@@ -263,9 +267,8 @@ def scan_conjecture1(max_cols: int, max_rows: int, jobs: int = 1, cache=None) ->
     stay in the records.
     """
     report = ScanReport(scope=f"conjecture1 cols<={max_cols} rows<={max_rows}")
-    cells = [(shape, POSITIVE_ROWS) for shape in iter_shapes(max_cols, max_rows)]
-    scanned = _scan(cells, ((P231,), (P312,)), POSITIVE_ROWS, max_cols, max_rows, cache)
-    for (shape, _), (rec_a, rec_b) in zip(cells, scanned):
+    scanned = _scan(((P231,), (P312,)), POSITIVE_ROWS, max_cols, max_rows, cache)
+    for shape, _, (rec_a, rec_b) in scanned:
         report.records += [rec_a, rec_b]
         if rec_a.count > rec_b.count:
             report.mismatches.append(
@@ -282,7 +285,9 @@ def scan_conjecture2(
 
     Walks the (length, alphabet) grid in lexicographic order and stops at the
     first witness; ``unequal`` is the conjecture-supporting verdict here.
-    beta must be a permutation (possibly empty).
+    Each (alphabet, pattern) pair has one column pass over the longest
+    rectangle, stepped a column per length.  beta must be a permutation
+    (possibly empty).
     """
     beta = make_word(beta)
     if beta:
@@ -295,11 +300,24 @@ def scan_conjecture2(
         scope=f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
         f"n<={max_length} m<={max_alphabet}"
     )
+    passes: dict = {}  # (pattern, m) -> (length, column states) of the max_length x m rectangle
+
+    def count(pattern, n: int, m: int) -> int:
+        columns = passes.get((pattern, m))
+        if columns is None:
+            rectangle = make_shape((max_length,) * m)
+            columns = passes[pattern, m] = enumerate(column_states(rectangle, (pattern,)), start=1)
+        for length, states in columns:  # lengths come in order; cached ones are stepped over
+            if length == n:
+                return sum(states.values())
+
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
             rectangle = make_shape((n,) * m)
-            rec_a = counted(rectangle, UNCONSTRAINED, (x,), cache=cache)
-            rec_b = counted(rectangle, UNCONSTRAINED, (y,), cache=cache)
+            rec_a, rec_b = (
+                cached_record(rectangle, UNCONSTRAINED, (p,), cache, lambda: count(p, n, m))
+                for p in (x, y)
+            )
             report.records += [rec_a, rec_b]
             if rec_a.count != rec_b.count:
                 report.mismatches.append(

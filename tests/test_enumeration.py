@@ -197,6 +197,35 @@ def test_compositions():
         list(compositions(3, 0))
 
 
+def recursive_compositions(total, parts, positive=True):
+    """The recursive generator ``compositions`` replaced, kept as its oracle."""
+    lo = 1 if positive else 0
+
+    def rec(prefix, left, k):
+        if k == 1:
+            if left >= lo:
+                yield prefix + (left,)
+            return
+        for v in range(lo, left - lo * (k - 1) + 1):
+            yield from rec(prefix + (v,), left - v, k - 1)
+
+    yield from rec((), total, parts)
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_compositions_match_the_recursive_generator(positive):
+    for total in range(-1, 10):
+        for parts in range(1, 7):
+            assert list(compositions(total, parts, positive)) == list(
+                recursive_compositions(total, parts, positive)
+            ), (total, parts)
+
+
+def test_compositions_with_many_parts_do_not_recurse():
+    assert next(compositions(1500, 1500)) == (1,) * 1500
+    assert next(compositions(0, 1500, positive=False)) == (0,) * 1500
+
+
 @pytest.mark.parametrize(
     "patterns",
     [[P231], [P312], [(2, 2, 1)], [(1, 2, 1)], [P231, (2, 2, 1)], [(1, 2)], [(2, 1), (2, 1, 2)]],

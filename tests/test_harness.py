@@ -6,15 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from shapewilf import (
     CONTENTS,
+    UNCONSTRAINED,
     POSITIVE_ROWS,
     CountRecord,
+    Mismatch,
     ResultCache,
     ScanReport,
     check_equivalence,
     compositions,
     counted,
+    direct_sum,
+    enumeration,
+    format_patterns,
     harness,
     iter_shapes,
+    make_shape,
     reproduce_table,
     scan_conjecture1,
     scan_conjecture2,
@@ -231,28 +237,32 @@ def test_walk_rejects_an_unknown_regime():
 
 
 def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    omega, sigma = [P231, (2, 2, 1)], [P312, (2, 1, 2)]
-    cold = check_equivalence(omega, sigma, 4, 3)
-    # Every third record is cached with a wrong count, so a reported wrong
-    # count shows that the cached value won over the walk.
-    planted = [
-        CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold.records[::3]
-    ]
-    with ResultCache(str(path)) as cache:
-        for record in planted:
-            cache.add(record)
-    with ResultCache(str(path)) as cache:
-        mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
-    assert [r.count for r in mixed.records] == [
-        r.count + 1000 if i % 3 == 0 else r.count for i, r in enumerate(cold.records)
-    ]
-    assert mixed.verdict == "unequal"
-    # the counted records follow the planted ones in the file, in report order
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines == [r.to_json() for r in planted] + [
-        r.to_json() for i, r in enumerate(cold.records) if i % 3
-    ]
+    # A theorem pair, and a pair whose counts differ, so that a count taken
+    # from the other pattern set's walk would show.
+    for case, (omega, sigma) in enumerate(
+        [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231], [(1, 1)])]
+    ):
+        path = tmp_path / f"cache{case}.jsonl"
+        cold = check_equivalence(omega, sigma, 4, 3)
+        # Every third record is cached with a wrong count, so a reported wrong
+        # count shows that the cached value won over the walk.
+        planted = [
+            CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold.records[::3]
+        ]
+        with ResultCache(str(path)) as cache:
+            for record in planted:
+                cache.add(record)
+        with ResultCache(str(path)) as cache:
+            mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
+        assert [r.count for r in mixed.records] == [
+            r.count + 1000 if i % 3 == 0 else r.count for i, r in enumerate(cold.records)
+        ]
+        assert mixed.verdict == "unequal"
+        # the counted records follow the planted ones in the file, in report order
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines == [r.to_json() for r in planted] + [
+            r.to_json() for i, r in enumerate(cold.records) if i % 3
+        ]
 
 
 def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
@@ -275,6 +285,22 @@ def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
     assert (tmp_path / "cache.jsonl").stat().st_size == size
     with pytest.raises(AssertionError):
         check_equivalence(omega, sigma, 5, 4)  # without the cache it must walk
+
+
+def test_a_walk_builds_its_trackers_once(monkeypatch):
+    built = []
+
+    class Counted(enumeration._Trackers):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(enumeration, "_Trackers", Counted)
+    for regime in (CONTENTS, POSITIVE_ROWS):
+        built.clear()
+        walked = list(walk_shapes([P231, (2, 2, 1)], 5, 4, regime))
+        assert len(walked) == len(list(iter_shapes(5, 4)))
+        assert len(built) == 1
 
 
 def test_scans_of_very_wide_shapes_do_not_recurse():
@@ -318,3 +344,106 @@ def test_conjecture1_holds_on_every_shape_up_to_9_by_5():
     assert report.verdict == "conjecture-consistent"
     assert len(report.records) == 4002
     print(f"scan_conjecture1 9x5: {elapsed:.2f} s")
+
+
+# --- the chained column pass behind scan_conjecture2 ----------------------
+
+
+BETAS = [(), (1,), (1, 2), (2, 1)]
+
+
+def per_rectangle_conjecture2(beta, max_length, max_alphabet, count):
+    """``scan_conjecture2`` as one ``count(rectangle, pattern)`` per rectangle, as its oracle."""
+    x, y = direct_sum(P231, beta), direct_sum(P312, beta)
+    report = ScanReport(
+        scope=f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
+        f"n<={max_length} m<={max_alphabet}"
+    )
+    for n in range(1, max_length + 1):
+        for m in range(1, max_alphabet + 1):
+            rectangle = make_shape((n,) * m)
+            rec_a, rec_b = count(rectangle, x), count(rectangle, y)
+            report.records += [rec_a, rec_b]
+            if rec_a.count != rec_b.count:
+                shape = ",".join(map(str, rectangle.rows))
+                note = f"first witness at length {n}, alphabet {m}"
+                report.mismatches.append(
+                    Mismatch(shape, UNCONSTRAINED, rec_a.count, rec_b.count, note)
+                )
+                report.verdict = "unequal"
+                return report
+    return report
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_chained_conjecture2_scan_matches_per_rectangle_counts(beta):
+    memo = {}
+
+    def count(rectangle, pattern):
+        key = (rectangle, pattern)
+        if key not in memo:
+            memo[key] = counted(rectangle, UNCONSTRAINED, (pattern,))
+        return memo[key]
+
+    for max_length in range(1, 8):
+        for max_alphabet in range(1, 6):
+            report = scan_conjecture2(beta, max_length, max_alphabet)
+            reference = per_rectangle_conjecture2(beta, max_length, max_alphabet, count)
+            assert report.to_json() == reference.to_json(), (max_length, max_alphabet)
+    if beta == (1,):  # the 7x5 scan stops at the one witness in the grid
+        assert (report.verdict, len(report.records)) == ("unequal", 70)
+        assert (report.mismatches[0].a, report.mismatches[0].b) == (67853, 67854)
+
+
+def test_chained_conjecture2_scan_fills_a_cache_like_the_per_rectangle_loop(tmp_path):
+    chained, looped = str(tmp_path / "chained.jsonl"), str(tmp_path / "looped.jsonl")
+    with ResultCache(chained) as cache:
+        cold = scan_conjecture2((2, 1), 7, 5, cache=cache)
+    with ResultCache(looped) as cache:
+        reference = per_rectangle_conjecture2(
+            (2, 1), 7, 5, lambda rectangle, p: counted(rectangle, UNCONSTRAINED, (p,), cache=cache)
+        )
+    assert cold.to_json() == reference.to_json()
+    assert (tmp_path / "chained.jsonl").read_bytes() == (tmp_path / "looped.jsonl").read_bytes()
+
+
+def test_chained_conjecture2_scan_reports_cached_counts_and_counts_the_rest(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cold = scan_conjecture2((1,), 6, 5)
+    assert cold.verdict == "equal"
+    # Every third record up to length 4 is cached with its true count, so the
+    # column passes must step over those lengths; the count of 231+1 on the
+    # 5 x 3 rectangle is planted wrong and must end the scan as it stands.
+    stop = cold.records.index(next(r for r in cold.records if r.shape.rows == (5, 5, 5)))
+    planted = [r for r in cold.records[:stop:3] if r.shape.width <= 4]
+    wrong = cold.records[stop]
+    planted.append(CountRecord(wrong.shape, wrong.content, wrong.patterns, wrong.count + 1000))
+    with ResultCache(str(path)) as cache:
+        for record in planted:
+            cache.add(record)
+    with ResultCache(str(path)) as cache:
+        mixed = scan_conjecture2((1,), 6, 5, cache=cache)
+    assert mixed.records == cold.records[:stop] + [planted[-1], cold.records[stop + 1]]
+    assert (mixed.verdict, mixed.mismatches[0].a) == ("unequal", wrong.count + 1000)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert lines == [r.to_json() for r in planted] + [
+        r.to_json() for r in mixed.records if r not in planted
+    ]
+
+
+def test_a_warm_cache_never_enters_the_column_passes(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    with ResultCache(path) as cache:
+        cold = [scan_conjecture2(beta, 7, 5, cache=cache) for beta in BETAS]
+    size = (tmp_path / "cache.jsonl").stat().st_size
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("counted although every count was cached")
+
+    monkeypatch.setattr(harness, "column_states", no_pass)
+    with ResultCache(path) as cache:
+        warm = [scan_conjecture2(beta, 7, 5, cache=cache) for beta in BETAS]
+    assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
+    assert (tmp_path / "cache.jsonl").stat().st_size == size
+    with pytest.raises(AssertionError):
+        scan_conjecture2((), 3, 2)  # without the cache it must count
