@@ -265,6 +265,26 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
         ]
 
 
+@pytest.mark.parametrize(
+    "omega, sigma",
+    [([P231], [(1, 1)]), ([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([(1, 2)], [(2, 1), (1, 1)])],
+)
+def test_scans_through_a_cold_cache_match_scans_without_one(tmp_path, omega, sigma):
+    # _scan builds records on one path without a cache and on another with
+    # one; both must give the same reports, and the cache every record.
+    for cols, rows in [(1, 6), (4, 3), (5, 4), (6, 2)]:
+        path = tmp_path / f"cache{cols}x{rows}.jsonl"
+        with ResultCache(str(path)) as cache:
+            cached = [
+                check_equivalence(omega, sigma, cols, rows, cache=cache),
+                scan_conjecture1(cols, rows, cache=cache),
+            ]
+        plain = [check_equivalence(omega, sigma, cols, rows), scan_conjecture1(cols, rows)]
+        assert [r.to_json() for r in cached] == [r.to_json() for r in plain]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines == [r.to_json() for report in plain for r in report.records]
+
+
 def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.jsonl")
     omega, sigma = [P231, (1, 2, 1)], [P312, (2, 1, 1)]
