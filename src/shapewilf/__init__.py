@@ -66,6 +66,7 @@ from .bijection import (
     BorderSequence,
     Direction,
     EquivalenceVariant,
+    MapTrace,
     NoSuchPlacement,
     VARIANTS,
     alpha,

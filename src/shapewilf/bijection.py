@@ -13,7 +13,10 @@ elsewhere.  Conjugating alpha with a row blowup (each row i becomes a band of
 content[i] rows, its 1's re-stacked monotonically) and the inverse shrink
 turns it into content-preserving bijections between fillings avoiding
 {231,221} and {312,212}, and between fillings avoiding {231,121} and
-{312,211}.
+{312,211}.  ``EquivalenceVariant.trace`` is that map's one pipeline: it
+checks the input, blows it up, applies alpha (or alpha_inverse) and shrinks,
+and keeps every step.  ``forward``, ``inverse``, the ``to_*_avoider`` names
+and the CLI's ``bijection`` command all go through it.
 """
 
 from bisect import bisect_left
@@ -125,14 +128,9 @@ def n_sequence(placement: FullRookPlacement) -> BorderSequence:
     )
 
 
-def _flip(iseq: BorderSequence, nseq: BorderSequence) -> BorderSequence:
-    return tuple(0 if i == 0 else n - i + 1 for i, n in zip(iseq, nseq))
-
-
 def alpha_sequence(placement: FullRookPlacement) -> BorderSequence:
     """The I-sequence of alpha's image: 0 stays 0, otherwise N - I + 1."""
-    _require_placement_avoids(placement, P231)
-    return _flip(i_sequence(placement), n_sequence(placement))
+    return _flipped(placement, "231")[2]
 
 
 _KIND_PATTERNS = {"231": P231, "312": P312}
@@ -201,45 +199,41 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     return FullRookPlacement(Filling(shape, tuple(placed)))
 
 
-def _require_placement_avoids(placement: FullRookPlacement, pattern: Word) -> None:
+def _flipped(placement: FullRookPlacement, kind: str):
+    """Check that ``placement`` avoids ``kind``; return its I, N and flipped sequences.
+
+    The flip sends 0 to 0 and I to N - I + 1; N is shared between partners,
+    so the flip is an involution and serves alpha and its inverse alike.
+    """
+    pattern = _KIND_PATTERNS[kind]
     if contains(placement.filling, pattern):
         raise NotAvoiding(f"placement contains {format_word(pattern)}")
+    iseq = i_sequence(placement)
+    nseq = n_sequence(placement)
+    return iseq, nseq, tuple(0 if i == 0 else n - i + 1 for i, n in zip(iseq, nseq))
+
+
+def _partner(placement: FullRookPlacement, kind: str, iseq, nseq, target) -> FullRookPlacement:
+    """The placement of the other kind with I-sequence ``target``, or BijectionFailure."""
+    name, other = ("alpha", "312") if kind == "231" else ("alpha_inverse", "231")
+    try:
+        return reconstruct(placement.shape, target, other)
+    except NoSuchPlacement as exc:
+        raise BijectionFailure(
+            f"{name} produced an unrealizable sequence; "
+            f"shape={format_shape(placement.shape)} placement={placement.col_to_row} "
+            f"I={iseq} N={nseq} transformed={target}"
+        ) from exc
 
 
 def alpha(placement: FullRookPlacement) -> FullRookPlacement:
     """Map a 231-avoiding full rook placement to its 312-avoiding partner."""
-    _require_placement_avoids(placement, P231)
-    iseq = i_sequence(placement)
-    nseq = n_sequence(placement)
-    target = _flip(iseq, nseq)
-    try:
-        return reconstruct(placement.shape, target, "312")
-    except NoSuchPlacement as exc:
-        raise BijectionFailure(
-            "alpha produced an unrealizable sequence; "
-            f"shape={format_shape(placement.shape)} placement={placement.col_to_row} "
-            f"I={iseq} N={nseq} transformed={target}"
-        ) from exc
+    return _partner(placement, "231", *_flipped(placement, "231"))
 
 
 def alpha_inverse(placement: FullRookPlacement) -> FullRookPlacement:
-    """Map a 312-avoiding full rook placement back to its 231-avoiding partner.
-
-    N is shared between partners and the value transform is an involution, so
-    the inverse applies the same flip and reconstructs on the 231 side.
-    """
-    _require_placement_avoids(placement, P312)
-    iseq = i_sequence(placement)
-    nseq = n_sequence(placement)
-    target = _flip(iseq, nseq)
-    try:
-        return reconstruct(placement.shape, target, "231")
-    except NoSuchPlacement as exc:
-        raise BijectionFailure(
-            "alpha_inverse produced an unrealizable sequence; "
-            f"shape={format_shape(placement.shape)} placement={placement.col_to_row} "
-            f"I={iseq} N={nseq} transformed={target}"
-        ) from exc
+    """Map a 312-avoiding full rook placement back to its 231-avoiding partner."""
+    return _partner(placement, "312", *_flipped(placement, "312"))
 
 
 def blowup(
@@ -314,42 +308,28 @@ def band_monotone(placement: FullRookPlacement, bands: BandStructure, direction:
     return True
 
 
-def _require_avoids(filling: Filling, patterns) -> None:
-    for pattern in patterns:
-        if contains(filling, pattern):
-            raise NotAvoiding(f"filling contains {format_word(pattern)}")
+class MapTrace(FrozenValue):
+    """Every step of one equivalence map (or its inverse) on one filling.
 
+    ``avoids`` are the patterns the input must avoid, ``blowup`` the
+    placement stacked in direction ``stacking``, ``i_sequence`` and
+    ``n_sequence`` its border sequences, ``transformed`` their flip (the
+    I-sequence of ``partner``, the alpha or alpha_inverse image of the
+    blowup) and ``image`` the shrunk partner.
+    """
 
-def to_312_212_avoider(filling: Filling, content) -> Filling:
-    """Bijection from {231,221}-avoiding fillings to {312,212}-avoiding ones."""
-    _require_avoids(filling, (P231, P221))
-    placement, bands = blowup(filling, content, Direction.INCREASING)
-    return shrink(alpha(placement), bands)
+    __slots__ = _fields = (
+        "avoids", "stacking", "blowup", "i_sequence", "n_sequence", "transformed", "partner",
+        "image",
+    )
 
-
-def to_231_221_avoider(filling: Filling, content) -> Filling:
-    """Inverse of to_312_212_avoider."""
-    _require_avoids(filling, (P312, P212))
-    placement, bands = blowup(filling, content, Direction.DECREASING)
-    return shrink(alpha_inverse(placement), bands)
-
-
-def to_312_211_avoider(filling: Filling, content) -> Filling:
-    """Bijection from {231,121}-avoiding fillings to {312,211}-avoiding ones."""
-    _require_avoids(filling, (P231, P121))
-    placement, bands = blowup(filling, content, Direction.DECREASING)
-    return shrink(alpha(placement), bands)
-
-
-def to_231_121_avoider(filling: Filling, content) -> Filling:
-    """Inverse of to_312_211_avoider."""
-    _require_avoids(filling, (P312, P211))
-    placement, bands = blowup(filling, content, Direction.INCREASING)
-    return shrink(alpha_inverse(placement), bands)
+    def __init__(self, avoids, stacking, blowup, i_sequence, n_sequence, transformed, partner,
+                 image):
+        self._assign(avoids, stacking, blowup, i_sequence, n_sequence, transformed, partner, image)
 
 
 class EquivalenceVariant(FrozenValue):
-    """One of the two content-preserving equivalences, as used by the CLI."""
+    """One of the two content-preserving equivalences: blowup, alpha, shrink."""
 
     __slots__ = _fields = ("name", "source", "target", "forward_direction", "inverse_direction")
 
@@ -363,15 +343,27 @@ class EquivalenceVariant(FrozenValue):
     ):
         self._assign(name, source, target, forward_direction, inverse_direction)
 
+    def trace(self, filling: Filling, content, inverse: bool = False) -> MapTrace:
+        """Map ``filling`` (with ``inverse``, map it back) and keep every step."""
+        if inverse:
+            avoids, stacking, kind = self.target, self.inverse_direction, "312"
+        else:
+            avoids, stacking, kind = self.source, self.forward_direction, "231"
+        for pattern in avoids:
+            if contains(filling, pattern):
+                raise NotAvoiding(f"input filling contains {format_word(pattern)}")
+        placement, bands = blowup(filling, content, stacking)
+        iseq, nseq, target = _flipped(placement, kind)
+        partner = _partner(placement, kind, iseq, nseq, target)
+        return MapTrace(
+            avoids, stacking, placement, iseq, nseq, target, partner, shrink(partner, bands)
+        )
+
     def forward(self, filling: Filling, content) -> Filling:
-        _require_avoids(filling, self.source)
-        placement, bands = blowup(filling, content, self.forward_direction)
-        return shrink(alpha(placement), bands)
+        return self.trace(filling, content).image
 
     def inverse(self, filling: Filling, content) -> Filling:
-        _require_avoids(filling, self.target)
-        placement, bands = blowup(filling, content, self.inverse_direction)
-        return shrink(alpha_inverse(placement), bands)
+        return self.trace(filling, content, inverse=True).image
 
 
 VARIANTS = {
@@ -382,3 +374,10 @@ VARIANTS = {
         "12", (P231, P121), (P312, P211), Direction.DECREASING, Direction.INCREASING
     ),
 }
+
+# Theorem 11: {231,221}-avoiders <-> {312,212}-avoiders.
+to_312_212_avoider = VARIANTS["11"].forward
+to_231_221_avoider = VARIANTS["11"].inverse
+# Theorem 12: {231,121}-avoiders <-> {312,211}-avoiders.
+to_312_211_avoider = VARIANTS["12"].forward
+to_231_121_avoider = VARIANTS["12"].inverse

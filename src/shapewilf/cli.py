@@ -21,16 +21,14 @@ from .core import (
     NotFerrers,
     ParseError,
     ShapeMismatch,
+    format_shape,
     format_word,
     parse_composition,
     parse_patterns,
     parse_shape,
     parse_word,
 )
-from .bijection import VARIANTS, alpha_sequence, blowup, i_sequence, n_sequence, shrink
-from .bijection import alpha as alpha_map
-from .bijection import alpha_inverse as alpha_inverse_map
-from .matcher import contains
+from .bijection import VARIANTS
 from .enumeration import (
     POSITIVE_ROWS,
     UNCONSTRAINED,
@@ -38,6 +36,7 @@ from .enumeration import (
     ResultCache,
     counted,
     enumerate_fillings,
+    parse_content,
 )
 from .harness import (
     VERDICT_EQUAL,
@@ -57,14 +56,6 @@ USAGE_ERRORS = (
     NotAvoiding,
     ParseError,
 )
-
-
-def _parse_content(text: str):
-    if text in (UNCONSTRAINED, "all"):
-        return UNCONSTRAINED
-    if text in (POSITIVE_ROWS, "positive"):
-        return POSITIVE_ROWS
-    return parse_composition(text)
 
 
 def _open_cache(args):
@@ -89,7 +80,7 @@ def _emit_report(report, args) -> None:
 def _cmd_count(args) -> int:
     shape = parse_shape(args.shape)
     patterns = parse_patterns(args.patterns)
-    content = _parse_content(args.content)
+    content = parse_content(args.content)
     with _open_cache(args) as cache:
         record = counted(shape, content, patterns, cache=cache)
     if args.out == "json":
@@ -116,7 +107,7 @@ def _cmd_count_words(args) -> int:
 def _cmd_enumerate(args) -> int:
     shape = parse_shape(args.shape)
     patterns = parse_patterns(args.patterns)
-    content = _parse_content(args.content)
+    content = parse_content(args.content)
     kwargs = {}
     if content == POSITIVE_ROWS:
         kwargs["positive"] = True
@@ -132,41 +123,27 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
-    variant = VARIANTS[args.theorem]
     shape = parse_shape(args.shape)
     content = parse_composition(args.content)
     filling = Filling(shape, parse_word(args.filling))
-    if args.inverse:
-        direction, avoid = variant.inverse_direction, variant.target
-        step, step_name = alpha_inverse_map, "alpha_inverse"
-    else:
-        direction, avoid = variant.forward_direction, variant.source
-        step, step_name = alpha_map, "alpha"
-    for pattern in avoid:
-        if contains(filling, pattern):
-            raise NotAvoiding(f"input filling contains {format_word(pattern)}")
-    placement, bands = blowup(filling, content, direction)
-    image_placement = step(placement)
-    image = shrink(image_placement, bands)
+    steps = VARIANTS[args.theorem].trace(filling, content, inverse=args.inverse)
     document = {
         "variant": args.theorem,
         "direction": "inverse" if args.inverse else "forward",
-        "avoids": [format_word(p) for p in avoid],
+        "avoids": [format_word(p) for p in steps.avoids],
         "shape": args.shape,
         "content": args.content,
         "filling": format_word(filling.col_to_row),
         "blowup": {
-            "shape": ",".join(str(r) for r in placement.shape.rows),
-            "placement": format_word(placement.col_to_row),
-            "stacking": direction.value,
+            "shape": format_shape(steps.blowup.shape),
+            "placement": format_word(steps.blowup.col_to_row),
+            "stacking": steps.stacking.value,
         },
-        "i_sequence": list(i_sequence(placement)),
-        "n_sequence": list(n_sequence(placement)),
-        "transformed_sequence": list(
-            alpha_sequence(placement) if not args.inverse else i_sequence(image_placement)
-        ),
-        step_name: format_word(image_placement.col_to_row),
-        "image": format_word(image.col_to_row),
+        "i_sequence": list(steps.i_sequence),
+        "n_sequence": list(steps.n_sequence),
+        "transformed_sequence": list(steps.transformed),
+        "alpha_inverse" if args.inverse else "alpha": format_word(steps.partner.col_to_row),
+        "image": format_word(steps.image.col_to_row),
     }
     print(json.dumps(document, indent=2))
     return 0

@@ -23,9 +23,8 @@ and carries each shape's state dict to the shapes one column longer (so a
 whole scan pays one step per shape, and every positive content of a shape is
 counted at once), and ``enumerate_fillings``, which expands one state at a
 time in lexicographic order.  None of them recurses, so widths in the
-thousands are fine.  All counts are exact Python integers.  Every count runs
-in the calling process; the ``jobs`` keyword of the count functions is still
-accepted, so older callers keep working, and is ignored.
+thousands are fine.  All counts are exact Python integers, and every count
+runs in the calling process.
 """
 
 import json
@@ -48,6 +47,7 @@ from .core import (
     format_shape,
     make_composition,
     make_shape,
+    parse_composition,
     validate_pattern,
 )
 from .matcher import avoids_all
@@ -216,24 +216,27 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
     positive = regime == POSITIVE_ROWS
 
     def moves(state, h: int, done: int) -> list:
-        left = max_cols - done  # columns that may still follow this one
-        out = []
+        # A move fills at most one empty row and must leave no more empty rows
+        # than columns that may still follow this one.
         if positive:
             if state >> h:
-                return out  # an empty row above h stays empty
-            for row in range(1, h + 1):
-                after = state & ~(1 << (row - 1))
-                if after.bit_count() <= left:
-                    out.append((row, after))
+                return []  # an empty row above h stays empty
+            empty = state.bit_count()
         else:
             if 0 in state[h:]:
-                return out  # an empty row above h stays empty
+                return []  # an empty row above h stays empty
             empty = state.count(0)
-            for row in range(1, h + 1):
-                was = state[row - 1]
-                if empty - (was == 0) <= left:
-                    out.append((row, state[: row - 1] + (was + 1,) + state[row:]))
-        return out
+        left = max_cols - done
+        if empty > left + 1:
+            return []
+        rows = range(1, h + 1)
+        if positive:
+            if empty > left:
+                rows = [row for row in rows if state >> (row - 1) & 1]
+            return [(row, state & ~(1 << (row - 1))) for row in rows]
+        if empty > left:
+            rows = [row for row in rows if state[row - 1] == 0]
+        return [(row, state[: row - 1] + (state[row - 1] + 1,) + state[row:]) for row in rows]
 
     if max_cols < 1:
         return
@@ -311,20 +314,20 @@ def _check_content(shape: FerrersShape, content) -> Composition:
     return comp
 
 
-def count_fillings(shape: FerrersShape, content, patterns, jobs: int = 1) -> int:
+def count_fillings(shape: FerrersShape, content, patterns) -> int:
     """Number of avoiding fillings with exactly content[i] 1's in row i."""
     comp = _check_content(shape, content)
     patterns = canonical_patterns(patterns)
     return _count_engine(shape, patterns, caps=comp)
 
 
-def count_all_fillings(shape: FerrersShape, patterns, jobs: int = 1) -> int:
+def count_all_fillings(shape: FerrersShape, patterns) -> int:
     """Number of avoiding fillings with unconstrained row contents."""
     patterns = canonical_patterns(patterns)
     return _count_engine(shape, patterns)
 
 
-def count_positive_fillings(shape: FerrersShape, patterns, jobs: int = 1) -> int:
+def count_positive_fillings(shape: FerrersShape, patterns) -> int:
     """Number of avoiding fillings with at least one 1 in every row."""
     if shape.n_rows > shape.width:
         return 0
@@ -332,7 +335,7 @@ def count_positive_fillings(shape: FerrersShape, patterns, jobs: int = 1) -> int
     return _count_engine(shape, patterns, positive=True)
 
 
-def count_words(n: int, m: int, patterns, jobs: int = 1) -> int:
+def count_words(n: int, m: int, patterns) -> int:
     """Number of avoiding words of length n over the alphabet {1..m}."""
     if n < 1 or m < 1:
         raise BadComposition(f"need positive length and alphabet size, got {n}, {m}")
@@ -407,6 +410,15 @@ def content_text(content) -> str:
     if content == UNCONSTRAINED or content == POSITIVE_ROWS:
         return content
     return format_composition(content)
+
+
+def parse_content(text: str):
+    """Inverse of ``content_text``; also reads 'all' and 'positive'."""
+    if text in (UNCONSTRAINED, "all"):
+        return UNCONSTRAINED
+    if text in (POSITIVE_ROWS, "positive"):
+        return POSITIVE_ROWS
+    return parse_composition(text)
 
 
 class CountRecord(FrozenValue):
@@ -524,7 +536,7 @@ def cached_record(shape, content, patterns, cache, count) -> CountRecord:
     return record
 
 
-def counted(shape: FerrersShape, content, patterns, cache=None, jobs: int = 1) -> CountRecord:
+def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
     """Count one set under any regime, consulting/filling the cache if given."""
     patterns = canonical_patterns(patterns)
     if content == UNCONSTRAINED:

