@@ -232,8 +232,16 @@ def test_single_row_filling_maps_to_itself():
 @pytest.mark.parametrize(
     "forward,inverse,source,target,expected_size",
     [
-        (to_312_212_avoider, to_231_221_avoider, (P231, P221), (P312, P212), 9),
-        (to_312_211_avoider, to_231_121_avoider, (P231, P121), (P312, P211), 7),
+        # The map names are bound methods named forward/inverse, so the case
+        # ids are spelled out to keep them naming the public maps.
+        pytest.param(
+            to_312_212_avoider, to_231_221_avoider, (P231, P221), (P312, P212), 9,
+            id="to_312_212_avoider-to_231_221_avoider-source0-target0-9",
+        ),
+        pytest.param(
+            to_312_211_avoider, to_231_121_avoider, (P231, P121), (P312, P211), 7,
+            id="to_312_211_avoider-to_231_121_avoider-source1-target1-7",
+        ),
     ],
 )
 def test_equivalence_maps_are_bijections_on_a_mid_size_case(
