@@ -2,9 +2,10 @@
 
 Exit status: 0 on success, 1 when a verification scan found a mismatch
 against published values (or an --expect assertion failed), 2 on usage
-errors, including malformed shapes, patterns, and contents, and 3 when the
---cache file holds a line that is not a count record (a torn last line is
-only skipped, with a warning).
+errors, including malformed shapes, patterns, and contents, and a --cache
+path that cannot be read or created (reported before any count runs), and
+3 when the --cache file holds a line that is not a count record (a torn last
+line is only skipped, with a warning).
 """
 
 import argparse
@@ -30,13 +31,13 @@ from .core import (
 )
 from .bijection import VARIANTS
 from .enumeration import (
-    POSITIVE_ROWS,
     UNCONSTRAINED,
     CorruptCache,
     ResultCache,
     counted,
     enumerate_fillings,
     parse_content,
+    word_rectangle,
 )
 from .harness import (
     VERDICT_EQUAL,
@@ -47,6 +48,11 @@ from .harness import (
     check_equivalence,
 )
 
+
+class UnusableCache(Exception):
+    """The --cache path cannot be read or created."""
+
+
 USAGE_ERRORS = (
     NotFerrers,
     InvalidPattern,
@@ -55,12 +61,18 @@ USAGE_ERRORS = (
     ShapeMismatch,
     NotAvoiding,
     ParseError,
+    UnusableCache,
 )
 
 
 def _open_cache(args):
     """A context manager giving the --cache ResultCache, or None without --cache."""
-    return ResultCache(args.cache) if args.cache else nullcontext()
+    if not args.cache:
+        return nullcontext()
+    try:
+        return ResultCache(args.cache)
+    except OSError as exc:
+        raise UnusableCache(f"cannot use cache {args.cache}: {exc.strerror}") from exc
 
 
 def _emit_report(report, args) -> None:
@@ -91,7 +103,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_count_words(args) -> int:
-    rectangle = parse_shape(",".join([str(args.length)] * args.alphabet))
+    rectangle = word_rectangle(args.length, args.alphabet)
     patterns = parse_patterns(args.patterns)
     with _open_cache(args) as cache:
         record = counted(rectangle, UNCONSTRAINED, patterns, cache=cache)
@@ -107,13 +119,7 @@ def _cmd_count_words(args) -> int:
 def _cmd_enumerate(args) -> int:
     shape = parse_shape(args.shape)
     patterns = parse_patterns(args.patterns)
-    content = parse_content(args.content)
-    kwargs = {}
-    if content == POSITIVE_ROWS:
-        kwargs["positive"] = True
-    elif content != UNCONSTRAINED:
-        kwargs["content"] = content
-    fillings = enumerate_fillings(shape, patterns, **kwargs)
+    fillings = enumerate_fillings(shape, patterns, parse_content(args.content))
     if args.out == "json":
         print(json.dumps([list(f.col_to_row) for f in fillings]))
     else:

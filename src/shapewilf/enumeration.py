@@ -28,6 +28,7 @@ runs in the calling process.
 """
 
 import json
+import os
 import sys
 from bisect import bisect_right
 from functools import partial
@@ -137,22 +138,27 @@ def step(states: dict, h: int, trackers: _Trackers, moves) -> dict:
     return nxt
 
 
-def _shape_regime(shape, caps=None, positive=False):
-    """Start state and ``moves(regime, h, done)`` of a count on one shape.
+def _shape_regime(shape, content):
+    """Start state and ``moves(regime, h, done)`` of a count on one shape, or None.
 
+    ``content`` is a checked composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``.
     The regime state is the remaining 1's per row (fixed content), the bitmask
     of empty rows (positive rows) or None (unconstrained).  ``moves`` lists the
     (row, next regime) pairs for column ``done`` of height h, pruning regimes
     whose rows can no longer be filled in time (Hall condition: rows >= t can
-    only be fed by columns <= rows[t-1]).
+    only be fed by columns <= rows[t-1]).  A start state that already fails
+    the condition (with positive rows: more rows than columns) gives None, so
+    the engines stop before building any tracker.
     """
     rows = shape.rows
     m = shape.n_rows
+    positive = content == POSITIVE_ROWS
+    fixed = not positive and content != UNCONSTRAINED
 
     def feasible(regime, done: int) -> bool:
         need = 0
         for t in range(m, 0, -1):
-            need += regime[t - 1] if caps is not None else (regime >> (t - 1)) & 1
+            need += regime[t - 1] if fixed else (regime >> (t - 1)) & 1
             if need and need > rows[t - 1] - done:
                 return False
         return True
@@ -160,7 +166,7 @@ def _shape_regime(shape, caps=None, positive=False):
     def moves(regime, h: int, done: int) -> list:
         out = []
         for row in range(1, h + 1):
-            if caps is not None:
+            if fixed:
                 if regime[row - 1] == 0:
                     continue
                 after = regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:]
@@ -173,25 +179,28 @@ def _shape_regime(shape, caps=None, positive=False):
                 out.append((row, after))
         return out
 
-    if caps is not None:
-        return tuple(caps), moves
-    if positive:
-        return (1 << m) - 1, moves  # bit t-1 set while row t is empty
-    return None, moves
+    if not (fixed or positive):
+        return None, moves
+    start = content if fixed else (1 << m) - 1  # bit t-1 set while row t is empty
+    return (start, moves) if feasible(start, 0) else None
 
 
-def column_states(shape, patterns, caps=None, positive=False) -> Iterator[dict]:
-    """Yield the state dict of a count on one shape after each of its columns."""
+def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
+    """Yield the state dict of a count on one shape after each column; none if nothing fits."""
+    regime = _shape_regime(shape, content)
+    if regime is None:
+        return
+    start, moves = regime
     trackers = _Trackers(patterns, shape.rows)
-    start, moves = _shape_regime(shape, caps, positive)
     states = {((0,) * trackers.live[shape.n_rows], start): 1}
     for done, h in enumerate(shape.heights, start=1):
         states = step(states, h, trackers, partial(moves, h=h, done=done))
         yield states
 
 
-def _count_engine(shape, patterns, caps=None, positive=False) -> int:
-    for states in column_states(shape, patterns, caps, positive):
+def _count_engine(shape, patterns, content) -> int:
+    states: dict = {}
+    for states in column_states(shape, patterns, content):
         pass
     return sum(states.values())
 
@@ -262,12 +271,15 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
                 stack.extend((heights + (g,), states) for g in range(h, 0, -1))
 
 
-def _iter_engine(shape, patterns, caps=None, positive=False) -> Iterator[tuple[int, ...]]:
+def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
     # Depth first over the same column steps as the count, one state at a
     # time.  Each move is tagged with its row, so the children of a state stay
     # apart and come out of ``step`` in increasing row order.
+    regime = _shape_regime(shape, content)
+    if regime is None:
+        return
+    start, moves = regime
     trackers = _Trackers(patterns, shape.rows)
-    start, moves = _shape_regime(shape, caps, positive)
     heights = shape.heights
     width = shape.width
 
@@ -317,29 +329,29 @@ def _check_content(shape: FerrersShape, content) -> Composition:
 def count_fillings(shape: FerrersShape, content, patterns) -> int:
     """Number of avoiding fillings with exactly content[i] 1's in row i."""
     comp = _check_content(shape, content)
-    patterns = canonical_patterns(patterns)
-    return _count_engine(shape, patterns, caps=comp)
+    return _count_engine(shape, canonical_patterns(patterns), comp)
 
 
 def count_all_fillings(shape: FerrersShape, patterns) -> int:
     """Number of avoiding fillings with unconstrained row contents."""
-    patterns = canonical_patterns(patterns)
-    return _count_engine(shape, patterns)
+    return _count_engine(shape, canonical_patterns(patterns), UNCONSTRAINED)
 
 
 def count_positive_fillings(shape: FerrersShape, patterns) -> int:
     """Number of avoiding fillings with at least one 1 in every row."""
-    if shape.n_rows > shape.width:
-        return 0
-    patterns = canonical_patterns(patterns)
-    return _count_engine(shape, patterns, positive=True)
+    return _count_engine(shape, canonical_patterns(patterns), POSITIVE_ROWS)
+
+
+def word_rectangle(n: int, m: int) -> FerrersShape:
+    """The m rows of length n whose fillings are the words of length n over {1..m}."""
+    if n < 1 or m < 1:
+        raise BadComposition(f"need positive length and alphabet size, got {n}, {m}")
+    return make_shape((n,) * m)
 
 
 def count_words(n: int, m: int, patterns) -> int:
     """Number of avoiding words of length n over the alphabet {1..m}."""
-    if n < 1 or m < 1:
-        raise BadComposition(f"need positive length and alphabet size, got {n}, {m}")
-    return count_all_fillings(make_shape((n,) * m), patterns)
+    return count_all_fillings(word_rectangle(n, m), patterns)
 
 
 def count_words_direct(n: int, m: int, patterns) -> int:
@@ -354,36 +366,33 @@ def count_words_direct(n: int, m: int, patterns) -> int:
     return total
 
 
-def brute_count_fillings(shape: FerrersShape, patterns, content=None, positive=False) -> int:
-    """Oracle twin of the engine: filter the full product of column choices."""
+def brute_count_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> int:
+    """Oracle twin of the engine and ``counted``: filter the product of column choices."""
     patterns = canonical_patterns(patterns)
-    comp = _check_content(shape, content) if content is not None else None
+    if content != UNCONSTRAINED and content != POSITIVE_ROWS:
+        content = _check_content(shape, content)
     total = 0
     for cols in product(*(range(1, h + 1) for h in shape.heights)):
-        if comp is not None or positive:
+        if content != UNCONSTRAINED:
             counts = [0] * shape.n_rows
             for row in cols:
                 counts[row - 1] += 1
-            if comp is not None and tuple(counts) != comp:
-                continue
-            if positive and any(c == 0 for c in counts):
+            if (0 in counts) if content == POSITIVE_ROWS else tuple(counts) != content:
                 continue
         if avoids_all(Filling(shape, cols), patterns):
             total += 1
     return total
 
 
-def enumerate_fillings(
-    shape: FerrersShape, patterns, content=None, positive=False
-) -> Iterator[Filling]:
-    """Stream the avoiding fillings in lexicographic order of col_to_row."""
+def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> Iterator[Filling]:
+    """Stream the avoiding fillings in lexicographic order of col_to_row.
+
+    ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for ``counted``.
+    """
     patterns = canonical_patterns(patterns)
-    caps = None
-    if content is not None:
-        caps = list(_check_content(shape, content))
-    elif positive and shape.n_rows > shape.width:
-        return
-    for cols in _iter_engine(shape, patterns, caps=caps, positive=positive and content is None):
+    if content != UNCONSTRAINED and content != POSITIVE_ROWS:
+        content = _check_content(shape, content)
+    for cols in _iter_engine(shape, patterns, content):
         yield Filling(shape, cols)
 
 
@@ -465,7 +474,8 @@ class ResultCache:
     reaches the file as one whole line.  A torn last line, as a crash while
     appending leaves behind, is skipped with a warning on stderr and cut off
     the file, so the next record starts a fresh line; any other line that is
-    not a count record raises ``CorruptCache``.
+    not a count record raises ``CorruptCache``.  A path that cannot be read, or
+    whose directory does not exist, raises ``OSError`` here, before any count.
     """
 
     def __init__(self, path: str):
@@ -476,7 +486,9 @@ class ResultCache:
             with open(path, "rb") as handle:
                 data = handle.read()
         except FileNotFoundError:
-            return
+            if os.path.isdir(os.path.dirname(path) or "."):
+                return  # the first ``add`` creates the file
+            raise
         lines = data.split(b"\n")
         tail = lines.pop()  # empty unless the last line lacks its newline
         for number, line in enumerate(lines, start=1):

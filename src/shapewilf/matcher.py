@@ -52,8 +52,10 @@ class LastColumnChecker:
 
     ``fires`` decides whether some occurrence of the pattern uses the newest
     column as its rightmost column.  Since every occurrence has a rightmost
-    column, checking this after each placement gives exact pruning for the
-    column-by-column search engine.
+    column, checking this after each placement gives exact pruning for
+    ``bijection.reconstruct``, its one user, which places the 1's of a
+    placement column by column and backtracks.  The counting engine does not
+    use it: it tracks occurrences in its column states.
 
     For a fixed (row of the new column, height of the new column) the
     admissible row choices rho are enumerated once and reduced to the row

@@ -9,6 +9,7 @@ from shapewilf import (
     MapTrace,
     NoSuchPlacement,
     NotAvoiding,
+    POSITIVE_ROWS,
     ShapeMismatch,
     alpha,
     alpha_inverse,
@@ -168,7 +169,7 @@ def test_shrink_worked_example():
 
 def test_shrink_is_left_inverse_of_blowup():
     for shape in iter_shapes(4, 3):
-        for filling in enumerate_fillings(shape, [], positive=True):
+        for filling in enumerate_fillings(shape, [], POSITIVE_ROWS):
             content = filling_content(filling)
             for direction in Direction:
                 blown, bands = blowup(filling, content, direction)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shapewilf import cli
 from shapewilf.cli import main
 from worked_example import CHAIN_SEQ, FLIPPED_SEQ
 
@@ -43,6 +44,13 @@ def test_count_words(capsys):
                          "--patterns", "12")
     assert status == 0
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize("length, alphabet", [("3", "0"), ("0", "3")])
+def test_count_words_rejects_a_non_positive_size(capsys, length, alphabet):
+    status, out, err = run(capsys, "count-words", "--length", length, "--alphabet", alphabet)
+    assert (status, out) == (2, "")
+    assert err == f"error: need positive length and alphabet size, got {length}, {alphabet}\n"
 
 
 def test_enumerate(capsys):
@@ -196,6 +204,23 @@ def test_torn_cache_line_is_skipped(tmp_path, capsys):
     assert out == cold
     assert f"skipped torn last line {len(whole)}" in err
     assert cache.read_bytes() == b"".join(whole)
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [(".", "Is a directory"), ("missing/c.jsonl", "No such file or directory")],
+    ids=["directory", "missing-directory"],
+)
+def test_unusable_cache_path_fails_before_counting(tmp_path, capsys, monkeypatch, name, reason):
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before the cache path was checked")
+
+    monkeypatch.setattr(cli, "counted", no_count)
+    path = str(tmp_path / name)
+    status, out, err = run(capsys, "count", "--shape", "3,3", "--cache", path)
+    assert (status, out) == (2, "")
+    assert err == f"error: cannot use cache {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_damaged_cache_has_its_own_exit_status(tmp_path, capsys):

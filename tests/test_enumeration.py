@@ -11,6 +11,7 @@ import shapewilf
 from shapewilf import (
     BadComposition,
     CorruptCache,
+    InvalidPattern,
     POSITIVE_ROWS,
     ResultCache,
     UNCONSTRAINED,
@@ -160,6 +161,28 @@ def test_enumerate_fillings():
     assert [f.col_to_row for f in enumerate_fillings(make_shape((1,)), [])] == [(1,)]
 
 
+def test_positive_rows_validate_patterns_before_finding_no_filling():
+    # two rows, one column: no filling has a 1 in each row, but (1, 3) is no pattern
+    with pytest.raises(InvalidPattern):
+        count_positive_fillings(make_shape((1, 1)), [(1, 3)])
+    with pytest.raises(InvalidPattern):
+        list(enumerate_fillings(make_shape((1, 1)), [(1, 3)], POSITIVE_ROWS))
+
+
+def test_contents_that_cannot_fit_build_no_trackers(monkeypatch):
+    def no_trackers(*args):
+        raise AssertionError("trackers built for a content that cannot fit")
+
+    monkeypatch.setattr(shapewilf.enumeration, "_Trackers", no_trackers)
+    tall = make_shape((2,) * 1200)  # C(1200, 2) trackers for 21
+    assert count_positive_fillings(tall, [(2, 1)]) == 0
+    assert list(enumerate_fillings(tall, [(2, 1)], POSITIVE_ROWS)) == []
+    # rows 2 and 3 both need their 1 in column 1, the only column they reach
+    thin = make_shape((3, 1, 1))
+    assert count_fillings(thin, (1, 1, 1), [(2, 1)]) == 0
+    assert brute_count_fillings(thin, [(2, 1)], (1, 1, 1)) == 0
+
+
 def test_enumerate_streams_very_wide_shapes_without_recursing():
     # the {1,2}-words of length 1200 avoiding 21 are 1^a 2^b, a = 0..1200
     stream = enumerate_fillings(make_shape((1200, 1200)), [(2, 1)])
@@ -176,7 +199,7 @@ def test_enumerate_matches_counts_in_every_regime():
     shape = parse_shape("4,4,3")
     patterns = [P231, (2, 1, 2)]
     assert len(list(enumerate_fillings(shape, patterns))) == count_all_fillings(shape, patterns)
-    assert len(list(enumerate_fillings(shape, patterns, positive=True))) == (
+    assert len(list(enumerate_fillings(shape, patterns, POSITIVE_ROWS))) == (
         count_positive_fillings(shape, patterns)
     )
     for a in compositions(shape.width, shape.n_rows):
@@ -235,7 +258,7 @@ def test_engine_matches_brute_force(patterns):
         shape = make_shape(rows)
         assert count_all_fillings(shape, patterns) == brute_count_fillings(shape, patterns)
         assert count_positive_fillings(shape, patterns) == brute_count_fillings(
-            shape, patterns, positive=True
+            shape, patterns, POSITIVE_ROWS
         )
 
 
@@ -282,7 +305,7 @@ PATTERN_SETS = [
 def test_engine_matches_brute_force_on_random_shapes(shape, patterns, data):
     assert count_all_fillings(shape, patterns) == brute_count_fillings(shape, patterns)
     assert count_positive_fillings(shape, patterns) == brute_count_fillings(
-        shape, patterns, positive=True
+        shape, patterns, POSITIVE_ROWS
     )
     contents = list(compositions(shape.width, shape.n_rows))
     if contents:
@@ -298,10 +321,10 @@ def test_word_counts_match_direct_count(n, m, patterns):
     assert count_words(n, m, patterns) == count_words_direct(n, m, patterns)
 
 
-def test_parallel_counts_match_sequential():
+def test_counts_match_the_published_table_and_the_direct_word_count():
     shape = parse_shape("6,6,6,4")
-    assert count_positive_fillings(shape, [P231]) == 425
-    assert count_words(6, 4, [(2, 3, 1, 4)]) == count_words(6, 4, [(2, 3, 1, 4)])
+    assert count_positive_fillings(shape, [P231]) == 425  # table 4
+    assert count_words(6, 4, [(2, 3, 1, 4)]) == count_words_direct(6, 4, [(2, 3, 1, 4)])
 
 
 def test_result_cache(tmp_path):

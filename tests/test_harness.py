@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -152,8 +153,15 @@ def test_report_json_and_csv_shapes():
     assert flat.splitlines()[0] == "shape,content,patterns,count"
 
 
-def test_reports_are_independent_of_worker_count():
-    assert reproduce_table(1).to_json() == reproduce_table(1).to_json()
+def test_table_1_records_are_the_published_counts_but_the_erratum():
+    path = os.path.join(os.path.dirname(harness.__file__), "fixtures", "table1.json")
+    with open(path, encoding="utf-8") as handle:
+        cells = json.load(handle)["cells"]
+    published = [count for cell in cells for count in (cell["a"], cell["b"])]
+    erratum = next(2 * i for i, cell in enumerate(cells)
+                   if (cell["shape"], cell["content"]) == ("5,5,5,4", "1,2,1,1"))
+    published[erratum] = 25  # printed 26; see the erratum in acceptance criterion 1
+    assert [record.count for record in reproduce_table(1).records] == published
 
 
 def test_cache_makes_reports_reproducible(tmp_path):
