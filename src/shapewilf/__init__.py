@@ -61,7 +61,6 @@ from .enumeration import (
     walk_shapes,
 )
 from .bijection import (
-    BandStructure,
     BijectionFailure,
     BorderSequence,
     Direction,
@@ -71,18 +70,11 @@ from .bijection import (
     VARIANTS,
     alpha,
     alpha_inverse,
-    alpha_sequence,
-    band_monotone,
-    bands_from_composition,
     blowup,
     i_sequence,
     n_sequence,
     reconstruct,
     shrink,
-    to_231_121_avoider,
-    to_231_221_avoider,
-    to_312_211_avoider,
-    to_312_212_avoider,
 )
 from .harness import (
     Mismatch,

@@ -15,16 +15,18 @@ turns it into content-preserving bijections between fillings avoiding
 {231,221} and {312,212}, and between fillings avoiding {231,121} and
 {312,211}.  ``EquivalenceVariant.trace`` is that map's one pipeline: it
 checks the input, blows it up, applies alpha (or alpha_inverse) and shrinks,
-and keeps every step.  ``forward``, ``inverse``, the ``to_*_avoider`` names
-and the CLI's ``bijection`` command all go through it.
+and keeps every step.  ``forward``, ``inverse`` and the CLI's ``bijection``
+command all go through it.  The bands are given by the content alone:
+``blowup`` and ``shrink`` both take it, and band i covers the next
+content[i] rows from the bottom.
 """
 
 from bisect import bisect_left
 from collections import defaultdict
 from enum import Enum
+from itertools import accumulate
 
 from .core import (
-    Composition,
     ContentMismatch,
     FerrersShape,
     Filling,
@@ -69,37 +71,6 @@ class BijectionFailure(RuntimeError):
     """
 
 
-class BandStructure(FrozenValue):
-    """Grouping of blown-up rows back into the original rows.
-
-    Band i (1-based) covers the contiguous blown-up rows
-    ``row_range[i-1][0] .. row_range[i-1][1]`` and has ``composition[i-1]``
-    rows; ``band_of[r-1]`` is the band of blown-up row r.
-    """
-
-    __slots__ = _fields = ("composition", "band_of", "row_range")
-
-    def __init__(
-        self,
-        composition: Composition,
-        band_of: tuple[int, ...],
-        row_range: tuple[tuple[int, int], ...],
-    ):
-        self._assign(composition, band_of, row_range)
-
-
-def bands_from_composition(content) -> BandStructure:
-    comp = make_composition(content)
-    band_of: list[int] = []
-    ranges: list[tuple[int, int]] = []
-    next_row = 1
-    for i, size in enumerate(comp, start=1):
-        ranges.append((next_row, next_row + size - 1))
-        band_of.extend([i] * size)
-        next_row += size
-    return BandStructure(comp, tuple(band_of), tuple(ranges))
-
-
 def _region_chain(col_to_row, x: int, y: int) -> int:
     """Longest row-and-column increasing chain among 1's with col <= x, row <= y."""
     tails: list[int] = []
@@ -126,11 +97,6 @@ def n_sequence(placement: FullRookPlacement) -> BorderSequence:
     return tuple(
         sum(1 for c in range(x) if cols[c] <= y) for x, y in border_path(placement.shape)
     )
-
-
-def alpha_sequence(placement: FullRookPlacement) -> BorderSequence:
-    """The I-sequence of alpha's image: 0 stays 0, otherwise N - I + 1."""
-    return _flipped(placement, "231")[2]
 
 
 _KIND_PATTERNS = {"231": P231, "312": P312}
@@ -236,10 +202,8 @@ def alpha_inverse(placement: FullRookPlacement) -> FullRookPlacement:
     return _partner(placement, "312", *_flipped(placement, "312"))
 
 
-def blowup(
-    filling: Filling, content, direction: Direction
-) -> tuple[FullRookPlacement, BandStructure]:
-    """Expand row i into content[i] rows, re-stacking its 1's monotonically.
+def blowup(filling: Filling, content, direction: Direction) -> FullRookPlacement:
+    """Expand row i into a band of content[i] rows, re-stacking its 1's monotonically.
 
     Every 1 keeps its column; within band i the 1's are assigned to the
     band's rows bottom-up in column order (INCREASING) or top-down
@@ -250,62 +214,35 @@ def blowup(
         raise ContentMismatch(
             f"filling has content {filling_content(filling)}, expected {comp}"
         )
-    bands = bands_from_composition(comp)
     blown_rows: list[int] = []
     for length, size in zip(filling.shape.rows, comp):
         blown_rows.extend([length] * size)
-    blown_shape = make_shape(blown_rows)
-
-    cols_by_row: list[list[int]] = [[] for _ in filling.shape.rows]
-    for col, row in enumerate(filling.col_to_row, start=1):
-        cols_by_row[row - 1].append(col)
-
-    col_to_row = [0] * filling.shape.width
-    for i, cols in enumerate(cols_by_row):
-        first, last = bands.row_range[i]
-        rows_in_order = (
-            range(first, last + 1)
-            if direction is Direction.INCREASING
-            else range(last, first - 1, -1)
-        )
-        for col, new_row in zip(cols, rows_in_order):
-            col_to_row[col - 1] = new_row
-    return FullRookPlacement(Filling(blown_shape, tuple(col_to_row))), bands
+    step = 1 if direction is Direction.INCREASING else -1
+    # next_row[i]: the blown-up row that the next 1 of row i + 1 goes to
+    next_row = [
+        last - size + 1 if step == 1 else last for last, size in zip(accumulate(comp), comp)
+    ]
+    col_to_row = []
+    for row in filling.col_to_row:
+        col_to_row.append(next_row[row - 1])
+        next_row[row - 1] += step
+    return FullRookPlacement(Filling(make_shape(blown_rows), tuple(col_to_row)))
 
 
-def shrink(placement: FullRookPlacement, bands: BandStructure) -> Filling:
-    """Compress each band back to a single row (left inverse of blowup)."""
-    shape = placement.shape
-    if shape.n_rows != len(bands.band_of):
-        raise ShapeMismatch(
-            f"placement has {shape.n_rows} rows but the bands cover {len(bands.band_of)}"
-        )
-    original_rows = []
-    for first, last in bands.row_range:
-        lengths = set(shape.rows[first - 1 : last])
-        if len(lengths) != 1:
-            raise ShapeMismatch(f"rows {first}..{last} of one band differ in length")
-        original_rows.append(lengths.pop())
-    target_shape = make_shape(original_rows)
-    col_to_row = tuple(bands.band_of[row - 1] for row in placement.col_to_row)
-    return Filling(target_shape, col_to_row)
-
-
-def band_monotone(placement: FullRookPlacement, bands: BandStructure, direction: Direction) -> bool:
-    """Are the 1's of every band monotone in the given direction, by column?"""
-    if placement.shape.n_rows != len(bands.band_of):
-        raise ShapeMismatch(
-            f"placement has {placement.shape.n_rows} rows but the bands cover {len(bands.band_of)}"
-        )
-    for first, last in bands.row_range:
-        band_rows = [row for row in placement.col_to_row if first <= row <= last]
-        if direction is Direction.INCREASING:
-            good = all(a < b for a, b in zip(band_rows, band_rows[1:]))
-        else:
-            good = all(a > b for a, b in zip(band_rows, band_rows[1:]))
-        if not good:
-            return False
-    return True
+def shrink(placement: FullRookPlacement, content) -> Filling:
+    """Compress band i, the next content[i] rows, back to one row (left inverse of blowup)."""
+    comp = make_composition(content)
+    rows = placement.shape.rows
+    if len(rows) != sum(comp):
+        raise ShapeMismatch(f"placement has {len(rows)} rows but the bands cover {sum(comp)}")
+    band_of: list[int] = []  # band_of[r - 1]: the band of blown-up row r
+    for band, size in enumerate(comp, start=1):
+        first = len(band_of)
+        if len(set(rows[first : first + size])) != 1:
+            raise ShapeMismatch(f"rows {first + 1}..{first + size} of one band differ in length")
+        band_of.extend([band] * size)
+    col_to_row = tuple(band_of[row - 1] for row in placement.col_to_row)
+    return Filling(make_shape([rows[last - 1] for last in accumulate(comp)]), col_to_row)
 
 
 class MapTrace(FrozenValue):
@@ -352,11 +289,11 @@ class EquivalenceVariant(FrozenValue):
         for pattern in avoids:
             if contains(filling, pattern):
                 raise NotAvoiding(f"input filling contains {format_word(pattern)}")
-        placement, bands = blowup(filling, content, stacking)
+        placement = blowup(filling, content, stacking)
         iseq, nseq, target = _flipped(placement, kind)
         partner = _partner(placement, kind, iseq, nseq, target)
         return MapTrace(
-            avoids, stacking, placement, iseq, nseq, target, partner, shrink(partner, bands)
+            avoids, stacking, placement, iseq, nseq, target, partner, shrink(partner, content)
         )
 
     def forward(self, filling: Filling, content) -> Filling:
@@ -374,10 +311,3 @@ VARIANTS = {
         "12", (P231, P121), (P312, P211), Direction.DECREASING, Direction.INCREASING
     ),
 }
-
-# Theorem 11: {231,221}-avoiders <-> {312,212}-avoiders.
-to_312_212_avoider = VARIANTS["11"].forward
-to_231_221_avoider = VARIANTS["11"].inverse
-# Theorem 12: {231,121}-avoiders <-> {312,211}-avoiders.
-to_312_211_avoider = VARIANTS["12"].forward
-to_231_121_avoider = VARIANTS["12"].inverse

@@ -204,35 +204,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, content_default=None):
-        p.add_argument("--patterns", default="", help="pattern set, e.g. 231 or 231+221")
+    def common(p, patterns=False, content=False, cache=True, outs=("plain", "json", "csv")):
+        if patterns:
+            p.add_argument("--patterns", default="", help="pattern set, e.g. 231 or 231+221")
         p.add_argument(
             "--jobs", type=int, default=1,
             help="accepted for compatibility and ignored: counts run in-process",
         )
-        p.add_argument("--cache", help="append-only JSONL result cache")
-        p.add_argument("--out", choices=["plain", "json", "csv"], default="plain")
-        if content_default is not None:
+        if cache:
+            p.add_argument("--cache", help="append-only JSONL result cache")
+        p.add_argument("--out", choices=outs, default="plain")
+        if content:
             p.add_argument(
                 "--content",
-                default=content_default,
+                default=UNCONSTRAINED,
                 help="composition like 2,2,1, or 'all'/'unconstrained', or 'positive'",
             )
 
     p = sub.add_parser("count", help="count avoiding fillings of one shape")
     p.add_argument("--shape", required=True, help="row lengths bottom to top, e.g. 5,5,4")
-    common(p, content_default=UNCONSTRAINED)
+    common(p, patterns=True, content=True, outs=("plain", "json"))
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("count-words", help="count avoiding words of given length/alphabet")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--alphabet", type=int, required=True)
-    common(p)
+    common(p, patterns=True, outs=("plain", "json"))
     p.set_defaults(func=_cmd_count_words)
 
     p = sub.add_parser("enumerate", help="stream the avoiding fillings of one shape")
     p.add_argument("--shape", required=True)
-    common(p, content_default=UNCONSTRAINED)
+    common(p, patterns=True, content=True, cache=False, outs=("plain", "json"))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bijection", help="apply an equivalence map to one filling")

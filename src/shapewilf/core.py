@@ -251,8 +251,8 @@ def border_path(shape: FerrersShape) -> BorderVertexPath:
 
 def make_composition(parts) -> Composition:
     comp = tuple(parts)
-    if not comp or any(p < 1 for p in comp):
-        raise BadComposition(f"composition parts must be positive, got {comp}")
+    if not comp or any(not isinstance(p, int) or p < 1 for p in comp):
+        raise BadComposition(f"composition parts must be positive integers, got {comp}")
     return comp
 
 

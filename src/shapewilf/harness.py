@@ -215,7 +215,7 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
             contents = sizes[size] = (
                 list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
             )
-        if cache is None:
+        if cache is None:  # kept apart from cached_record: measured faster on uncached scans
             found = [walked(side, shape) for side in range(len(pattern_sets))]
             for content in contents:
                 yield shape, content, [

@@ -16,7 +16,6 @@ from shapewilf import (
     alpha,
     alpha_inverse,
     avoids_all,
-    band_monotone,
     blowup,
     border_path,
     compositions,
@@ -34,8 +33,6 @@ from shapewilf import (
     parse_shape,
     parse_word,
     reproduce_table,
-    alpha_sequence,
-    to_312_212_avoider,
     word_contains,
 )
 from shapewilf.bijection import Direction, P121, P211, P212, P221, P231, P312
@@ -159,10 +156,10 @@ def test_criterion_4_table_4_reproduction_and_inequality():
 
 def test_criterion_5_worked_example_vectors():
     start = time.time()
-    blown, _ = blowup(Filling(SHAPE, FILLING), CONTENT, Direction.INCREASING)
+    blown = blowup(Filling(SHAPE, FILLING), CONTENT, Direction.INCREASING)
     iseq = i_sequence(blown)
-    aseq = alpha_sequence(blown)
-    image = to_312_212_avoider(Filling(SHAPE, FILLING), CONTENT)
+    aseq = tuple(0 if i == 0 else n - i + 1 for i, n in zip(iseq, n_sequence(blown)))
+    image = VARIANTS["11"].forward(Filling(SHAPE, FILLING), CONTENT)
     ok = iseq == CHAIN_SEQ and aseq == FLIPPED_SEQ and image.col_to_row == IMAGE_FILLING
     _line(5, ok, time.time() - start,
           "border sequences and mapped filling match the transcribed vectors" if ok
@@ -197,11 +194,20 @@ def test_criterion_6_equivalence_map_suite():
           f"both equivalence maps bijective on every (shape, content); {n_maps} round trips")
 
 
-def _band_right_border_vertices(placement, bands):
+def _band_ranges(content):
+    """The first and last blown-up row of each band, bottom up."""
+    ranges, last = [], 0
+    for size in content:
+        ranges.append((last + 1, last + size))
+        last += size
+    return ranges
+
+
+def _band_right_border_vertices(placement, content):
     """Vertex indices u_0..u_{a_i} along each band's right border."""
     index_of = {v: i for i, v in enumerate(border_path(placement.shape))}
     out = []
-    for first, last in bands.row_range:
+    for first, last in _band_ranges(content):
         length = placement.shape.rows[first - 1]
         out.append([index_of[(length, y)] for y in range(first - 1, last + 1)])
     return out
@@ -235,20 +241,24 @@ def test_criterion_7_alpha_suite():
     for shape in iter_shapes(5, 4):
         for content in compositions(shape.width, shape.n_rows):
             for filling in enumerate_fillings(shape, [P231, P221], content=content):
-                blown, bands = blowup(filling, content, Direction.INCREASING)
+                blown = blowup(filling, content, Direction.INCREASING)
                 iseq = i_sequence(blown)
                 image = alpha(blown)
                 imseq = i_sequence(image)
-                for verts in _band_right_border_vertices(blown, bands):
+                for verts in _band_right_border_vertices(blown, content):
                     for j in range(1, len(verts) - 1):
                         assert iseq[verts[j + 1]] == iseq[verts[j]] + 1  # chain growth in bands
                         assert imseq[verts[j + 1]] == imseq[verts[j]]  # flat in the image
-                assert band_monotone(image, bands, Direction.DECREASING)
+                for first, last in _band_ranges(content):  # each band stacked downwards
+                    rows = [row for row in image.col_to_row if first <= row <= last]
+                    assert rows == sorted(rows, reverse=True)
                 n_blowups += 1
             for filling in enumerate_fillings(shape, [P312, P212], content=content):
-                blown, bands = blowup(filling, content, Direction.DECREASING)
+                blown = blowup(filling, content, Direction.DECREASING)
                 pre = alpha_inverse(blown)
-                assert band_monotone(pre, bands, Direction.INCREASING)
+                for first, last in _band_ranges(content):  # each band stacked upwards
+                    rows = [row for row in pre.col_to_row if first <= row <= last]
+                    assert rows == sorted(rows)
     _line(7, True, time.time() - start,
           f"alpha bijective with injective I on {n_placements} placements; "
           f"band equations and monotonicity hold on {n_blowups} blowups")

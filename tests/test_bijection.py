@@ -13,10 +13,7 @@ from shapewilf import (
     ShapeMismatch,
     alpha,
     alpha_inverse,
-    alpha_sequence,
     avoids_all,
-    band_monotone,
-    bands_from_composition,
     blowup,
     border_path,
     count_fillings,
@@ -28,10 +25,6 @@ from shapewilf import (
     n_sequence,
     reconstruct,
     shrink,
-    to_231_121_avoider,
-    to_231_221_avoider,
-    to_312_211_avoider,
-    to_312_212_avoider,
     VARIANTS,
 )
 from shapewilf.bijection import P121, P211, P212, P221, P231, P312
@@ -52,15 +45,24 @@ def placement(shape, cols):
     return FullRookPlacement(Filling(shape, cols))
 
 
+def flipped(rook):
+    """alpha's target I-sequence, from the border sequences: 0 stays 0, else N - I + 1."""
+    return tuple(0 if i == 0 else n - i + 1 for i, n in zip(i_sequence(rook), n_sequence(rook)))
+
+
+def band_rows(rook, content):
+    """The rows of the 1's of each band, column by column; band i is the next content[i] rows."""
+    bands, first = [], 1
+    for size in content:
+        bands.append([row for row in rook.col_to_row if first <= row < first + size])
+        first += size
+    return bands
+
+
 SQUARE3 = make_shape((3, 3, 3))
 BLOWN = placement(BLOWN_SHAPE, BLOWN_PLACEMENT)
 IMAGE = placement(BLOWN_SHAPE, IMAGE_PLACEMENT)
-
-
-def test_bands_from_composition():
-    bands = bands_from_composition((2, 2, 3, 1, 1, 1))
-    assert bands.row_range == ((1, 2), (3, 4), (5, 7), (8, 8), (9, 9), (10, 10))
-    assert bands.band_of == (1, 1, 2, 2, 3, 3, 3, 4, 5, 6)
+THEOREM_11, THEOREM_12 = VARIANTS["11"], VARIANTS["12"]
 
 
 def test_i_sequence_worked_example():
@@ -83,13 +85,14 @@ def test_n_sequence():
 
 
 def test_alpha_sequence():
-    assert alpha_sequence(BLOWN) == FLIPPED_SEQ
-    assert alpha_sequence(placement(make_shape((1,)), (1,))) == (0, 1, 0)
+    assert flipped(BLOWN) == FLIPPED_SEQ
+    assert flipped(placement(make_shape((1,)), (1,))) == (0, 1, 0)
     anti = placement(SQUARE3, (3, 2, 1))
     assert n_sequence(anti) == (0, 1, 2, 3, 2, 1, 0)
-    assert alpha_sequence(anti) == (0, 1, 2, 3, 2, 1, 0)
+    assert flipped(anti) == (0, 1, 2, 3, 2, 1, 0)
+    assert i_sequence(alpha(anti)) == flipped(anti)
     with pytest.raises(NotAvoiding):
-        alpha_sequence(placement(SQUARE3, (2, 3, 1)))
+        alpha(placement(SQUARE3, (2, 3, 1)))
 
 
 def test_border_sequences_have_one_value_per_vertex():
@@ -142,27 +145,25 @@ def test_alpha_inverse_on_worked_example():
 
 
 def test_blowup_worked_example():
-    blown, bands = blowup(Filling(SHAPE, FILLING), CONTENT, Direction.INCREASING)
+    blown = blowup(Filling(SHAPE, FILLING), CONTENT, Direction.INCREASING)
     assert blown.shape == BLOWN_SHAPE
     assert blown.col_to_row == BLOWN_PLACEMENT
-    assert bands.composition == CONTENT
 
 
 def test_blowup_trivial_and_one_row():
     f = Filling(make_shape((3, 2)), (2, 1, 1))
     # all-ones content leaves everything unchanged
-    blown, _ = blowup(Filling(make_shape((2, 1)), (2, 1)), (1, 1), Direction.DECREASING)
+    blown = blowup(Filling(make_shape((2, 1)), (2, 1)), (1, 1), Direction.DECREASING)
     assert blown.shape.rows == (2, 1) and blown.col_to_row == (2, 1)
     # two 1's in a single row, stacked downwards by column
-    blown, _ = blowup(Filling(make_shape((2,)), (1, 1)), (2,), Direction.DECREASING)
+    blown = blowup(Filling(make_shape((2,)), (1, 1)), (2,), Direction.DECREASING)
     assert blown.shape.rows == (2, 2) and blown.col_to_row == (2, 1)
     with pytest.raises(ContentMismatch):
         blowup(f, (1, 2), Direction.INCREASING)
 
 
 def test_shrink_worked_example():
-    bands = bands_from_composition(CONTENT)
-    shrunk = shrink(IMAGE, bands)
+    shrunk = shrink(IMAGE, CONTENT)
     assert shrunk.shape == SHAPE
     assert shrunk.col_to_row == IMAGE_FILLING
 
@@ -172,75 +173,74 @@ def test_shrink_is_left_inverse_of_blowup():
         for filling in enumerate_fillings(shape, [], POSITIVE_ROWS):
             content = filling_content(filling)
             for direction in Direction:
-                blown, bands = blowup(filling, content, direction)
-                assert shrink(blown, bands).col_to_row == filling.col_to_row
-    ones = bands_from_composition((1, 1))
+                blown = blowup(filling, content, direction)
+                assert shrink(blown, content).col_to_row == filling.col_to_row
     rook = placement(make_shape((2, 2)), (2, 1))
-    assert shrink(rook, ones).col_to_row == (2, 1)
+    assert shrink(rook, (1, 1)).col_to_row == (2, 1)
 
 
 def test_shrink_validates_band_compatibility():
-    bands = bands_from_composition((2, 1))
     with pytest.raises(ShapeMismatch):
-        shrink(placement(make_shape((3, 3, 3)), (1, 2, 3)), bands_from_composition((2, 2)))
+        shrink(placement(make_shape((3, 3, 3)), (1, 2, 3)), (2, 2))
     with pytest.raises(ShapeMismatch):
         # rows 1..2 of one band differ in length
-        shrink(placement(make_shape((3, 2, 2)), (3, 2, 1)), bands)
+        shrink(placement(make_shape((3, 2, 2)), (3, 2, 1)), (2, 1))
 
 
 def test_band_monotone():
-    bands = bands_from_composition(CONTENT)
-    assert band_monotone(BLOWN, bands, Direction.INCREASING)
-    assert not band_monotone(BLOWN, bands, Direction.DECREASING)
-    assert band_monotone(IMAGE, bands, Direction.DECREASING)
-    ones = bands_from_composition((1,) * 10)
-    assert band_monotone(BLOWN, ones, Direction.INCREASING)
-    assert band_monotone(BLOWN, ones, Direction.DECREASING)
+    # The increasing blowup stacks each band upwards, and alpha's image stacks it downwards.
+    assert band_rows(BLOWN, CONTENT) == [[1, 2], [3, 4], [5, 6, 7], [8], [9], [10]]
+    assert all(rows == sorted(rows) for rows in band_rows(BLOWN, CONTENT))
+    assert not all(rows == sorted(rows, reverse=True) for rows in band_rows(BLOWN, CONTENT))
+    assert all(rows == sorted(rows, reverse=True) for rows in band_rows(IMAGE, CONTENT))
+    ones = (1,) * 10
+    assert all(rows == sorted(rows) for rows in band_rows(BLOWN, ones))
+    assert all(rows == sorted(rows, reverse=True) for rows in band_rows(BLOWN, ones))
 
 
 def test_equivalence_maps_on_worked_example():
-    image = to_312_212_avoider(Filling(SHAPE, FILLING), CONTENT)
+    image = THEOREM_11.forward(Filling(SHAPE, FILLING), CONTENT)
     assert image.col_to_row == IMAGE_FILLING
     assert avoids_all(image, [P312, P212])
-    back = to_231_221_avoider(image, CONTENT)
+    back = THEOREM_11.inverse(image, CONTENT)
     assert back.col_to_row == FILLING
 
 
 def test_equivalence_maps_validate_their_inputs():
     contains_221 = Filling(make_shape((3, 3)), (2, 2, 1))
     with pytest.raises(NotAvoiding):
-        to_312_212_avoider(contains_221, (2, 1))
+        THEOREM_11.forward(contains_221, (2, 1))
     with pytest.raises(NotAvoiding):
-        to_231_221_avoider(Filling(make_shape((3, 3)), (2, 1, 2)), (2, 1))
+        THEOREM_11.inverse(Filling(make_shape((3, 3)), (2, 1, 2)), (2, 1))
 
 
 def test_equivalence_maps_reduce_to_alpha_on_full_placements():
     ones = (1, 1, 1)
     for filling in enumerate_fillings(SQUARE3, [P231, P221], content=ones):
         rook = FullRookPlacement(filling)
-        assert to_312_212_avoider(filling, ones).col_to_row == alpha(rook).col_to_row
+        assert THEOREM_11.forward(filling, ones).col_to_row == alpha(rook).col_to_row
     for filling in enumerate_fillings(SQUARE3, [P231, P121], content=ones):
         rook = FullRookPlacement(filling)
-        assert to_312_211_avoider(filling, ones).col_to_row == alpha(rook).col_to_row
+        assert THEOREM_12.forward(filling, ones).col_to_row == alpha(rook).col_to_row
 
 
 def test_single_row_filling_maps_to_itself():
     row = Filling(make_shape((2,)), (1, 1))
-    assert to_312_211_avoider(row, (2,)).col_to_row == (1, 1)
-    assert to_312_212_avoider(row, (2,)).col_to_row == (1, 1)
+    assert THEOREM_12.forward(row, (2,)).col_to_row == (1, 1)
+    assert THEOREM_11.forward(row, (2,)).col_to_row == (1, 1)
 
 
 @pytest.mark.parametrize(
     "forward,inverse,source,target,expected_size",
     [
-        # The map names are bound methods named forward/inverse, so the case
-        # ids are spelled out to keep them naming the public maps.
+        # The maps are bound methods named forward/inverse, so the case ids
+        # are spelled out, naming each direction by the avoiders it yields.
         pytest.param(
-            to_312_212_avoider, to_231_221_avoider, (P231, P221), (P312, P212), 9,
+            THEOREM_11.forward, THEOREM_11.inverse, (P231, P221), (P312, P212), 9,
             id="to_312_212_avoider-to_231_221_avoider-source0-target0-9",
         ),
         pytest.param(
-            to_312_211_avoider, to_231_121_avoider, (P231, P121), (P312, P211), 7,
+            THEOREM_12.forward, THEOREM_12.inverse, (P231, P121), (P312, P211), 7,
             id="to_312_211_avoider-to_231_121_avoider-source1-target1-7",
         ),
     ],
@@ -275,7 +275,7 @@ def test_alpha_preserves_region_counts_and_is_injective():
         seen[seq] = rook
         image = alpha(rook)
         assert n_sequence(image) == n_sequence(rook)
-        assert i_sequence(image) == alpha_sequence(rook)
+        assert i_sequence(image) == flipped(rook)
 
 
 def test_blowup_transfers_avoidance_both_ways():
@@ -284,8 +284,8 @@ def test_blowup_transfers_avoidance_both_ways():
     for shape in iter_shapes(4, 3):
         for content in compositions_of(shape):
             for filling in enumerate_fillings(shape, [], content=content):
-                inc, _ = blowup(filling, content, Direction.INCREASING)
-                dec, _ = blowup(filling, content, Direction.DECREASING)
+                inc = blowup(filling, content, Direction.INCREASING)
+                dec = blowup(filling, content, Direction.DECREASING)
                 assert avoids_all(filling, [P231, P221]) == avoids_all(inc.filling, [P231])
                 assert avoids_all(filling, [P231, P121]) == avoids_all(dec.filling, [P231])
                 assert avoids_all(filling, [P312, P212]) == avoids_all(dec.filling, [P312])
@@ -315,12 +315,12 @@ def reference_trace(variant, filling, content, inverse):
         avoids, stacking, step = variant.target, variant.inverse_direction, alpha_inverse
     else:
         avoids, stacking, step = variant.source, variant.forward_direction, alpha
-    placement, bands = blowup(filling, content, stacking)
+    placement = blowup(filling, content, stacking)
     partner = step(placement)
-    transformed = i_sequence(partner) if inverse else alpha_sequence(placement)
+    transformed = i_sequence(partner) if inverse else flipped(placement)
     return MapTrace(
         avoids, stacking, placement, i_sequence(placement), n_sequence(placement), transformed,
-        partner, shrink(partner, bands),
+        partner, shrink(partner, content),
     )
 
 
@@ -337,9 +337,3 @@ def test_trace_matches_the_composed_steps_up_to_5x4():
                         cases += 1
     assert cases == 4852
 
-
-def test_map_names_are_the_variant_methods():
-    assert to_312_212_avoider == VARIANTS["11"].forward
-    assert to_231_221_avoider == VARIANTS["11"].inverse
-    assert to_312_211_avoider == VARIANTS["12"].forward
-    assert to_231_121_avoider == VARIANTS["12"].inverse

@@ -183,6 +183,48 @@ def test_jobs_flag(capsys):
     assert out.strip() == "18"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "4", "--patterns", "231"],
+        ["check-equiv", "12", "21", "--max-cols", "2", "--max-rows", "2", "--patterns", "231"],
+        ["scan-conj1", "--max-cols", "2", "--max-rows", "2", "--patterns", "231"],
+        ["scan-conj2", "--max-length", "3", "--max-alphabet", "2", "--patterns", "999"],
+        ["enumerate", "--shape", "2,2", "--cache", "c.jsonl"],
+        ["count", "--shape", "2,2", "--out", "csv"],
+        ["count-words", "--length", "2", "--alphabet", "2", "--out", "csv"],
+        ["enumerate", "--shape", "2,2", "--out", "csv"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-2][2:]}",
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert argv[-2] in err
+
+
+def test_commands_keep_the_options_they_read():
+    parser = cli.build_parser()
+    for argv in (
+        ["count", "--shape", "2,2", "--content", "1,1", "--patterns", "21", "--jobs", "2",
+         "--cache", "c.jsonl", "--out", "json"],
+        ["count-words", "--length", "2", "--alphabet", "2", "--patterns", "21", "--jobs", "2",
+         "--cache", "c.jsonl", "--out", "json"],
+        ["enumerate", "--shape", "2,2", "--content", "1,1", "--patterns", "21", "--jobs", "2",
+         "--out", "json"],
+        ["table", "2", "--jobs", "2", "--cache", "c.jsonl", "--out", "csv"],
+        ["check-equiv", "12", "21", "--max-cols", "2", "--max-rows", "2", "--expect", "equal",
+         "--jobs", "2", "--cache", "c.jsonl", "--out", "csv"],
+        ["scan-conj1", "--max-cols", "2", "--max-rows", "2", "--jobs", "2", "--cache", "c.jsonl",
+         "--out", "csv"],
+        ["scan-conj2", "--beta", "1", "--max-length", "3", "--max-alphabet", "2", "--jobs", "2",
+         "--cache", "c.jsonl", "--out", "csv"],
+    ):
+        parser.parse_args(argv)
+
+
 def test_parse_errors_are_usage_errors(capsys):
     status, _, err = run(capsys, "count", "--shape", "5,x", "--patterns", "231")
     assert status == 2

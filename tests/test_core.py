@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shapewilf import (
-    BandStructure,
     CountRecord,
     Direction,
     EquivalenceVariant,
@@ -17,7 +16,6 @@ from shapewilf import (
     ScanReport,
     VARIANTS,
     ShapeMismatch,
-    bands_from_composition,
     border_path,
     direct_sum,
     filling_content,
@@ -195,10 +193,10 @@ FROZEN_VALUES = {
         FullRookPlacement(Filling(make_shape((2, 2)), (1, 2))),
         "filling",
     ),
-    "BandStructure": (
-        lambda: bands_from_composition([2, 1]),
-        BandStructure((2, 1), (1, 1, 2), ((1, 2), (4, 4))),
-        "band_of",
+    "MapTrace": (
+        lambda: VARIANTS["11"].trace(Filling(make_shape((2, 2)), [2, 1]), [1, 1]),
+        VARIANTS["12"].trace(Filling(make_shape((2, 2)), (2, 1)), (1, 1)),
+        "image",
     ),
     "EquivalenceVariant": (
         lambda: EquivalenceVariant(

@@ -24,6 +24,7 @@ from shapewilf import (
     count_words_direct,
     counted,
     enumerate_fillings,
+    make_composition,
     make_shape,
     parse_shape,
 )
@@ -65,6 +66,18 @@ def test_fixed_content_validation():
         count_fillings(shape, (2, 2, 2), [P231])  # wrong sum
     with pytest.raises(BadComposition):
         count_fillings(shape, (3, 2, 0), [P231])  # zero part
+
+
+@pytest.mark.parametrize(
+    "content", [POSITIVE_ROWS, ("a", 1), (1.0, 1.0)], ids=["regime-name", "letter", "float"]
+)
+def test_non_integer_parts_are_bad_compositions(content):
+    # A regime name where a composition belongs, or any non-integer part, is a
+    # usage error like a zero part, not a TypeError from comparing the parts.
+    with pytest.raises(BadComposition, match="positive integers"):
+        make_composition(content)
+    with pytest.raises(BadComposition):
+        count_fillings(make_shape((2, 2)), content, [(2, 1)])
 
 
 def test_unconstrained_counts():
