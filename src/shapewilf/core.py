@@ -104,6 +104,8 @@ class FerrersShape(FrozenValue):
         if not rows:
             raise NotFerrers("a shape needs at least one row")
         for i, length in enumerate(rows):
+            if not isinstance(length, int):
+                raise NotFerrers(f"row {i + 1} has length {length!r}, not an integer")
             if length < 1:
                 raise NotFerrers(f"row {i + 1} has non-positive length {length}")
             if i and rows[i - 1] < length:
@@ -149,6 +151,8 @@ class Filling(FrozenValue):
             )
         for j, row in enumerate(col_to_row, start=1):
             height = shape.heights[j - 1]
+            if not isinstance(row, int):
+                raise ShapeMismatch(f"column {j}: row {row!r} is not an integer")
             if not 1 <= row <= height:
                 raise ShapeMismatch(f"column {j}: row {row} is outside the shape (height {height})")
         self._assign(shape, col_to_row)
@@ -186,8 +190,8 @@ def make_shape(rows) -> FerrersShape:
 def make_word(letters) -> Word:
     word = tuple(letters)
     for v in word:
-        if v < 1:
-            raise InvalidPattern(f"letters must be positive integers, got {v}")
+        if not isinstance(v, int) or v < 1:
+            raise InvalidPattern(f"letters must be positive integers, got {v!r}")
     return word
 
 

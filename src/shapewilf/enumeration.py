@@ -9,11 +9,15 @@ rho_{x_1} ... rho_{x_r} of the first rows[rho_k - 1] columns, so each
 progress; greedy matching is exact for a fixed target word, and a branch dies
 when some tracker completes.  On entry to a column of height h the trackers
 with rho_k > h are dropped (heights weakly decrease, so they never come
-back), which merges states.  Beside the progresses a state holds a regime
-state: the remaining row capacities (fixed content), the set of still-empty
-rows (at-least-one-per-row) or nothing, and a state is pruned when its rows
-can no longer be filled in time (Hall condition: rows have deadlines because
-column heights weakly decrease).
+back), which merges states.  What a 1 in each row of a column of height h
+does to a progress tuple is worked out the first time the tuple meets such a
+column and kept in a table on the trackers, so it is shared by every state,
+column, shape and expansion that uses the same trackers.  Beside the
+progresses a state holds a regime state: the remaining row capacities
+(fixed content), the set of still-empty rows (at-least-one-per-row) or
+nothing, and a state is pruned when its rows can no longer be filled in time
+(Hall condition: rows have deadlines because column heights weakly
+decrease), which one pass down the rows tests for every row at once.
 
 Three callers share ``step``: ``column_states``, which yields a shape's state
 dict after each column (the single-shape count reads the last one, and the
@@ -72,7 +76,9 @@ class _Trackers:
     rows[rho_k - 1] columns, so a tracker is made only when row rho_k reaches
     r columns; rows weakly decrease, so those subsets lie among the rows
     1..tall that do.  Trackers are sorted by top row, so that the ones still
-    live in a column of height h are the first ``live[h]``.
+    live in a column of height h are the first ``live[h]``.  ``table(h)`` is
+    the transition table of height h, which ``step`` fills from ``advance``;
+    it lives as long as the trackers (one count, walk or enumeration).
     """
 
     def __init__(self, patterns, rows):
@@ -86,6 +92,7 @@ class _Trackers:
         self.live = [bisect_right(tops, h) for h in range(len(rows) + 1)]
         self.targets = [target for _, target in found]
         self._movers: dict = {}
+        self._tables: dict = {}
 
     def movers(self, h: int) -> list:
         """Per row: (index, target, length) of each tracker live at height h that uses the row."""
@@ -99,6 +106,30 @@ class _Trackers:
                     movers[row] += ((i, target, len(target)),)
         return movers
 
+    def table(self, h: int) -> dict:
+        """The transition table of height h: progress -> ``advance(progress, h)``, filled by ``step``."""
+        return self._tables.setdefault(h, {})
+
+    def advance(self, progress: tuple, h: int) -> list:
+        """Per row 1..h (index 0 unused): the progress after a 1 in that row, or None.
+
+        None means the 1 completes an occurrence of some live tracker.
+        """
+        out = [None] * (h + 1)
+        for row, movers in enumerate(self.movers(h)[1:], start=1):
+            advanced = None  # a copy of progress, made once some tracker advances
+            for i, target, r in movers:
+                t = progress[i]
+                if target[t] == row:
+                    if t + 1 == r:
+                        break  # the 1 completes an occurrence
+                    if advanced is None:
+                        advanced = list(progress)
+                    advanced[i] = t + 1
+            else:
+                out[row] = progress if advanced is None else tuple(advanced)
+        return out
+
 
 def step(states: dict, h: int, trackers: _Trackers, moves) -> dict:
     """Advance a state dict by one column of height h.
@@ -107,33 +138,30 @@ def step(states: dict, h: int, trackers: _Trackers, moves) -> dict:
     entry the progress tuples are cut to the trackers with top row <= h, which
     merges states.  ``moves(regime)`` lists the (row, next regime) pairs a
     regime state allows in this column; it is called once per distinct one.
+    Where a progress tuple goes on a 1 in each row is read from
+    ``trackers.table(h)``, which gets it from ``advance`` on first use.
     """
     cut = trackers.live[h]
-    movers = trackers.movers(h)
     if states and len(next(iter(states))[0]) > cut:  # all progress tuples are as long
         merged: dict = {}
         for (progress, regime), n in states.items():
             key = (progress[:cut], regime)
             merged[key] = merged.get(key, 0) + n
         states = merged
+    table = trackers.table(h)
     options: dict = {}  # regime -> its moves in this column
     nxt: dict = {}
     for (progress, regime), n in states.items():
         rows = options.get(regime)
         if rows is None:
             rows = options[regime] = moves(regime)
+        moved = table.get(progress)
+        if moved is None:
+            moved = table[progress] = trackers.advance(progress, h)
         for row, after in rows:
-            advanced = None  # a copy of progress, made once some tracker advances
-            for i, target, r in movers[row]:
-                t = progress[i]
-                if target[t] == row:
-                    if t + 1 == r:
-                        break  # the column completes an occurrence
-                    if advanced is None:
-                        advanced = list(progress)
-                    advanced[i] = t + 1
-            else:
-                key = (progress if advanced is None else tuple(advanced), after)
+            advanced = moved[row]
+            if advanced is not None:
+                key = (advanced, after)
                 nxt[key] = nxt.get(key, 0) + n
     return nxt
 
@@ -146,43 +174,53 @@ def _shape_regime(shape, content):
     of empty rows (positive rows) or None (unconstrained).  ``moves`` lists the
     (row, next regime) pairs for column ``done`` of height h, pruning regimes
     whose rows can no longer be filled in time (Hall condition: rows >= t can
-    only be fed by columns <= rows[t-1]).  A start state that already fails
-    the condition (with positive rows: more rows than columns) gives None, so
-    the engines stop before building any tracker.
+    only be fed by columns <= rows[t-1]).  One pass down the rows finds the
+    lowest row whose 1 keeps the condition.  A start state that already fails
+    it (with positive rows: more rows than columns) gives None, so the engines
+    stop before building any tracker.
     """
     rows = shape.rows
     m = shape.n_rows
     positive = content == POSITIVE_ROWS
     fixed = not positive and content != UNCONSTRAINED
 
-    def feasible(regime, done: int) -> bool:
+    def lowest(regime, done: int) -> int:
+        # The highest row t whose demand (1's still owed to rows >= t) exceeds
+        # its room (columns after ``done`` that reach row t), or 0 if none.  A
+        # 1 in row r lowers the demand of every t <= r by one, and a state that
+        # kept the condition one column earlier exceeds it by at most one now,
+        # since each room shrinks by at most one a column.  So a 1 keeps the
+        # condition exactly in the rows r >= lowest that it takes demand from.
         need = 0
         for t in range(m, 0, -1):
             need += regime[t - 1] if fixed else (regime >> (t - 1)) & 1
             if need and need > rows[t - 1] - done:
-                return False
-        return True
+                return t
+        return 0
 
     def moves(regime, h: int, done: int) -> list:
+        if not (fixed or positive):
+            return [(row, None) for row in range(1, h + 1)]
+        low = lowest(regime, done)
+        if fixed:
+            return [
+                (row, regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:])
+                for row in range(max(low, 1), h + 1)
+                if regime[row - 1]
+            ]
         out = []
         for row in range(1, h + 1):
-            if fixed:
-                if regime[row - 1] == 0:
-                    continue
-                after = regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:]
-            elif positive:
-                after = regime & ~(1 << (row - 1))
-            else:
-                out.append((row, None))
-                continue
-            if feasible(after, done):
-                out.append((row, after))
+            if regime >> (row - 1) & 1:
+                if row >= low:
+                    out.append((row, regime & ~(1 << (row - 1))))
+            elif not low:  # a 1 in a row already filled leaves every demand as it is
+                out.append((row, regime))
         return out
 
     if not (fixed or positive):
         return None, moves
     start = content if fixed else (1 << m) - 1  # bit t-1 set while row t is empty
-    return (start, moves) if feasible(start, 0) else None
+    return (start, moves) if lowest(start, 0) == 0 else None
 
 
 def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:

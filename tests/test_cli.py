@@ -53,6 +53,26 @@ def test_count_words_rejects_a_non_positive_size(capsys, length, alphabet):
     assert err == f"error: need positive length and alphabet size, got {length}, {alphabet}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["check-equiv", "231", "312", "--max-cols", "3", "--max-rows", "-2", "--expect", "equal"],
+         "max_rows"),
+        (["check-equiv", "231", "312", "--max-cols", "0", "--max-rows", "2"], "max_cols"),
+        (["scan-conj1", "--max-cols", "-1", "--max-rows", "2"], "max_cols"),
+        (["scan-conj2", "--max-length", "0", "--max-alphabet", "3"], "max_length"),
+        (["scan-conj2", "--max-length", "3", "--max-alphabet", "0"], "max_alphabet"),
+    ],
+    ids=["check-equiv-rows", "check-equiv-cols", "scan-conj1", "scan-conj2-length",
+         "scan-conj2-alphabet"],
+)
+def test_non_positive_scan_bounds_are_usage_errors(capsys, argv, bound):
+    # a scan over no shape or word would pass vacuously
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: scan bound {bound} must be positive, got ")
+
+
 def test_enumerate(capsys):
     status, out, _ = run(capsys, "enumerate", "--shape", "2,2", "--content", "1,1",
                          "--patterns", "12")

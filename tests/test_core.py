@@ -53,7 +53,7 @@ def test_make_shape_accepts_weakly_decreasing_rows():
     assert make_shape((1,)).rows == (1,)
 
 
-@pytest.mark.parametrize("rows", [(4, 5), (2, 3, 1), (1, 0), (-1,), ()])
+@pytest.mark.parametrize("rows", [(4, 5), (2, 3, 1), (1, 0), (-1,), (), (3.0, 2), "32", (3, None)])
 def test_make_shape_rejects_non_shapes(rows):
     with pytest.raises(NotFerrers):
         make_shape(rows)
@@ -138,6 +138,8 @@ def test_filling_must_stay_inside_shape():
         Filling(shape, (1, 2))  # column 2 has height 1
     with pytest.raises(ShapeMismatch):
         Filling(shape, (1,))  # one entry per column
+    with pytest.raises(ShapeMismatch, match="not an integer"):
+        Filling(make_shape((2, 2)), (1.0, 2))
 
 
 def test_full_rook_placement_validation():

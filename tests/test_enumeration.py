@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ import shapewilf
 from shapewilf import (
     BadComposition,
     CorruptCache,
+    Filling,
     InvalidPattern,
     POSITIVE_ROWS,
     ResultCache,
@@ -24,10 +26,14 @@ from shapewilf import (
     count_words_direct,
     counted,
     enumerate_fillings,
+    filling_content,
+    iter_shapes,
     make_composition,
     make_shape,
     parse_shape,
 )
+from shapewilf.enumeration import column_states
+from shapewilf.matcher import avoids_all
 
 P231 = (2, 3, 1)
 P312 = (3, 1, 2)
@@ -78,6 +84,56 @@ def test_non_integer_parts_are_bad_compositions(content):
         make_composition(content)
     with pytest.raises(BadComposition):
         count_fillings(make_shape((2, 2)), content, [(2, 1)])
+
+
+@pytest.mark.parametrize("pattern", [(2.0, 1), "21"], ids=["float", "text"])
+def test_non_integer_letters_are_invalid_patterns(pattern):
+    with pytest.raises(InvalidPattern):
+        count_all_fillings(make_shape((3, 3)), [pattern])
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [(), (P231,), (P312, (2, 1, 2)), (P231, (1, 2, 1))],
+    ids=["no-pattern", "231", "312+212", "231+121"],
+)
+def test_counts_match_a_content_histogram_of_every_column_choice(patterns):
+    # The Hall test decides which rows a column may fill: a lowest row one too
+    # high loses fillings, and a test that passes a start state it should
+    # fail, or fails one it should pass, changes some count below.
+    for shape in iter_shapes(5, 4):
+        histogram = Counter()
+        for cols in product(*(range(1, h + 1) for h in shape.heights)):
+            filling = Filling(shape, cols)
+            if avoids_all(filling, patterns):
+                histogram[filling_content(filling)] += 1
+        for content in compositions(shape.width, shape.n_rows):
+            assert count_fillings(shape, content, patterns) == histogram[content], (shape, content)
+        positive = sum(n for content, n in histogram.items() if 0 not in content)
+        assert count_positive_fillings(shape, patterns) == positive, shape
+        assert count_all_fillings(shape, patterns) == sum(histogram.values()), shape
+
+
+def test_hall_test_keeps_exactly_the_states_that_can_be_completed():
+    # Counts cannot see a lowest row one too low, since a state that cannot
+    # be completed dies at a later column anyway.  So with no pattern the
+    # regimes after each column must be exactly what the prefixes of the
+    # fillings of the content leave: the 1's still to place per row, or the
+    # rows still empty.
+    for shape in iter_shapes(5, 4):
+        left = defaultdict(set)  # (content, columns done) -> regimes
+        for cols in product(*(range(1, h + 1) for h in shape.heights)):
+            content = filling_content(Filling(shape, cols))
+            to_place, empty = list(content), (1 << shape.n_rows) - 1
+            for done, row in enumerate(cols, start=1):
+                to_place[row - 1] -= 1
+                empty &= ~(1 << (row - 1))
+                left[content, done].add(tuple(to_place))
+                if 0 not in content:
+                    left[POSITIVE_ROWS, done].add(empty)
+        for content in [*compositions(shape.width, shape.n_rows), POSITIVE_ROWS]:
+            for done, states in enumerate(column_states(shape, (), content), start=1):
+                assert {regime for _, regime in states} == left[content, done], (shape, content)
 
 
 def test_unconstrained_counts():

@@ -15,6 +15,7 @@ from shapewilf import (
     ScanReport,
     check_equivalence,
     compositions,
+    count_words,
     counted,
     direct_sum,
     enumeration,
@@ -74,6 +75,31 @@ def test_check_equivalence_of_the_merged_pattern_pairs():
     assert not report.mismatches
     report = check_equivalence([P231, (1, 2, 1)], [P312, (2, 1, 1)], 4, 4)
     assert report.verdict == "equal"
+
+
+@pytest.mark.parametrize("gamma", [(), (1,), (1, 2), (2, 1)], ids=["empty", "1", "12", "21"])
+@pytest.mark.parametrize(
+    "omega, sigma",
+    [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231, (1, 2, 1)], [P312, (2, 1, 1)])],
+    ids=["theorem-11", "theorem-12"],
+)
+def test_theorems_hold_after_a_direct_sum_with_gamma(omega, sigma, gamma):
+    # the extension of Stankova-West to words: x + gamma ~ y + gamma
+    omega = [direct_sum(x, gamma) for x in omega]
+    sigma = [direct_sum(y, gamma) for y in sigma]
+    report = check_equivalence(omega, sigma, 7, 6)
+    assert report.verdict == "equal" and not report.mismatches
+    for n in range(1, 9):
+        for m in range(1, 6):
+            assert count_words(n, m, omega) == count_words(n, m, sigma), (n, m)
+
+
+def test_231_and_312_split_after_a_direct_sum_with_1():
+    report = check_equivalence([direct_sum(P231, (1,))], [direct_sum(P312, (1,))], 7, 6)
+    assert report.verdict == "unequal"
+    assert len(report.mismatches) == 19
+    first = report.mismatches[0]
+    assert (first.shape, first.content, first.a, first.b) == ("7,7,7,7,4", "1,1,2,2,1", 630, 629)
 
 
 def test_check_equivalence_splits_231_from_312():
