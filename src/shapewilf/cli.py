@@ -3,13 +3,17 @@
 Exit status: 0 on success, 1 when a verification scan found a mismatch
 against published values (or an --expect assertion failed), 2 on usage
 errors, including malformed shapes, patterns, and contents, and a --cache
-path that cannot be read or created (reported before any count runs), and
-3 when the --cache file holds a line that is not a count record (a torn last
-line is only skipped, with a warning).
+path that cannot be read or created (reported before any count runs), 3 when
+the --cache file holds a line that is not a count record (a torn last line is
+only skipped, with a warning), 4 on an internal error (a bug: its traceback
+and an ``internal error:`` line go to stderr), and 141 when the reader of
+stdout closes it early, as ``| head`` does (quietly, like a process that
+SIGPIPE stopped).
 """
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -287,6 +291,17 @@ def main(argv=None) -> int:
     except CorruptCache as exc:
         print(f"error: damaged cache: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader stopped reading (``| head``).  Send what is still buffered
+        # to devnull, so the interpreter's last flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # what a shell reports for a process stopped by SIGPIPE
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -19,16 +19,16 @@ nothing, and a state is pruned when its rows can no longer be filled in time
 (Hall condition: rows have deadlines because column heights weakly
 decrease), which one pass down the rows tests for every row at once.
 
-Three callers share ``step``: ``column_states``, which yields a shape's state
-dict after each column (the single-shape count reads the last one, and the
-conjecture-2 scan reads every length of a word rectangle from one pass),
-``walk_shapes``, which walks the tree of column-height sequences depth first
-and carries each shape's state dict to the shapes one column longer (so a
-whole scan pays one step per shape, and every positive content of a shape is
-counted at once), and ``enumerate_fillings``, which expands one state at a
-time in lexicographic order.  None of them recurses, so widths in the
-thousands are fine.  All counts are exact Python integers, and every count
-runs in the calling process.
+Three callers share ``step``, each with its own ``moves(regime, h, done)``:
+``column_states``, which yields a shape's state dict after each column (the
+single-shape count reads the last one, and the conjecture-2 scan reads every
+length of a word rectangle from one pass), ``walk_shapes``, which walks the
+tree of column-height sequences depth first and carries each shape's state
+dict to the shapes one column longer (so a whole scan pays one step per
+shape, and every positive content of a shape is counted at once), and
+``enumerate_fillings``, which expands one state at a time in lexicographic
+order.  None of them recurses, so widths in the thousands are fine.  All counts
+are exact Python integers, and every count runs in the calling process.
 """
 
 import json
@@ -131,14 +131,14 @@ class _Trackers:
         return out
 
 
-def step(states: dict, h: int, trackers: _Trackers, moves) -> dict:
-    """Advance a state dict by one column of height h.
+def step(states: dict, h: int, done: int, trackers: _Trackers, moves) -> dict:
+    """Advance a state dict by one column of height h, the ``done``-th column.
 
     A state is (greedy match progress of each live tracker, regime state).  On
     entry the progress tuples are cut to the trackers with top row <= h, which
-    merges states.  ``moves(regime)`` lists the (row, next regime) pairs a
-    regime state allows in this column; it is called once per distinct one.
-    Where a progress tuple goes on a 1 in each row is read from
+    merges states.  ``moves(regime, h, done)`` lists the (row, next regime)
+    pairs a regime state allows in this column; it is called once per distinct
+    regime state.  Where a progress tuple goes on a 1 in each row is read from
     ``trackers.table(h)``, which gets it from ``advance`` on first use.
     """
     cut = trackers.live[h]
@@ -154,7 +154,7 @@ def step(states: dict, h: int, trackers: _Trackers, moves) -> dict:
     for (progress, regime), n in states.items():
         rows = options.get(regime)
         if rows is None:
-            rows = options[regime] = moves(regime)
+            rows = options[regime] = moves(regime, h, done)
         moved = table.get(progress)
         if moved is None:
             moved = table[progress] = trackers.advance(progress, h)
@@ -224,7 +224,14 @@ def _shape_regime(shape, content):
 
 
 def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
-    """Yield the state dict of a count on one shape after each column; none if nothing fits."""
+    """Yield the state dict of a count on one shape after each column; none if nothing fits.
+
+    ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for
+    ``counted``; a composition is checked first, then the patterns.
+    """
+    if content != UNCONSTRAINED and content != POSITIVE_ROWS:
+        content = _check_content(shape, content)
+    patterns = canonical_patterns(patterns)
     regime = _shape_regime(shape, content)
     if regime is None:
         return
@@ -232,7 +239,7 @@ def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
     trackers = _Trackers(patterns, shape.rows)
     states = {((0,) * trackers.live[shape.n_rows], start): 1}
     for done, h in enumerate(shape.heights, start=1):
-        states = step(states, h, trackers, partial(moves, h=h, done=done))
+        states = step(states, h, done, trackers, moves)
         yield states
 
 
@@ -296,7 +303,7 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
         while stack:
             heights, states = stack.pop()
             h = heights[-1]
-            states = step(states, h, trackers, partial(moves, h=h, done=len(heights)))
+            states = step(states, h, len(heights), trackers, moves)
             histogram: dict = {}
             for (_, state), n in states.items():
                 if positive:
@@ -330,7 +337,6 @@ def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
             out = tags[key] = [(row, (row, after)) for row, after in moves(regime[1], h, done)]
         return out
 
-    columns = [partial(tagged, h=h, done=done) for done, h in enumerate(heights, start=1)]
     placed: list[int] = []
     # children[j] runs over the states after j columns that are still to expand
     children = [iter([((0,) * trackers.live[shape.n_rows], (0, start))])]
@@ -343,7 +349,7 @@ def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
         if j:
             del placed[j - 1 :]
             placed.append(state[1][0])
-        after = step({state: 1}, heights[j], trackers, columns[j])
+        after = step({state: 1}, heights[j], j + 1, trackers, tagged)
         if j + 1 == width:
             for _, (row, _) in after:
                 yield (*placed, row)
@@ -366,18 +372,17 @@ def _check_content(shape: FerrersShape, content) -> Composition:
 
 def count_fillings(shape: FerrersShape, content, patterns) -> int:
     """Number of avoiding fillings with exactly content[i] 1's in row i."""
-    comp = _check_content(shape, content)
-    return _count_engine(shape, canonical_patterns(patterns), comp)
+    return _count_engine(shape, patterns, _check_content(shape, content))
 
 
 def count_all_fillings(shape: FerrersShape, patterns) -> int:
     """Number of avoiding fillings with unconstrained row contents."""
-    return _count_engine(shape, canonical_patterns(patterns), UNCONSTRAINED)
+    return _count_engine(shape, patterns, UNCONSTRAINED)
 
 
 def count_positive_fillings(shape: FerrersShape, patterns) -> int:
     """Number of avoiding fillings with at least one 1 in every row."""
-    return _count_engine(shape, canonical_patterns(patterns), POSITIVE_ROWS)
+    return _count_engine(shape, patterns, POSITIVE_ROWS)
 
 
 def word_rectangle(n: int, m: int) -> FerrersShape:

@@ -203,9 +203,10 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
     """Yield (shape, content, records of each pattern set) for every cell in the bounds.
 
     Cells come in shape order, then content order, and the contents of each
-    (width, rows) size are listed once.  A cached count wins.  Each pattern
-    set is counted by one ``walk_shapes`` over the bounds, run at its first
-    count the cache lacks, and its new records reach the cache in report
+    (width, rows) size are listed once.  Every record comes from
+    ``cached_record``, with or without a cache, so a cached count wins.  Each
+    pattern set is counted by one ``walk_shapes`` over the bounds, run at its
+    first count the cache lacks, and its new records reach the cache in report
     order; a warm cache does no counting.
     """
     walks = [None] * len(pattern_sets)  # per pattern set: its histograms by column heights
@@ -223,21 +224,11 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
             contents = sizes[size] = (
                 list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
             )
-        if cache is None:  # kept apart from cached_record: measured faster on uncached scans
-            found = [walked(side, shape) for side in range(len(pattern_sets))]
-            for content in contents:
-                yield shape, content, [
-                    CountRecord(shape, content, p, counts.get(content, 0))
-                    for p, counts in zip(pattern_sets, found)
-                ]
-        else:
-            for content in contents:
-                yield shape, content, [
-                    cached_record(
-                        shape, content, p, cache, lambda: walked(side, shape).get(content, 0)
-                    )
-                    for side, p in enumerate(pattern_sets)
-                ]
+        for content in contents:
+            yield shape, content, [
+                cached_record(shape, content, p, cache, lambda: walked(side, shape).get(content, 0))
+                for side, p in enumerate(pattern_sets)
+            ]
 
 
 def check_equivalence(

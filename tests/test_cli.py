@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import shapewilf
 from shapewilf import cli
 from shapewilf.cli import main
 from worked_example import CHAIN_SEQ, FLIPPED_SEQ
@@ -293,3 +297,39 @@ def test_damaged_cache_has_its_own_exit_status(tmp_path, capsys):
     assert status == 3
     assert out == ""
     assert "line 1 is not a count record" in err
+
+
+def test_internal_errors_have_their_own_exit_status(tmp_path, capsys, monkeypatch):
+    def broken_count(*args, **kwargs):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "counted", broken_count)
+    status, out, err = run(capsys, "count", "--shape", "3,3", "--patterns", "21")
+    assert (status, out) == (4, "")
+    assert "Traceback" in err and "broken_count" in err
+    assert err.endswith("internal error: RuntimeError('planted')\n")
+    # a mismatch, a usage error and a damaged cache keep their own statuses
+    cache = tmp_path / "c.jsonl"
+    cache.write_text("not a record\n\n")
+    statuses = [
+        run(capsys, "table", "1")[0],
+        run(capsys, "count", "--shape", "4,5")[0],
+        run(capsys, "count", "--shape", "3,3", "--cache", str(cache))[0],
+    ]
+    assert statuses == [1, 2, 3]
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly():
+    # 24,250 lines, far more than a pipe holds, so writes go on after the
+    # reader closes its end
+    src = os.path.dirname(os.path.dirname(shapewilf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = subprocess.Popen(
+        [sys.executable, "-m", "shapewilf", "enumerate", "--shape", "7,7,7,7,7",
+         "--patterns", "231"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert command.stdout.readline() == b"1111111\n"
+    command.stdout.close()
+    err = command.stderr.read()
+    assert (command.wait(timeout=60), err) == (141, b"")

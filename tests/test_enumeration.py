@@ -277,6 +277,40 @@ def test_enumerate_matches_counts_in_every_regime():
         )
 
 
+def test_column_states_checks_its_input():
+    shape = make_shape((3, 3))
+    with pytest.raises(InvalidPattern):
+        list(column_states(shape, [(1, 3)]))
+    with pytest.raises(BadComposition):
+        list(column_states(shape, [(2, 1)], (1, 1)))  # sums to 2, the shape has 3 columns
+    with pytest.raises(BadComposition):
+        list(column_states(shape, [(1, 3)], (1, 1)))  # the content is checked first
+    with pytest.raises(InvalidPattern):  # before the Hall test finds that nothing fits
+        list(column_states(make_shape((1, 1)), [(1, 3)], POSITIVE_ROWS))
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [(), (P231,), (P231, (2, 2, 1)), (P312, (2, 1, 2)), ((2, 1), (1, 2, 1))],
+    ids=["no-pattern", "231", "231+221", "312+212", "21+121"],
+)
+def test_enumeration_lists_exactly_the_avoiding_column_choices(patterns):
+    for shape in iter_shapes(4, 4):
+        avoiders = []  # (col_to_row, content) of every avoiding filling
+        for cols in product(*(range(1, h + 1) for h in shape.heights)):
+            filling = Filling(shape, cols)
+            if avoids_all(filling, patterns):
+                avoiders.append((cols, filling_content(filling)))
+        for content in [UNCONSTRAINED, POSITIVE_ROWS, *compositions(shape.width, shape.n_rows)]:
+            expected = [
+                cols for cols, c in avoiders
+                if content == UNCONSTRAINED
+                or (0 not in c if content == POSITIVE_ROWS else c == content)
+            ]
+            listed = [f.col_to_row for f in enumerate_fillings(shape, patterns, content)]
+            assert listed == sorted(expected), (shape, content)
+
+
 def test_compositions():
     assert list(compositions(5, 3)) == [
         (1, 1, 3), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1),

@@ -94,6 +94,20 @@ def test_theorems_hold_after_a_direct_sum_with_gamma(omega, sigma, gamma):
             assert count_words(n, m, omega) == count_words(n, m, sigma), (n, m)
 
 
+@pytest.mark.parametrize(
+    "omega, sigma",
+    [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231, (1, 2, 1)], [P312, (2, 1, 1)])],
+    ids=["theorem-11", "theorem-12"],
+)
+def test_theorems_hold_after_a_direct_sum_with_1_on_8_columns_and_7_rows(omega, sigma):
+    # the test above on larger bounds: 56,280 (shape, content) cells, each
+    # counted for both pattern sets
+    omega = [direct_sum(x, (1,)) for x in omega]
+    sigma = [direct_sum(y, (1,)) for y in sigma]
+    report = check_equivalence(omega, sigma, 8, 7)
+    assert (report.verdict, len(report.records)) == ("equal", 112_560)
+
+
 def test_231_and_312_split_after_a_direct_sum_with_1():
     report = check_equivalence([direct_sum(P231, (1,))], [direct_sum(P312, (1,))], 7, 6)
     assert report.verdict == "unequal"
