@@ -7,16 +7,15 @@ positions) lives on rows rho_1 < ... < rho_k and is a subsequence
 rho_{x_1} ... rho_{x_r} of the first rows[rho_k - 1] columns, so each
 (pattern, rho) pair is a tracker whose state is its greedy leftmost-match
 progress; greedy matching is exact for a fixed target word, and a branch dies
-when some tracker completes.  On entry to a column of height h the trackers
-with rho_k > h are dropped (heights weakly decrease, so they never come
-back), which merges states.  What a 1 in each row of a column of height h
-does to a progress tuple is worked out the first time the tuple meets such a
-column and kept in a table on the trackers, so it is shared by every state,
-column, shape and expansion that uses the same trackers.  Beside the
-progresses a state holds a regime state: the remaining row capacities
-(fixed content), the set of still-empty rows (at-least-one-per-row) or
-nothing, and a state is pruned when its rows can no longer be filled in time
-(Hall condition: rows have deadlines because column heights weakly
+when some tracker completes.  Each progress is one set bit in the tracker's
+own run of bits, so a state keeps every progress in one int, and a 1 in a row
+advances every tracker waiting for that row with one mask and one addition.
+On entry to a column of height h the trackers with rho_k > h are masked off
+(heights weakly decrease, so they never come back), which merges states.
+Beside the progress a state holds a regime state: the remaining row
+capacities (fixed content), the set of still-empty rows (at-least-one-per-row)
+or nothing, and a state is pruned when its rows can no longer be filled in
+time (Hall condition: rows have deadlines because column heights weakly
 decrease), which one pass down the rows tests for every row at once.
 
 Three callers share ``step``, each with its own ``moves(regime, h, done)``:
@@ -34,9 +33,8 @@ are exact Python integers, and every count runs in the calling process.
 import json
 import os
 import sys
-from bisect import bisect_right
 from functools import partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from operator import sub
 from typing import Iterator
 
@@ -69,16 +67,19 @@ def canonical_patterns(patterns) -> tuple[Word, ...]:
 
 
 class _Trackers:
-    """The (pattern, row subset) trackers on rows 1..m, grouped for column steps.
+    """The (pattern, row subset) trackers on rows 1..m, as bit masks for column steps.
 
     The subset rho_1 < ... < rho_k of a pattern x hosts an occurrence exactly
     when the word rho_{x_1} ... rho_{x_r} is a subsequence of the first
     rows[rho_k - 1] columns, so a tracker is made only when row rho_k reaches
     r columns; rows weakly decrease, so those subsets lie among the rows
-    1..tall that do.  Trackers are sorted by top row, so that the ones still
-    live in a column of height h are the first ``live[h]``.  ``table(h)`` is
-    the transition table of height h, which ``step`` fills from ``advance``;
-    it lives as long as the trackers (one count, walk or enumeration).
+    1..tall that do.  Each tracker owns a run of r bits, and its greedy match
+    progress t is the one set bit t of its run, so the progress of every
+    tracker together is one int.  ``start`` has every tracker at position 0,
+    ``kill[row]`` is the last position of every target that ends in the row,
+    and ``move[row]`` every other position that waits for the row.  Runs are
+    laid out by top row, so the trackers still live in a column of height h
+    are the low bits ``live[h]``.
     """
 
     def __init__(self, patterns, rows):
@@ -88,80 +89,47 @@ class _Trackers:
             for rho in combinations(range(1, tall + 1), max(pattern)):
                 found.append((rho[-1], tuple(rho[v - 1] for v in pattern)))
         found.sort(key=lambda tracker: tracker[0])
-        tops = [top for top, _ in found]
-        self.live = [bisect_right(tops, h) for h in range(len(rows) + 1)]
-        self.targets = [target for _, target in found]
-        self._movers: dict = {}
-        self._tables: dict = {}
-
-    def movers(self, h: int) -> list:
-        """Per row: (index, target, length) of each tracker live at height h that uses the row."""
-        movers = self._movers.get(h)
-        if movers is None:
-            live = self.targets[: self.live[h]]
-            # Rows that no live tracker uses share one empty tuple.
-            movers = self._movers[h] = [()] * (h + 1)
-            for i, target in enumerate(live):
-                for row in set(target):
-                    movers[row] += ((i, target, len(target)),)
-        return movers
-
-    def table(self, h: int) -> dict:
-        """The transition table of height h: progress -> ``advance(progress, h)``, filled by ``step``."""
-        return self._tables.setdefault(h, {})
-
-    def advance(self, progress: tuple, h: int) -> list:
-        """Per row 1..h (index 0 unused): the progress after a 1 in that row, or None.
-
-        None means the 1 completes an occurrence of some live tracker.
-        """
-        out = [None] * (h + 1)
-        for row, movers in enumerate(self.movers(h)[1:], start=1):
-            advanced = None  # a copy of progress, made once some tracker advances
-            for i, target, r in movers:
-                t = progress[i]
-                if target[t] == row:
-                    if t + 1 == r:
-                        break  # the 1 completes an occurrence
-                    if advanced is None:
-                        advanced = list(progress)
-                    advanced[i] = t + 1
-            else:
-                out[row] = progress if advanced is None else tuple(advanced)
-        return out
+        self.start = 0
+        self.kill = [0] * (len(rows) + 1)
+        self.move = [0] * (len(rows) + 1)
+        below = [0] * (len(rows) + 1)  # below[top]: bits up to the last tracker with that top
+        bit = 0
+        for top, target in found:
+            self.start |= 1 << bit
+            for row in target[:-1]:
+                self.move[row] |= 1 << bit
+                bit += 1
+            self.kill[target[-1]] |= 1 << bit
+            bit += 1
+            below[top] = bit
+        self.live = [(1 << bits) - 1 for bits in accumulate(below, max)]
 
 
 def step(states: dict, h: int, done: int, trackers: _Trackers, moves) -> dict:
     """Advance a state dict by one column of height h, the ``done``-th column.
 
-    A state is (greedy match progress of each live tracker, regime state).  On
-    entry the progress tuples are cut to the trackers with top row <= h, which
-    merges states.  ``moves(regime, h, done)`` lists the (row, next regime)
-    pairs a regime state allows in this column; it is called once per distinct
-    regime state.  Where a progress tuple goes on a 1 in each row is read from
-    ``trackers.table(h)``, which gets it from ``advance`` on first use.
+    A state is (progress int of the trackers, regime state).  On entry each
+    progress is cut to ``trackers.live[h]``; states that then coincide reach
+    the same successors and are summed there.  ``moves(regime, h, done)``
+    lists the (row, next regime) pairs a regime state allows in this column;
+    it is called once per distinct regime state.  A 1 in a row kills the
+    branch when it completes some tracker (``kill[row]``), and otherwise adds
+    the progress bits that wait for the row (``move[row]``) to themselves, so
+    each carries one place up and every waiting tracker advances at once.
     """
-    cut = trackers.live[h]
-    if states and len(next(iter(states))[0]) > cut:  # all progress tuples are as long
-        merged: dict = {}
-        for (progress, regime), n in states.items():
-            key = (progress[:cut], regime)
-            merged[key] = merged.get(key, 0) + n
-        states = merged
-    table = trackers.table(h)
+    live = trackers.live[h]
+    kill = trackers.kill
+    move = trackers.move
     options: dict = {}  # regime -> its moves in this column
     nxt: dict = {}
     for (progress, regime), n in states.items():
         rows = options.get(regime)
         if rows is None:
             rows = options[regime] = moves(regime, h, done)
-        moved = table.get(progress)
-        if moved is None:
-            moved = table[progress] = trackers.advance(progress, h)
+        progress &= live
         for row, after in rows:
-            advanced = moved[row]
-            if advanced is not None:
-                key = (advanced, after)
+            if not progress & kill[row]:
+                key = (progress + (progress & move[row]), after)
                 nxt[key] = nxt.get(key, 0) + n
     return nxt
 
@@ -229,15 +197,14 @@ def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for
     ``counted``; a composition is checked first, then the patterns.
     """
-    if content != UNCONSTRAINED and content != POSITIVE_ROWS:
-        content = _check_content(shape, content)
+    content = _check_content(shape, content)
     patterns = canonical_patterns(patterns)
     regime = _shape_regime(shape, content)
     if regime is None:
         return
     start, moves = regime
     trackers = _Trackers(patterns, shape.rows)
-    states = {((0,) * trackers.live[shape.n_rows], start): 1}
+    states = {(trackers.start, start): 1}
     for done, h in enumerate(shape.heights, start=1):
         states = step(states, h, done, trackers, moves)
         yield states
@@ -294,12 +261,12 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
 
     if max_cols < 1:
         return
-    # Every row of a shape in the walk is at most max_cols long, and the
-    # trackers on rows 1..m are the first live[m].
+    # Every row of a shape in the walk is at most max_cols long, and the first
+    # step of each walk cuts the start to the trackers on rows 1..m.
     trackers = _Trackers(patterns, (max_cols,) * max_rows)
     for m in range(1, max_rows + 1):
         start = (1 << m) - 1 if positive else (0,) * m
-        stack = [((m,), {((0,) * trackers.live[m], start): 1})]
+        stack = [((m,), {(trackers.start, start): 1})]
         while stack:
             heights, states = stack.pop()
             h = heights[-1]
@@ -339,7 +306,7 @@ def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
 
     placed: list[int] = []
     # children[j] runs over the states after j columns that are still to expand
-    children = [iter([((0,) * trackers.live[shape.n_rows], (0, start))])]
+    children = [iter([(trackers.start, (0, start))])]
     while children:
         j = len(children) - 1
         state = next(children[j], None)
@@ -357,7 +324,10 @@ def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
             children.append(iter(after))
 
 
-def _check_content(shape: FerrersShape, content) -> Composition:
+def _check_content(shape: FerrersShape, content):
+    # A regime name as it is, else the composition checked against the shape.
+    if content == UNCONSTRAINED or content == POSITIVE_ROWS:
+        return content
     comp = make_composition(content)
     if len(comp) != shape.n_rows:
         raise BadComposition(
@@ -372,7 +342,8 @@ def _check_content(shape: FerrersShape, content) -> Composition:
 
 def count_fillings(shape: FerrersShape, content, patterns) -> int:
     """Number of avoiding fillings with exactly content[i] 1's in row i."""
-    return _count_engine(shape, patterns, _check_content(shape, content))
+    # make_composition rejects a regime name, which column_states would accept.
+    return _count_engine(shape, patterns, make_composition(content))
 
 
 def count_all_fillings(shape: FerrersShape, patterns) -> int:
@@ -411,9 +382,8 @@ def count_words_direct(n: int, m: int, patterns) -> int:
 
 def brute_count_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> int:
     """Oracle twin of the engine and ``counted``: filter the product of column choices."""
+    content = _check_content(shape, content)
     patterns = canonical_patterns(patterns)
-    if content != UNCONSTRAINED and content != POSITIVE_ROWS:
-        content = _check_content(shape, content)
     total = 0
     for cols in product(*(range(1, h + 1) for h in shape.heights)):
         if content != UNCONSTRAINED:
@@ -432,9 +402,8 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
 
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for ``counted``.
     """
+    content = _check_content(shape, content)
     patterns = canonical_patterns(patterns)
-    if content != UNCONSTRAINED and content != POSITIVE_ROWS:
-        content = _check_content(shape, content)
     for cols in _iter_engine(shape, patterns, content):
         yield Filling(shape, cols)
 
@@ -593,6 +562,7 @@ def cached_record(shape, content, patterns, cache, count) -> CountRecord:
 
 def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
     """Count one set under any regime, consulting/filling the cache if given."""
+    content = _check_content(shape, content)
     patterns = canonical_patterns(patterns)
     if content == UNCONSTRAINED:
         count = partial(count_all_fillings, shape, patterns)

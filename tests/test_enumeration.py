@@ -32,7 +32,7 @@ from shapewilf import (
     make_shape,
     parse_shape,
 )
-from shapewilf.enumeration import column_states
+from shapewilf.enumeration import _Trackers, column_states, step
 from shapewilf.matcher import avoids_all
 
 P231 = (2, 3, 1)
@@ -290,6 +290,44 @@ def test_column_states_checks_its_input():
 
 
 @pytest.mark.parametrize(
+    "entry",
+    [
+        lambda shape, content, patterns: count_fillings(shape, content, patterns),
+        lambda shape, content, patterns: list(column_states(shape, patterns, content)),
+        lambda shape, content, patterns: counted(shape, content, patterns),
+        lambda shape, content, patterns: list(enumerate_fillings(shape, patterns, content)),
+        lambda shape, content, patterns: brute_count_fillings(shape, patterns, content),
+    ],
+    ids=[
+        "count_fillings", "column_states", "counted", "enumerate_fillings", "brute_count_fillings"
+    ],
+)
+def test_every_engine_entry_checks_the_content_before_the_patterns(entry):
+    # (1, 1) sums to 2 on a shape of 3 columns, and (1, 3) is no pattern
+    with pytest.raises(BadComposition):
+        entry(make_shape((3, 3)), (1, 1), [(1, 3)])
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [(P231,), ((2, 2, 1),), ((1, 2, 1),), ((2, 2, 1, 3),), (P231, (2, 2, 1))],
+    ids=["231", "221", "121", "2213", "231+221"],
+)
+def test_a_stepped_filling_dies_at_its_first_prefix_that_contains_a_pattern(patterns):
+    # One state stepped through a filling's own rows must live exactly while
+    # the prefix, on the shape cut to the columns done, avoids the patterns.
+    for shape in iter_shapes(4, 4):
+        trackers = _Trackers(patterns, shape.rows)
+        for cols in product(*(range(1, h + 1) for h in shape.heights)):
+            moves = lambda regime, h, done: [(cols[done - 1], None)]  # noqa: E731
+            states = {(trackers.start, None): 1}
+            for done, h in enumerate(shape.heights, start=1):
+                states = step(states, h, done, trackers, moves)
+                cut = make_shape([min(length, done) for length in shape.rows])
+                assert len(states) == avoids_all(Filling(cut, cols[:done]), patterns), (cols, done)
+
+
+@pytest.mark.parametrize(
     "patterns",
     [(), (P231,), (P231, (2, 2, 1)), (P312, (2, 1, 2)), ((2, 1), (1, 2, 1))],
     ids=["no-pattern", "231", "231+221", "312+212", "21+121"],
@@ -422,6 +460,15 @@ def test_engine_matches_brute_force_on_random_shapes(shape, patterns, data):
 @settings(deadline=None, max_examples=80)
 def test_word_counts_match_direct_count(n, m, patterns):
     assert count_words(n, m, patterns) == count_words_direct(n, m, patterns)
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_word_counts_with_hundreds_of_progress_bits(m):
+    # C(m, 2) trackers of 21 take 2 bits each and C(m, 3) of 231 take 3 bits
+    # each: 72 to 132 and 252 to 660 bits of progress per state.
+    for patterns in ([(2, 1)], [P231]):
+        for n in range(1, 5):
+            assert count_words(n, m, patterns) == count_words_direct(n, m, patterns), (n, patterns)
 
 
 def test_counts_match_the_published_table_and_the_direct_word_count():
