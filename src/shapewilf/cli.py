@@ -38,6 +38,7 @@ from .enumeration import (
     UNCONSTRAINED,
     CorruptCache,
     ResultCache,
+    check_content,
     counted,
     enumerate_fillings,
     parse_content,
@@ -95,8 +96,8 @@ def _emit_report(report, args) -> None:
 
 def _cmd_count(args) -> int:
     shape = parse_shape(args.shape)
+    content = check_content(shape, parse_content(args.content))
     patterns = parse_patterns(args.patterns)
-    content = parse_content(args.content)
     with _open_cache(args) as cache:
         record = counted(shape, content, patterns, cache=cache)
     if args.out == "json":
@@ -122,8 +123,8 @@ def _cmd_count_words(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     shape = parse_shape(args.shape)
-    patterns = parse_patterns(args.patterns)
-    fillings = enumerate_fillings(shape, patterns, parse_content(args.content))
+    content = check_content(shape, parse_content(args.content))
+    fillings = enumerate_fillings(shape, parse_patterns(args.patterns), content)
     if args.out == "json":
         print(json.dumps([list(f.col_to_row) for f in fillings]))
     else:

@@ -12,11 +12,11 @@ own run of bits, so a state keeps every progress in one int, and a 1 in a row
 advances every tracker waiting for that row with one mask and one addition.
 On entry to a column of height h the trackers with rho_k > h are masked off
 (heights weakly decrease, so they never come back), which merges states.
-Beside the progress a state holds a regime state: the remaining row
-capacities (fixed content), the set of still-empty rows (at-least-one-per-row)
-or nothing, and a state is pruned when its rows can no longer be filled in
-time (Hall condition: rows have deadlines because column heights weakly
-decrease), which one pass down the rows tests for every row at once.
+Beside the progress a state holds a regime state, one int whose field t is
+the number of 1's still owed to rows >= t (the content's parts, one per row
+with positive rows, or none), and a state is pruned when its rows can no
+longer be filled in time (Hall condition: rows have deadlines because column
+heights weakly decrease), which one subtraction tests for every row at once.
 
 Three callers share ``step``, each with its own ``moves(regime, h, done)``:
 ``column_states``, which yields a shape's state dict after each column (the
@@ -122,6 +122,7 @@ def step(states: dict, h: int, done: int, trackers: _Trackers, moves) -> dict:
     move = trackers.move
     options: dict = {}  # regime -> its moves in this column
     nxt: dict = {}
+    get = nxt.get
     for (progress, regime), n in states.items():
         rows = options.get(regime)
         if rows is None:
@@ -130,7 +131,7 @@ def step(states: dict, h: int, done: int, trackers: _Trackers, moves) -> dict:
         for row, after in rows:
             if not progress & kill[row]:
                 key = (progress + (progress & move[row]), after)
-                nxt[key] = nxt.get(key, 0) + n
+                nxt[key] = get(key, 0) + n
     return nxt
 
 
@@ -138,57 +139,52 @@ def _shape_regime(shape, content):
     """Start state and ``moves(regime, h, done)`` of a count on one shape, or None.
 
     ``content`` is a checked composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``.
-    The regime state is the remaining 1's per row (fixed content), the bitmask
-    of empty rows (positive rows) or None (unconstrained).  ``moves`` lists the
-    (row, next regime) pairs for column ``done`` of height h, pruning regimes
-    whose rows can no longer be filled in time (Hall condition: rows >= t can
-    only be fed by columns <= rows[t-1]).  One pass down the rows finds the
-    lowest row whose 1 keeps the condition.  A start state that already fails
-    it (with positive rows: more rows than columns) gives None, so the engines
-    stop before building any tracker.
+    The regime state is one int of packed row demands: field t holds D_t, the
+    number of 1's still owed to rows >= t (a composition owes its parts,
+    positive rows one 1 per row, unconstrained nothing).  Rows >= t can only
+    be fed by the columns <= rows[t-1] (Hall condition), so a state is kept
+    while every D_t is at most room_t, the columns after ``done`` that reach
+    row t.  Each field is sized from ``max(width, n_rows)`` with a guard bit on
+    top, and ``room[done]`` packs every room_t with its guard set, so one
+    subtraction tests every row: the condition holds iff no guard is
+    borrowed.  ``moves`` lists the (row, next regime) pairs for column
+    ``done`` of height h: a 1 in a row that still owes subtracts ``pay[row]``,
+    a 1 in every field t <= row, and with positive rows or unconstrained a 1
+    in a row that owes nothing leaves the state as it is.  A start state that
+    already fails the condition (with positive rows: more rows than columns)
+    gives None, so the engines stop before building any tracker.
     """
-    rows = shape.rows
-    m = shape.n_rows
-    positive = content == POSITIVE_ROWS
-    fixed = not positive and content != UNCONSTRAINED
-
-    def lowest(regime, done: int) -> int:
-        # The highest row t whose demand (1's still owed to rows >= t) exceeds
-        # its room (columns after ``done`` that reach row t), or 0 if none.  A
-        # 1 in row r lowers the demand of every t <= r by one, and a state that
-        # kept the condition one column earlier exceeds it by at most one now,
-        # since each room shrinks by at most one a column.  So a 1 keeps the
-        # condition exactly in the rows r >= lowest that it takes demand from.
-        need = 0
-        for t in range(m, 0, -1):
-            need += regime[t - 1] if fixed else (regime >> (t - 1)) & 1
-            if need and need > rows[t - 1] - done:
-                return t
-        return 0
+    bits = max(shape.width, shape.n_rows).bit_length()
+    size = bits + 1
+    ones = [1 << size * t for t in range(shape.n_rows)]  # ones[t - 1]: a 1 in field t
+    pay = [0, *accumulate(ones)]  # pay[r]: a 1 in every field t <= r
+    field = [0, *(((1 << bits) - 1) * one for one in ones)]  # field[r]: the value bits of field r
+    guard = sum(ones) << bits
+    # Column j reaches the rows <= heights[j-1]: it counts in those rooms
+    # until it is placed, so each column placed takes its pay off the room.
+    columns = [pay[h] for h in shape.heights]
+    room = list(accumulate(columns, sub, initial=guard + sum(columns)))
+    fixed = content != UNCONSTRAINED and content != POSITIVE_ROWS
 
     def moves(regime, h: int, done: int) -> list:
-        if not (fixed or positive):
-            return [(row, None) for row in range(1, h + 1)]
-        low = lowest(regime, done)
-        if fixed:
-            return [
-                (row, regime[: row - 1] + (regime[row - 1] - 1,) + regime[row:])
-                for row in range(max(low, 1), h + 1)
-                if regime[row - 1]
-            ]
+        slack = room[done]
+        owes = regime - (regime >> size)  # field t: the 1's still owed to row t alone
+        stays = not fixed and (slack - regime) & guard == guard
         out = []
         for row in range(1, h + 1):
-            if regime >> (row - 1) & 1:
-                if row >= low:
-                    out.append((row, regime & ~(1 << (row - 1))))
-            elif not low:  # a 1 in a row already filled leaves every demand as it is
+            if owes & field[row]:
+                after = regime - pay[row]
+                if (slack - after) & guard == guard:
+                    out.append((row, after))
+            elif stays:
                 out.append((row, regime))
         return out
 
-    if not (fixed or positive):
-        return None, moves
-    start = content if fixed else (1 << m) - 1  # bit t-1 set while row t is empty
-    return (start, moves) if lowest(start, 0) == 0 else None
+    if fixed:
+        start = sum(part * pay[row] for row, part in enumerate(content, start=1))
+    else:
+        start = sum(pay) if content == POSITIVE_ROWS else 0  # one 1 owed per row, or none
+    return (start, moves) if (room[0] - start) & guard == guard else None
 
 
 def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
@@ -197,7 +193,7 @@ def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for
     ``counted``; a composition is checked first, then the patterns.
     """
-    content = _check_content(shape, content)
+    content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
     regime = _shape_regime(shape, content)
     if regime is None:
@@ -324,8 +320,8 @@ def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
             children.append(iter(after))
 
 
-def _check_content(shape: FerrersShape, content):
-    # A regime name as it is, else the composition checked against the shape.
+def check_content(shape: FerrersShape, content):
+    """A regime name as it is, else the composition checked against the shape."""
     if content == UNCONSTRAINED or content == POSITIVE_ROWS:
         return content
     comp = make_composition(content)
@@ -382,7 +378,7 @@ def count_words_direct(n: int, m: int, patterns) -> int:
 
 def brute_count_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> int:
     """Oracle twin of the engine and ``counted``: filter the product of column choices."""
-    content = _check_content(shape, content)
+    content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
     total = 0
     for cols in product(*(range(1, h + 1) for h in shape.heights)):
@@ -402,7 +398,7 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
 
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for ``counted``.
     """
-    content = _check_content(shape, content)
+    content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
     for cols in _iter_engine(shape, patterns, content):
         yield Filling(shape, cols)
@@ -454,15 +450,24 @@ class CountRecord(FrozenValue):
         self._assign(shape, content, patterns, count)
 
     def key(self) -> tuple[str, str, str]:
-        return (
-            format_shape(self.shape),
-            content_text(self.content),
-            format_patterns(canonical_patterns(self.patterns)) if self.patterns else "",
-        )
+        return _record_key(self.shape, self.content, self.patterns)
 
     def to_json(self) -> dict:
-        shape_text, content, patterns = self.key()
-        return {"shape": shape_text, "content": content, "patterns": patterns, "count": self.count}
+        return _record_json(self.key(), self.count)
+
+
+def _record_key(shape: FerrersShape, content, patterns) -> tuple[str, str, str]:
+    """The text encodings that key a count record in the result cache."""
+    return (
+        format_shape(shape),
+        content_text(content),
+        format_patterns(canonical_patterns(patterns)) if patterns else "",
+    )
+
+
+def _record_json(key: tuple[str, str, str], count: int) -> dict:
+    shape_text, content, patterns = key
+    return {"shape": shape_text, "content": content, "patterns": patterns, "count": count}
 
 
 class CorruptCache(Exception):
@@ -527,14 +532,14 @@ class ResultCache:
     def get(self, key: tuple[str, str, str]):
         return self._known.get(key)
 
-    def add(self, record: CountRecord) -> None:
-        key = record.key()
+    def add(self, key: tuple[str, str, str], count: int) -> None:
+        """Append the record of ``key`` (a ``CountRecord.key()``) unless the key is known."""
         if key in self._known:
             return
-        self._known[key] = record.count
+        self._known[key] = count
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
-        self._handle.write(json.dumps(record.to_json()) + "\n")
+        self._handle.write(json.dumps(_record_json(key, count)) + "\n")
 
     def close(self) -> None:
         if self._handle is not None:
@@ -550,19 +555,20 @@ class ResultCache:
 
 def cached_record(shape, content, patterns, cache, count) -> CountRecord:
     """The record of a cell: its count in ``cache`` if any, else ``count()``, then cached."""
-    if cache is not None:
-        hit = cache.get(CountRecord(shape, content, patterns, -1).key())
-        if hit is not None:
-            return CountRecord(shape, content, patterns, hit)
+    if cache is None:
+        return CountRecord(shape, content, patterns, count())
+    key = _record_key(shape, content, patterns)
+    hit = cache.get(key)
+    if hit is not None:
+        return CountRecord(shape, content, patterns, hit)
     record = CountRecord(shape, content, patterns, count())
-    if cache is not None:
-        cache.add(record)
+    cache.add(key, record.count)
     return record
 
 
 def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
     """Count one set under any regime, consulting/filling the cache if given."""
-    content = _check_content(shape, content)
+    content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
     if content == UNCONSTRAINED:
         count = partial(count_all_fillings, shape, patterns)

@@ -43,6 +43,18 @@ def test_count_usage_errors(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_a_content_that_does_not_fit_is_reported_before_the_patterns(capsys, command):
+    # the same order as the engine entries: the content first, then the patterns
+    argv = [command, "--shape", "3,3", "--patterns", "13", "--content"]
+    status, out, err = run(capsys, *argv, "1,1")
+    assert (status, out) == (2, "")
+    assert err == "error: composition sums to 2 but the shape has 3 columns\n"
+    status, out, err = run(capsys, *argv, "1,2")
+    assert (status, out) == (2, "")
+    assert err == "error: pattern 13 skips letter value(s) [2]\n"
+
+
 def test_count_words(capsys):
     status, out, _ = run(capsys, "count-words", "--length", "5", "--alphabet", "1",
                          "--patterns", "12")

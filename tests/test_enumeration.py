@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter, defaultdict
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,8 @@ from shapewilf import (
     make_shape,
     parse_shape,
 )
-from shapewilf.enumeration import _Trackers, column_states, step
+from shapewilf import enumeration
+from shapewilf.enumeration import _Trackers, column_states, step, word_rectangle
 from shapewilf.matcher import avoids_all
 
 P231 = (2, 3, 1)
@@ -119,21 +121,66 @@ def test_hall_test_keeps_exactly_the_states_that_can_be_completed():
     # be completed dies at a later column anyway.  So with no pattern the
     # regimes after each column must be exactly what the prefixes of the
     # fillings of the content leave: the 1's still to place per row, or the
-    # rows still empty.
+    # rows still empty.  A regime packs D_t, the 1's owed to rows >= t, in
+    # field t, each max(width, n_rows).bit_length() + 1 bits wide.
     for shape in iter_shapes(5, 4):
-        left = defaultdict(set)  # (content, columns done) -> regimes
+        m = shape.n_rows
+        size = max(shape.width, m).bit_length() + 1
+
+        def owed(regime):
+            assert regime >> size * m == 0, (shape, regime)
+            demand = [regime >> size * t & (1 << size) - 1 for t in range(m)]
+            return tuple(d - below for d, below in zip(demand, [*demand[1:], 0]))
+
+        left = defaultdict(set)  # (content, columns done) -> 1's owed per row
         for cols in product(*(range(1, h + 1) for h in shape.heights)):
             content = filling_content(Filling(shape, cols))
-            to_place, empty = list(content), (1 << shape.n_rows) - 1
+            to_place, empty = list(content), [1] * m
             for done, row in enumerate(cols, start=1):
                 to_place[row - 1] -= 1
-                empty &= ~(1 << (row - 1))
+                empty[row - 1] = 0
                 left[content, done].add(tuple(to_place))
                 if 0 not in content:
-                    left[POSITIVE_ROWS, done].add(empty)
-        for content in [*compositions(shape.width, shape.n_rows), POSITIVE_ROWS]:
+                    left[POSITIVE_ROWS, done].add(tuple(empty))
+        for content in [*compositions(shape.width, m), POSITIVE_ROWS]:
             for done, states in enumerate(column_states(shape, (), content), start=1):
-                assert {regime for _, regime in states} == left[content, done], (shape, content)
+                regimes = {owed(regime) for _, regime in states}
+                assert regimes == left[content, done], (shape, content)
+
+
+@pytest.mark.parametrize("width", [7, 8, 15, 16, 31, 32])
+def test_counts_at_the_regime_field_width_boundaries(width):
+    # Each regime field is max(width, n_rows).bit_length() + 1 bits wide, so
+    # these widths put the largest demand just below and at a power of two,
+    # and shapes with more rows than columns size their fields from the rows.
+    # With no pattern every content is checked against a brute-force histogram.
+    for rows in [(width, 3, 1), (width, 2, 2), (width,) + (1,) * (width - 1),
+                 (width,) + (1,) * width, (width,) + (1,) * (2 * width)]:
+        shape = make_shape(rows)
+        histogram = Counter(
+            filling_content(Filling(shape, cols))
+            for cols in product(*(range(1, h + 1) for h in shape.heights))
+        )
+        for content in compositions(shape.width, shape.n_rows):
+            assert count_fillings(shape, content, ()) == histogram[content], (rows, content)
+        positive = sum(n for content, n in histogram.items() if 0 not in content)
+        assert count_positive_fillings(shape, ()) == positive, rows
+    # Positive rows on more rows than columns fail at the start, before any
+    # column, also where the n_rows 1's owed need more bits than the width.
+    for m in [2 * width + 2, 4 * width]:
+        assert list(column_states(make_shape((width,) * m), (), POSITIVE_ROWS)) == [], m
+    # The words of length n using all of 1..m, by inclusion-exclusion over the
+    # letters used; with more rows than columns there are none.
+    for n, m in [(width, 3), (width, 4)] + ([(width, width + 1)] if width < 9 else []):
+        rectangle = word_rectangle(n, m)
+        expected = sum(
+            (-1) ** (m - k) * comb(m, k) * count_words(n, k, [P231]) for k in range(1, m + 1)
+        )
+        assert count_positive_fillings(rectangle, [P231]) == expected, (n, m)
+        assert expected > 0 or m > n
+        if comb(n - 1, m - 1) <= 120:
+            fixed = sum(count_fillings(rectangle, c, [P231]) for c in compositions(n, m))
+            assert fixed == expected, (n, m)
 
 
 def test_unconstrained_counts():
@@ -492,6 +539,26 @@ def test_result_cache(tmp_path):
     reloaded = ResultCache(str(path))
     assert reloaded.get(("5,5,4", "2,2,1", "231")) == 18
     assert len(path.read_text().splitlines()) == 3
+
+
+def test_a_cell_builds_its_cache_key_once(tmp_path, monkeypatch):
+    keys = []
+    record_key = enumeration._record_key
+
+    def counted_key(*cell):
+        keys.append(cell)
+        return record_key(*cell)
+
+    monkeypatch.setattr(enumeration, "_record_key", counted_key)
+    path = tmp_path / "counts.jsonl"
+    with ResultCache(str(path)) as cache:
+        shape = parse_shape("5,5,4")
+        assert counted(shape, (2, 2, 1), [P231], cache=cache).count == 18  # a miss, then added
+        assert len(keys) == 1
+        assert counted(shape, (2, 2, 1), [P231], cache=cache).count == 18  # a hit
+        assert len(keys) == 2
+    line = b'{"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18}\n'
+    assert path.read_bytes() == line
 
 
 def run_python(code, *args, flags=()):

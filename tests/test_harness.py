@@ -299,7 +299,7 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
         ]
         with ResultCache(str(path)) as cache:
             for record in planted:
-                cache.add(record)
+                cache.add(record.key(), record.count)
         with ResultCache(str(path)) as cache:
             mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
         assert [r.count for r in mixed.records] == [
@@ -488,7 +488,7 @@ def test_chained_conjecture2_scan_reports_cached_counts_and_counts_the_rest(tmp_
     planted.append(CountRecord(wrong.shape, wrong.content, wrong.patterns, wrong.count + 1000))
     with ResultCache(str(path)) as cache:
         for record in planted:
-            cache.add(record)
+            cache.add(record.key(), record.count)
     with ResultCache(str(path)) as cache:
         mixed = scan_conjecture2((1,), 6, 5, cache=cache)
     assert mixed.records == cold.records[:stop] + [planted[-1], cold.records[stop + 1]]
