@@ -9,20 +9,26 @@ bottom-right corner) gives the I- and N-sequences.
 
 alpha sends a 231-avoiding full rook placement to the unique 312-avoiding one
 whose I-sequence is, vertex by vertex, 0 where I was 0 and N - I + 1
-elsewhere.  Conjugating alpha with a row blowup (each row i becomes a band of
-content[i] rows, its 1's re-stacked monotonically) and the inverse shrink
-turns it into content-preserving bijections between fillings avoiding
-{231,221} and {312,212}, and between fillings avoiding {231,121} and
-{312,211}.  ``EquivalenceVariant.trace`` is that map's one pipeline: it
-checks the input, blows it up, applies alpha (or alpha_inverse) and shrinks,
-and keeps every step.  ``forward``, ``inverse`` and the CLI's ``bijection``
-command all go through it.  The bands are given by the content alone:
-``blowup`` and ``shrink`` both take it, and band i covers the next
-content[i] rows from the bottom.
+elsewhere (alpha_inverse swaps the kinds).  Conjugating alpha with a row
+blowup (each row i becomes a band of content[i] rows, its 1's re-stacked
+monotonically) and the inverse shrink turns it into content-preserving
+bijections between fillings avoiding {231,221} and {312,212}, and between
+fillings avoiding {231,121} and {312,211}.  ``EquivalenceVariant.trace`` is
+that map's one pipeline: it checks the input, blows it up, applies alpha (or
+alpha_inverse) and shrinks, and keeps every step.  ``forward``, ``inverse``
+and the CLI's ``bijection`` command all go through it.  The bands are given
+by the content alone: ``blowup`` and ``shrink`` both take it, and band i
+covers the next content[i] rows from the bottom.
+
+``reconstruct`` finds the partner from its I-sequence alone.  It searches
+column by column, on its own stack, over one prefix state (``_Prefix``)
+that each placed 1 pushes and each backtrack pops.  The state answers the
+pattern test for a new 1 with one comparison, and bounds the final chain at
+every border vertex, so a prefix is cut as soon as some target is out of
+reach, whether or not that vertex's region is complete yet.
 """
 
 from bisect import bisect_left
-from collections import defaultdict
 from enum import Enum
 from itertools import accumulate
 
@@ -42,7 +48,7 @@ from .core import (
     make_composition,
     make_shape,
 )
-from .matcher import LastColumnChecker, contains
+from .matcher import contains
 
 BorderSequence = tuple[int, ...]
 
@@ -102,17 +108,155 @@ def n_sequence(placement: FullRookPlacement) -> BorderSequence:
 _KIND_PATTERNS = {"231": P231, "312": P312}
 
 
+class _Prefix:
+    """The first columns of a full placement, kept as the search reads them.
+
+    Rows are 1..n, and index 0 stands for "no row".  For v = 0..n, ``K[v]``
+    counts the placed rows <= v and ``L[v]`` is the longest increasing chain
+    among them, read in column order.  ``forb[u]`` is the lowest top row of a
+    pattern occurrence that a 1 in row u would complete in the next column,
+    or n + 1 if there is none, so the pattern fires there exactly when
+    ``forb[u] <= h`` for the column's height h.  For 312 it is the least
+    earlier row above u over pairs of columns a < b with rows above and
+    below u; for 231 the least later row of an ascent a < b whose lower row
+    is above u.
+
+    ``push`` places a 1 in the next column and ``pop`` takes the last one
+    back; each push keeps what its pop needs to undo it.  ``cap[u]`` is the
+    height of the last column that reaches row u: an unused row whose forb
+    is at most that can never be placed, and ``push`` reports it.
+    """
+
+    __slots__ = ("n", "is_312", "used", "K", "L", "forb", "cap", "placed", "undo")
+
+    def __init__(self, shape: FerrersShape, kind: str):
+        n = shape.n_rows
+        self.n = n
+        self.is_312 = kind == "312"
+        self.used = [False] * (n + 1)
+        self.K = [0] * (n + 1)
+        self.L = [0] * (n + 1)
+        self.forb = [n + 1] * (n + 1)
+        self.cap = [0] + [shape.heights[length - 1] for length in shape.rows]
+        self.placed: list[int] = []
+        self.undo: list[tuple[int, int, list[int]]] = []
+
+    def push(self, r: int) -> bool:
+        """Place row r in the next column; False if some unused row can no longer be placed."""
+        n, used, K, L, forb, cap = self.n, self.used, self.K, self.L, self.forb, self.cap
+        used[r] = True
+        self.placed.append(r)
+        for v in range(r, n + 1):
+            K[v] += 1
+        chain = L[r - 1] + 1  # L is non-decreasing, so it rises to chain on rows r..s - 1
+        s = r
+        while s <= n and L[s] < chain:
+            s += 1
+        L[r:s] = [chain] * (s - r)
+        alive = True
+        if self.is_312:
+            # New pairs end in row r: rows u > r now meet the least earlier row above u.
+            lo = r + 1
+            saved = forb[lo:]
+            above = n + 1
+            for u in range(n, r, -1):
+                if used[u]:
+                    above = u
+                elif above < forb[u]:
+                    forb[u] = above
+                    if above <= cap[u]:
+                        alive = False
+        else:
+            # New ascents end in row r: rows below the highest earlier row under r meet r.
+            p = r - 1
+            while p and not used[p]:
+                p -= 1
+            lo = 1
+            saved = forb[1:p]
+            for u in range(1, p):
+                if r < forb[u] and not used[u]:
+                    forb[u] = r
+                    if r <= cap[u]:
+                        alive = False
+        self.undo.append((s, lo, saved))
+        return alive
+
+    def pop(self) -> None:
+        """Take back the newest column."""
+        s, lo, saved = self.undo.pop()
+        r = self.placed.pop()
+        self.used[r] = False
+        K = self.K
+        for v in range(r, self.n + 1):
+            K[v] -= 1
+        L = self.L
+        L[r:s] = [L[r - 1]] * (s - r)
+        self.forb[lo : lo + len(saved)] = saved
+
+
+def _fits(prefix: _Prefix, checks, d: int) -> bool:
+    """Can the prefix's d columns still meet every target in ``checks``?
+
+    ``checks`` holds (x, y, t, x + y - n) for the border vertices with x >= d.
+    A full placement has exactly x + y - n 1's in the region of (x, y), so
+    f of them are still to come from columns d..x - 1.  The region's chain
+    starts at L[y] and ends, at best, as placed rows up to some v followed
+    by f unused rows in (v, y].
+    """
+    K, L, used = prefix.K, prefix.L, prefix.used
+    for x, y, t, ones in checks:
+        f = ones - K[y]
+        if f < 0 or f > x - d:
+            return False
+        low = L[y]
+        if low == t:
+            continue
+        if low > t or low + f < t:  # a complete region (x == d) has f == 0
+            return False
+        free = 0  # unused rows in (v - 1, y]; a used row v cannot raise the bound
+        for v in range(y, 0, -1):
+            if not used[v]:
+                free += 1
+                if L[v - 1] + free >= t:
+                    break
+                if free == f:
+                    return False
+        else:
+            return False
+    return True
+
+
+def _closes(L: list[int], closing, row: int) -> bool:
+    """Would a 1 in ``row`` give each (y, t) in ``closing`` a chain of exactly t?
+
+    ``closing`` lists the vertices whose region the new column completes; a
+    1 in ``row`` raises the chain of every y >= row to at least L[row - 1] + 1.
+    """
+    chain = L[row - 1] + 1
+    for y, t in closing:
+        if (chain if y >= row and L[y] < chain else L[y]) != t:
+            return False
+    return True
+
+
 def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     """The unique ``kind``-avoiding full rook placement with the given I-sequence.
 
-    Backtracks over placements column by column; a branch survives only while
-    it avoids the pattern and reproduces the target values at every border
-    vertex whose region is already complete.  Raises NoSuchPlacement when the
-    sequence is not realizable by a placement of this kind.
+    Searches column by column, trying rows bottom-up, over one ``_Prefix``
+    that each step pushes and each backtrack pops.  The search keeps its own
+    stack, so Python's recursion limit does not bound the width.  A row is
+    tried in a column only if it is unused, completes no pattern occurrence
+    there (``forb[row] > h``) and gives each vertex whose region the column
+    completes its target chain (``_closes``).  After the push, the prefix is
+    cut when some unused row can avoid the pattern in no column left to it,
+    or when some border vertex's target is out of reach (``_fits``; an
+    unused row with no column left breaks a region count there).  Each cut
+    drops only prefixes that no ``kind``-avoiding full placement with the
+    sequence extends, so the result is the first such placement in
+    lexicographic order of its columns, as a plain backtracking search finds
+    it.  Raises NoSuchPlacement when there is none.
     """
-    try:
-        pattern = _KIND_PATTERNS[kind]
-    except KeyError:
+    if kind not in _KIND_PATTERNS:
         raise ValueError(f"kind must be '231' or '312', got {kind!r}")
     if shape.n_rows != shape.width:
         raise ShapeMismatch(
@@ -124,44 +268,40 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
         raise ShapeMismatch(
             f"sequence has {len(target)} values but the border {len(vertices)} vertices"
         )
-    by_x: dict[int, list[int]] = defaultdict(list)
-    for idx, (x, _) in enumerate(vertices):
-        by_x[x].append(idx)
-    if any(target[idx] != 0 for idx in by_x[0]):
+    if any(t != 0 for (x, _), t in zip(vertices, target) if x == 0):
         raise NoSuchPlacement("the sequence must start with 0 at the empty corner")
+    unrealizable = NoSuchPlacement(
+        f"no {kind}-avoiding full placement on {format_shape(shape)} has that I-sequence"
+    )
+    if not all(isinstance(t, (int, float)) for t in target):
+        raise unrealizable  # a value that is not a number equals no chain length
 
-    checker = LastColumnChecker(pattern)
+    n = shape.n_rows
     heights = shape.heights
-    width = shape.width
-    used = [False] * (shape.n_rows + 1)
-    placed: list[int] = []
-
-    def rec(j: int) -> bool:
-        if j == width:
-            return True
+    checks = [(x, y, t, x + y - n) for (x, y), t in zip(vertices, target)]
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (y, t) by x
+    for x, y, t, _ in checks:
+        closing[x].append((y, t))
+    # The border never steps left, so the vertices with x >= d are checks[suffix[d]:].
+    suffix = list(accumulate(map(len, closing), initial=0))
+    prefix = _Prefix(shape, kind)
+    used, forb, placed, L = prefix.used, prefix.forb, prefix.placed, prefix.L
+    start = 1  # the lowest row still to try in column len(placed)
+    while len(placed) < n:
+        j = len(placed)
         h = heights[j]
-        for row in range(1, h + 1):
-            if used[row]:
+        for row in range(start, h + 1):
+            if used[row] or forb[row] <= h or not _closes(L, closing[j + 1], row):
                 continue
-            used[row] = True
-            placed.append(row)
-            ok = not checker.fires(placed, j, row, h)
-            if ok:
-                for idx in by_x[j + 1]:
-                    x, y = vertices[idx]
-                    if _region_chain(placed, x, y) != target[idx]:
-                        ok = False
-                        break
-            if ok and rec(j + 1):
-                return True
-            placed.pop()
-            used[row] = False
-        return False
-
-    if not rec(0):
-        raise NoSuchPlacement(
-            f"no {kind}-avoiding full placement on {format_shape(shape)} has that I-sequence"
-        )
+            if prefix.push(row) and _fits(prefix, checks[suffix[j + 1]:], j + 1):
+                start = 1
+                break
+            prefix.pop()
+        else:
+            if not placed:
+                raise unrealizable
+            start = placed[-1] + 1
+            prefix.pop()
     return FullRookPlacement(Filling(shape, tuple(placed)))
 
 

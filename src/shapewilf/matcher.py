@@ -52,10 +52,12 @@ class LastColumnChecker:
 
     ``fires`` decides whether some occurrence of the pattern uses the newest
     column as its rightmost column.  Since every occurrence has a rightmost
-    column, checking this after each placement gives exact pruning for
-    ``bijection.reconstruct``, its one user, which places the 1's of a
-    placement column by column and backtracks.  The counting engine does not
-    use it: it tracks occurrences in its column states.
+    column, checking this after each placement gives exact pruning for a
+    search that places 1's column by column and backtracks.  Its one user
+    is the backtracking oracle that ``tests/test_reconstruct.py`` checks
+    ``bijection.reconstruct`` against; the package itself does not call it.
+    ``reconstruct`` keeps a per-row bound in its own prefix state instead,
+    and the counting engine tracks occurrences in its column states.
 
     For a fixed (row of the new column, height of the new column) the
     admissible row choices rho are enumerated once and reduced to the row

@@ -117,6 +117,9 @@ def test_reconstruct_failure_modes():
         reconstruct(make_shape((2, 2)), (0, 1, 2, 2, 0), "312")
     with pytest.raises(NoSuchPlacement):
         reconstruct(make_shape((2, 2)), (1, 1, 2, 1, 0), "231")
+    with pytest.raises(NoSuchPlacement):
+        reconstruct(SQUARE3, (0, 1, 2, "3", 2, 1, 0), "231")  # no chain length is a string
+    assert reconstruct(SQUARE3, (0, 1.0, 2, 3, 2, 1, 0), "231").col_to_row == (1, 2, 3)
     with pytest.raises(ValueError):
         reconstruct(SQUARE3, (0, 1, 2, 3, 2, 1, 0), "123")
     with pytest.raises(ShapeMismatch):
