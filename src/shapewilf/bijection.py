@@ -5,7 +5,8 @@ region of v consists of the placed 1's with column <= x and row <= y.  The
 I-statistic at v is the length of the longest chain of 1's in that region
 that increases in both row and column; the N-statistic is the region's size.
 Reading all border vertices in canonical order (top-left corner down to the
-bottom-right corner) gives the I- and N-sequences.
+bottom-right corner) gives the I- and N-sequences.  On a board of n rows, N
+is x + y - n at (x, y) whatever the placement.
 
 alpha sends a 231-avoiding full rook placement to the unique 312-avoiding one
 whose I-sequence is, vertex by vertex, 0 where I was 0 and N - I + 1
@@ -25,10 +26,12 @@ column by column, on its own stack, over one prefix state (``_Prefix``)
 that each placed 1 pushes and each backtrack pops.  The state answers the
 pattern test for a new 1 with one comparison, and bounds the final chain at
 every border vertex, so a prefix is cut as soon as some target is out of
-reach, whether or not that vertex's region is complete yet.
+reach, whether or not that vertex's region is complete yet.  alpha reads its
+input through the same state, in one pass that pushes the columns in order:
+the pattern test before each push decides avoidance, and the chains of the
+pushed prefix give the I-sequence.
 """
 
-from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate
 
@@ -77,32 +80,23 @@ class BijectionFailure(RuntimeError):
     """
 
 
-def _region_chain(col_to_row, x: int, y: int) -> int:
-    """Longest row-and-column increasing chain among 1's with col <= x, row <= y."""
-    tails: list[int] = []
-    for c in range(x):
-        row = col_to_row[c]
-        if row <= y:
-            i = bisect_left(tails, row)
-            if i == len(tails):
-                tails.append(row)
-            else:
-                tails[i] = row
-    return len(tails)
-
-
 def i_sequence(placement: FullRookPlacement) -> BorderSequence:
-    """Longest increasing chain of the lower-left region at each border vertex."""
-    cols = placement.col_to_row
-    return tuple(_region_chain(cols, x, y) for x, y in border_path(placement.shape))
+    """Longest increasing chain of the lower-left region at each border vertex (``_chains``)."""
+    return _chains(placement, None)
 
 
 def n_sequence(placement: FullRookPlacement) -> BorderSequence:
-    """Size of the lower-left region at each border vertex."""
-    cols = placement.col_to_row
-    return tuple(
-        sum(1 for c in range(x) if cols[c] <= y) for x, y in border_path(placement.shape)
-    )
+    """Size of the lower-left region at each border vertex: x + y - n, with no scan."""
+    return _region_sizes(border_path(placement.shape), placement.shape.n_rows)
+
+
+def _region_sizes(vertices, n: int) -> BorderSequence:
+    """x + y - n at each border vertex (x, y) of an n-row board: the 1's of its region.
+
+    The n - y rows above y are no longer than x, so their 1's are among the
+    x 1's of the first x columns, whatever the full placement.
+    """
+    return tuple(x + y - n for x, y in vertices)
 
 
 _KIND_PATTERNS = {"231": P231, "312": P312}
@@ -194,6 +188,29 @@ class _Prefix:
         self.forb[lo : lo + len(saved)] = saved
 
 
+def _chains(placement: FullRookPlacement, kind: str | None) -> BorderSequence:
+    """The I-sequence, from one pass of a ``_Prefix`` over the columns in order.
+
+    Once the first x columns are pushed, the chain at border vertex (x, y) is
+    L[y].  With a ``kind``, each 1 is tested before its push and NotAvoiding
+    raised when it completes an occurrence (``forb[row] <= h``).  The test is
+    exact: in a full placement the row of the next 1 is always still unused.
+    """
+    shape = placement.shape
+    prefix = _Prefix(shape, kind)
+    forb, L, placed = prefix.forb, prefix.L, prefix.placed
+    cols, heights = placement.col_to_row, shape.heights
+    chains = []
+    for x, y in border_path(shape):
+        if x > len(placed):  # a right step: column x - 1 comes in
+            row = cols[x - 1]
+            if kind and forb[row] <= heights[x - 1]:
+                raise NotAvoiding(f"placement contains {format_word(_KIND_PATTERNS[kind])}")
+            prefix.push(row)
+        chains.append(L[y])
+    return tuple(chains)
+
+
 def _fits(prefix: _Prefix, checks, d: int) -> bool:
     """Can the prefix's d columns still meet every target in ``checks``?
 
@@ -278,7 +295,8 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
 
     n = shape.n_rows
     heights = shape.heights
-    checks = [(x, y, t, x + y - n) for (x, y), t in zip(vertices, target)]
+    sizes = _region_sizes(vertices, n)
+    checks = [(x, y, t, ones) for (x, y), t, ones in zip(vertices, target, sizes)]
     closing: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (y, t) by x
     for x, y, t, _ in checks:
         closing[x].append((y, t))
@@ -308,13 +326,11 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
 def _flipped(placement: FullRookPlacement, kind: str):
     """Check that ``placement`` avoids ``kind``; return its I, N and flipped sequences.
 
+    One pass of a ``_Prefix`` gives the test and I, and N needs no scan.
     The flip sends 0 to 0 and I to N - I + 1; N is shared between partners,
     so the flip is an involution and serves alpha and its inverse alike.
     """
-    pattern = _KIND_PATTERNS[kind]
-    if contains(placement.filling, pattern):
-        raise NotAvoiding(f"placement contains {format_word(pattern)}")
-    iseq = i_sequence(placement)
+    iseq = _chains(placement, kind)
     nseq = n_sequence(placement)
     return iseq, nseq, tuple(0 if i == 0 else n - i + 1 for i, n in zip(iseq, nseq))
 

@@ -177,8 +177,10 @@ def reproduce_table(table_id: int, cache=None) -> ScanReport:
 
 
 def _check_bounds(**bounds) -> None:
-    """Reject a scan bound below 1: it would leave nothing to scan and pass vacuously."""
+    """Reject a scan bound that is not an int, or below 1 (nothing to scan passes vacuously)."""
     for name, value in bounds.items():
+        if not isinstance(value, int):
+            raise BadComposition(f"scan bound {name} must be an integer, got {value!r}")
         if value < 1:
             raise BadComposition(f"scan bound {name} must be positive, got {value}")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapewilf import (
+    BadComposition,
     CONTENTS,
     UNCONSTRAINED,
     POSITIVE_ROWS,
@@ -67,14 +68,6 @@ def test_published_table_1_has_one_anomalous_cell():
     assert [(m.shape, m.content, m.a, m.b) for m in report.mismatches] == [
         ("5,5,5,4", "1,2,1,1", 25, 26)
     ]
-
-
-def test_check_equivalence_of_the_merged_pattern_pairs():
-    report = check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 5, 4)
-    assert report.verdict == "equal"
-    assert not report.mismatches
-    report = check_equivalence([P231, (1, 2, 1)], [P312, (2, 1, 1)], 4, 4)
-    assert report.verdict == "equal"
 
 
 @pytest.mark.parametrize("gamma", [(), (1,), (1, 2), (2, 1)], ids=["empty", "1", "12", "21"])
@@ -174,6 +167,20 @@ def test_scan_conjecture2_with_empty_tail_stays_equal():
 def test_scan_conjecture2_rejects_non_permutations():
     with pytest.raises(ValueError):
         scan_conjecture2((1, 1), 4, 3)
+
+
+@pytest.mark.parametrize(
+    "scan, bound",
+    [
+        (lambda: check_equivalence([P231], [P312], 2.5, 3), "max_cols"),
+        (lambda: scan_conjecture1(3, 2.0), "max_rows"),
+        (lambda: scan_conjecture2((1,), "4", 3), "max_length"),
+    ],
+    ids=["check-equivalence", "conjecture1", "conjecture2"],
+)
+def test_non_integer_scan_bounds_are_usage_errors(scan, bound):
+    with pytest.raises(BadComposition, match=f"scan bound {bound} must be an integer"):
+        scan()
 
 
 def test_report_json_and_csv_shapes():

@@ -1,7 +1,13 @@
-"""``reconstruct`` against the backtracking search it replaced, kept here as the oracle."""
+"""``reconstruct`` against the backtracking search it replaced, kept here as the oracle.
+
+The border statistics and alpha's avoidance test are checked against their
+definitions too: the package reads I and the test from one ``_Prefix`` pass,
+and N as x + y - n.
+"""
 
 import random
 import sys
+from bisect import bisect_left
 from collections import defaultdict
 
 import pytest
@@ -10,6 +16,9 @@ from shapewilf import (
     Filling,
     FullRookPlacement,
     NoSuchPlacement,
+    NotAvoiding,
+    alpha,
+    alpha_inverse,
     border_path,
     contains,
     enumerate_fillings,
@@ -19,10 +28,24 @@ from shapewilf import (
     n_sequence,
     reconstruct,
 )
-from shapewilf.bijection import P231, P312, _region_chain
+from shapewilf.bijection import P231, P312
 from shapewilf.matcher import LastColumnChecker
 
 KINDS = {"231": P231, "312": P312}
+
+
+def _region_chain(col_to_row, x: int, y: int) -> int:
+    """Longest row-and-column increasing chain among 1's with col <= x, row <= y."""
+    tails: list[int] = []
+    for c in range(x):
+        row = col_to_row[c]
+        if row <= y:
+            i = bisect_left(tails, row)
+            if i == len(tails):
+                tails.append(row)
+            else:
+                tails[i] = row
+    return len(tails)
 
 
 def backtracking_reconstruct(shape, sequence, kind):
@@ -82,13 +105,64 @@ def flipped(rook):
     return tuple(0 if i == 0 else n - i + 1 for i, n in zip(i_sequence(rook), n_sequence(rook)))
 
 
+def square_boards(max_n):
+    """Every Ferrers board with n rows and width n, for n = 1..max_n."""
+    return [s for n in range(1, max_n + 1) for s in iter_shapes(n, n) if s.n_rows == s.width == n]
+
+
+def full_placements(shape):
+    return [FullRookPlacement(f) for f in enumerate_fillings(shape, [], (1,) * shape.n_rows)]
+
+
+def raises_not_avoiding(alpha_map, rook):
+    try:
+        alpha_map(rook)
+    except NotAvoiding:
+        return True
+    return False
+
+
+def test_border_statistics_and_avoidance_match_their_definitions():
+    placements, avoiders = 0, {kind: 0 for kind in KINDS}
+    for shape in square_boards(6):
+        vertices = border_path(shape)
+        for rook in full_placements(shape):
+            cols = rook.col_to_row
+            assert i_sequence(rook) == tuple(_region_chain(cols, x, y) for x, y in vertices)
+            assert n_sequence(rook) == tuple(
+                sum(1 for c in range(x) if cols[c] <= y) for x, y in vertices
+            )
+            for kind, alpha_map in (("231", alpha), ("312", alpha_inverse)):
+                found = contains(rook.filling, KINDS[kind])
+                assert raises_not_avoiding(alpha_map, rook) == found, (shape, cols, kind)
+                avoiders[kind] += not found
+            placements += 1
+    # alpha is a bijection on each board, so the two kinds have as many avoiders
+    assert (placements, avoiders) == (11464, {"231": 4989, "312": 4989})
+
+
+def test_alpha_round_trips_without_the_general_matcher(monkeypatch):
+    rng = random.Random(12)
+    square = random_avoider(make_shape((12,) * 12), "231", rng)
+    width = 400
+    staircase = FullRookPlacement(
+        Filling(make_shape(range(width, 0, -1)), tuple(range(width, 0, -1)))
+    )
+
+    def no_scan(*args):
+        raise AssertionError("alpha must not scan the placement with contains")
+
+    monkeypatch.setattr("shapewilf.bijection.contains", no_scan)
+    for rook in (square, staircase):
+        assert alpha_inverse(alpha(rook)) == rook
+
+
 def test_reconstruct_agrees_with_the_backtracking_oracle_on_small_boards():
-    boards = [s for n in range(1, 6) for s in iter_shapes(n, n) if s.n_rows == s.width == n]
+    boards = square_boards(5)
     boards.append(make_shape((6,) * 6))
     cases = unrealizable = 0
     for shape in boards:
-        for filling in enumerate_fillings(shape, [], content=(1,) * shape.n_rows):
-            rook = FullRookPlacement(filling)
+        for rook in full_placements(shape):
             sequence = i_sequence(rook)
             for kind in KINDS:
                 expected = backtracking_reconstruct(shape, sequence, kind)
