@@ -26,10 +26,11 @@ column by column, on its own stack, over one prefix state (``_Prefix``)
 that each placed 1 pushes and each backtrack pops.  The state answers the
 pattern test for a new 1 with one comparison, and bounds the final chain at
 every border vertex, so a prefix is cut as soon as some target is out of
-reach, whether or not that vertex's region is complete yet.  alpha reads its
-input through the same state, in one pass that pushes the columns in order:
-the pattern test before each push decides avoidance, and the chains of the
-pushed prefix give the I-sequence.
+reach, whether or not that vertex's region is complete yet.  A push of row
+r can change that bound only at vertices with y >= r, so only those are
+tested again.  alpha reads its input through the same state, in one pass
+that pushes the columns in order: the pattern test before each push decides
+avoidance, and the chains of the pushed prefix give the I-sequence.
 """
 
 from enum import Enum
@@ -105,9 +106,11 @@ _KIND_PATTERNS = {"231": P231, "312": P312}
 class _Prefix:
     """The first columns of a full placement, kept as the search reads them.
 
-    Rows are 1..n, and index 0 stands for "no row".  For v = 0..n, ``K[v]``
-    counts the placed rows <= v and ``L[v]`` is the longest increasing chain
-    among them, read in column order.  ``forb[u]`` is the lowest top row of a
+    Rows are 1..n, and index 0 stands for "no row".  ``used[v]`` tells
+    whether row v is placed, and bit v of ``mask`` is set exactly then, so
+    ``(mask & rows).bit_count()`` counts the placed rows in a set ``rows``.
+    For v = 0..n, ``L[v]`` is the longest increasing chain among the placed
+    rows <= v, read in column order.  ``forb[u]`` is the lowest top row of a
     pattern occurrence that a 1 in row u would complete in the next column,
     or n + 1 if there is none, so the pattern fires there exactly when
     ``forb[u] <= h`` for the column's height h.  For 312 it is the least
@@ -116,19 +119,20 @@ class _Prefix:
     is above u.
 
     ``push`` places a 1 in the next column and ``pop`` takes the last one
-    back; each push keeps what its pop needs to undo it.  ``cap[u]`` is the
-    height of the last column that reaches row u: an unused row whose forb
-    is at most that can never be placed, and ``push`` reports it.
+    back; each push keeps what its pop needs to undo it.  A push of row r
+    changes ``used``, ``mask`` and ``L`` at rows >= r only.  ``cap[u]`` is
+    the height of the last column that reaches row u: an unused row whose
+    forb is at most that can never be placed, and ``push`` reports it.
     """
 
-    __slots__ = ("n", "is_312", "used", "K", "L", "forb", "cap", "placed", "undo")
+    __slots__ = ("n", "is_312", "used", "mask", "L", "forb", "cap", "placed", "undo")
 
     def __init__(self, shape: FerrersShape, kind: str):
         n = shape.n_rows
         self.n = n
         self.is_312 = kind == "312"
         self.used = [False] * (n + 1)
-        self.K = [0] * (n + 1)
+        self.mask = 0
         self.L = [0] * (n + 1)
         self.forb = [n + 1] * (n + 1)
         self.cap = [0] + [shape.heights[length - 1] for length in shape.rows]
@@ -137,11 +141,10 @@ class _Prefix:
 
     def push(self, r: int) -> bool:
         """Place row r in the next column; False if some unused row can no longer be placed."""
-        n, used, K, L, forb, cap = self.n, self.used, self.K, self.L, self.forb, self.cap
+        n, used, L, forb, cap = self.n, self.used, self.L, self.forb, self.cap
         used[r] = True
+        self.mask |= 1 << r
         self.placed.append(r)
-        for v in range(r, n + 1):
-            K[v] += 1
         chain = L[r - 1] + 1  # L is non-decreasing, so it rises to chain on rows r..s - 1
         s = r
         while s <= n and L[s] < chain:
@@ -180,9 +183,7 @@ class _Prefix:
         s, lo, saved = self.undo.pop()
         r = self.placed.pop()
         self.used[r] = False
-        K = self.K
-        for v in range(r, self.n + 1):
-            K[v] -= 1
+        self.mask ^= 1 << r
         L = self.L
         L[r:s] = [L[r - 1]] * (s - r)
         self.forb[lo : lo + len(saved)] = saved
@@ -211,24 +212,26 @@ def _chains(placement: FullRookPlacement, kind: str | None) -> BorderSequence:
     return tuple(chains)
 
 
-def _fits(prefix: _Prefix, checks, d: int) -> bool:
-    """Can the prefix's d columns still meet every target in ``checks``?
+def _fits(prefix: _Prefix, checks) -> bool:
+    """Can the prefix still meet the target t of each (y, t, x + y - n, rows <= y) in ``checks``?
 
-    ``checks`` holds (x, y, t, x + y - n) for the border vertices with x >= d.
-    A full placement has exactly x + y - n 1's in the region of (x, y), so
-    f of them are still to come from columns d..x - 1.  The region's chain
-    starts at L[y] and ends, at best, as placed rows up to some v followed
-    by f unused rows in (v, y].
+    The region of a border vertex (x, y) right of the prefix ends with
+    x + y - n 1's, so f more are to come (f < 0 once a row above y has no
+    column left).  f never exceeds the columns left before x, as that would
+    take more than n - y placed rows above y.  The chain starts at L[y] and
+    ends, at best, as placed rows up to some v followed by f unused rows in
+    (v, y].  Only rows <= y are read, so a push of row r can change the
+    answer only where y >= r.
     """
-    K, L, used = prefix.K, prefix.L, prefix.used
-    for x, y, t, ones in checks:
-        f = ones - K[y]
-        if f < 0 or f > x - d:
+    mask, L, used = prefix.mask, prefix.L, prefix.used
+    for y, t, ones, rows in checks:
+        f = ones - (mask & rows).bit_count()
+        if f < 0:
             return False
         low = L[y]
         if low == t:
             continue
-        if low > t or low + f < t:  # a complete region (x == d) has f == 0
+        if low > t or low + f < t:  # a complete region has f == 0
             return False
         free = 0  # unused rows in (v - 1, y]; a used row v cannot raise the bound
         for v in range(y, 0, -1):
@@ -243,35 +246,22 @@ def _fits(prefix: _Prefix, checks, d: int) -> bool:
     return True
 
 
-def _closes(L: list[int], closing, row: int) -> bool:
-    """Would a 1 in ``row`` give each (y, t) in ``closing`` a chain of exactly t?
-
-    ``closing`` lists the vertices whose region the new column completes; a
-    1 in ``row`` raises the chain of every y >= row to at least L[row - 1] + 1.
-    """
-    chain = L[row - 1] + 1
-    for y, t in closing:
-        if (chain if y >= row and L[y] < chain else L[y]) != t:
-            return False
-    return True
-
-
 def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     """The unique ``kind``-avoiding full rook placement with the given I-sequence.
 
-    Searches column by column, trying rows bottom-up, over one ``_Prefix``
-    that each step pushes and each backtrack pops.  The search keeps its own
-    stack, so Python's recursion limit does not bound the width.  A row is
-    tried in a column only if it is unused, completes no pattern occurrence
-    there (``forb[row] > h``) and gives each vertex whose region the column
-    completes its target chain (``_closes``).  After the push, the prefix is
-    cut when some unused row can avoid the pattern in no column left to it,
-    or when some border vertex's target is out of reach (``_fits``; an
-    unused row with no column left breaks a region count there).  Each cut
-    drops only prefixes that no ``kind``-avoiding full placement with the
-    sequence extends, so the result is the first such placement in
-    lexicographic order of its columns, as a plain backtracking search finds
-    it.  Raises NoSuchPlacement when there is none.
+    Before any push, each value must be an integer from 0 to its region
+    size x + y - n that rises by 0 or 1 on each right step of the border
+    and falls by 0 or 1 on each down step.  The search then goes column by
+    column, rows bottom-up, on its own stack, over one ``_Prefix`` that each
+    step pushes and each backtrack pops.  A row is tried only if it is
+    unused, completes no pattern occurrence (``forb[row] > h``) and gives
+    each vertex whose region the column completes its target chain.  The
+    pushed prefix is cut when an unused row can avoid the pattern in no
+    column left to it, or when ``_fits`` fails at a vertex with y >= row,
+    the only ones the push can change.  No cut drops a prefix of a
+    ``kind``-avoiding full placement with the sequence, so the result is the
+    first one in lexicographic order of its columns, as a plain backtracking
+    search finds it.  Raises NoSuchPlacement if there is none.
     """
     if kind not in _KIND_PATTERNS:
         raise ValueError(f"kind must be '231' or '312', got {kind!r}")
@@ -285,36 +275,45 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
         raise ShapeMismatch(
             f"sequence has {len(target)} values but the border {len(vertices)} vertices"
         )
-    if any(t != 0 for (x, _), t in zip(vertices, target) if x == 0):
-        raise NoSuchPlacement("the sequence must start with 0 at the empty corner")
     unrealizable = NoSuchPlacement(
         f"no {kind}-avoiding full placement on {format_shape(shape)} has that I-sequence"
     )
-    if not all(isinstance(t, (int, float)) for t in target):
-        raise unrealizable  # a value that is not a number equals no chain length
-
     n = shape.n_rows
-    heights = shape.heights
     sizes = _region_sizes(vertices, n)
-    checks = [(x, y, t, ones) for (x, y), t, ones in zip(vertices, target, sizes)]
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]  # (y, t) by x
-    for x, y, t, _ in checks:
-        closing[x].append((y, t))
-    # The border never steps left, so the vertices with x >= d are checks[suffix[d]:].
-    suffix = list(accumulate(map(len, closing), initial=0))
+    values = zip(target, sizes)
+    steps = zip(vertices, target, vertices[1:], target[1:])  # x2 - x + y2 - y is 1 or -1
+    if not (
+        all(isinstance(t, (int, float)) and 0 <= t <= k and t % 1 == 0 for t, k in values)
+        and all(0 <= (t2 - t) * (x2 - x + y2 - y) <= 1 for (x, y), t, (x2, y2), t2 in steps)
+    ):
+        raise unrealizable
+
+    checks = [(y, t, k, (2 << y) - 1) for (_, y), t, k in zip(vertices, target, sizes)]
+    # The border steps right and down, so the vertices with x >= d and y >= r
+    # are checks[suffix[d]:above[r]].
+    suffix, above = [0] * (n + 2), [0] * (n + 1)
+    for i, (x, y) in enumerate(vertices, 1):
+        suffix[x + 1] = above[y] = i
     prefix = _Prefix(shape, kind)
     used, forb, placed, L = prefix.used, prefix.forb, prefix.placed, prefix.L
     start = 1  # the lowest row still to try in column len(placed)
     while len(placed) < n:
         j = len(placed)
-        h = heights[j]
+        h = shape.heights[j]
+        lo = suffix[j + 1]
+        closing = checks[lo : suffix[j + 2]]  # the vertices whose region column j completes
         for row in range(start, h + 1):
-            if used[row] or forb[row] <= h or not _closes(L, closing[j + 1], row):
+            if used[row] or forb[row] <= h:
                 continue
-            if prefix.push(row) and _fits(prefix, checks[suffix[j + 1]:], j + 1):
-                start = 1
-                break
-            prefix.pop()
+            chain = L[row - 1] + 1  # complete vertices below row already meet their targets
+            for y, t, _, _ in closing:
+                if y >= row and (L[y] if L[y] > chain else chain) != t:
+                    break
+            else:
+                if prefix.push(row) and _fits(prefix, checks[lo : above[row]]):
+                    start = 1
+                    break
+                prefix.pop()
         else:
             if not placed:
                 raise unrealizable

@@ -2,13 +2,15 @@
 
 The border statistics and alpha's avoidance test are checked against their
 definitions too: the package reads I and the test from one ``_Prefix`` pass,
-and N as x + y - n.
+and N as x + y - n.  So is the ``_Prefix`` state itself, and the number of
+pushes the search makes on seeded sequences is pinned.
 """
 
 import random
 import sys
 from bisect import bisect_left
 from collections import defaultdict
+from itertools import combinations
 
 import pytest
 
@@ -28,7 +30,7 @@ from shapewilf import (
     n_sequence,
     reconstruct,
 )
-from shapewilf.bijection import P231, P312
+from shapewilf.bijection import P231, P312, _Prefix
 from shapewilf.matcher import LastColumnChecker
 
 KINDS = {"231": P231, "312": P312}
@@ -114,6 +116,23 @@ def full_placements(shape):
     return [FullRookPlacement(f) for f in enumerate_fillings(shape, [], (1,) * shape.n_rows)]
 
 
+def breaks_a_border_rule(shape, sequence):
+    """Does ``sequence`` break a rule that every I-sequence on ``shape`` keeps?
+
+    Each value is an integer from 0 to its region's size, and it rises by 0
+    or 1 on a right step of the border and falls by 0 or 1 on a down step.
+    """
+    vertices = border_path(shape)
+    n = shape.n_rows
+    for (x, y), t in zip(vertices, sequence):
+        if not isinstance(t, (int, float)) or t != int(t) or not 0 <= t <= x + y - n:
+            return True
+    for (x, _), t, (x2, _), t2 in zip(vertices, sequence, vertices[1:], sequence[1:]):
+        if t2 - t not in ((0, 1) if x2 > x else (0, -1)):
+            return True
+    return False
+
+
 def raises_not_avoiding(alpha_map, rook):
     try:
         alpha_map(rook)
@@ -129,6 +148,7 @@ def test_border_statistics_and_avoidance_match_their_definitions():
         for rook in full_placements(shape):
             cols = rook.col_to_row
             assert i_sequence(rook) == tuple(_region_chain(cols, x, y) for x, y in vertices)
+            assert not breaks_a_border_rule(shape, i_sequence(rook))
             assert n_sequence(rook) == tuple(
                 sum(1 for c in range(x) if cols[c] <= y) for x, y in vertices
             )
@@ -195,25 +215,136 @@ def random_avoider(shape, kind, rng):
             return rook
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
-def test_reconstruct_agrees_with_the_oracle_on_sampled_avoiders(n):
+def sampled_cases(n):
+    """80 seeded (shape, sequence, nudged, kind): alpha's targets on n x n boards.
+
+    ``sequence`` is the flipped I-sequence of a random avoider of the other
+    kind, so it is realizable; ``nudged`` moves one of its inner values by 1.
+    """
     rng = random.Random(n)
-    unrealizable = 0
     for case in range(40):
         for kind, other in (("231", "312"), ("312", "231")):
             shape = make_shape((n,) * n) if case % 4 == 0 else random_board(n, rng)
             sequence = flipped(random_avoider(shape, kind, rng))
             i = rng.randrange(1, len(sequence) - 1)
             nudged = sequence[:i] + (sequence[i] + rng.choice((-1, 1)),) + sequence[i + 1 :]
-            results = []
-            for seq in (sequence, nudged):
-                expected = backtracking_reconstruct(shape, seq, other)
-                assert reconstructed(shape, seq, other) == expected, (shape, seq, other)
-                results.append(expected)
-            # alpha and its inverse realize every flipped sequence with the other kind.
-            assert results[0] is not None
-            unrealizable += results[1] is None
+            yield shape, sequence, nudged, other
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_reconstruct_agrees_with_the_oracle_on_sampled_avoiders(n):
+    unrealizable = 0
+    for shape, sequence, nudged, kind in sampled_cases(n):
+        results = []
+        for seq in (sequence, nudged):
+            expected = backtracking_reconstruct(shape, seq, kind)
+            assert reconstructed(shape, seq, kind) == expected, (shape, seq, kind)
+            results.append(expected)
+        # alpha and its inverse realize every flipped sequence with the other kind.
+        assert results[0] is not None
+        unrealizable += results[1] is None
     assert unrealizable > 0
+
+
+def test_reconstruct_keeps_its_search_tree(monkeypatch):
+    # The pushes of the search on alpha's seeded targets at n = 8 and 9.  A
+    # faster search visits the same prefixes; a change to which prefixes it
+    # visits has to change this total on purpose.
+    cases = [(shape, seq, kind) for n in (8, 9) for shape, seq, _, kind in sampled_cases(n)]
+    pushes = 0
+    push = _Prefix.push
+
+    def counted(prefix, row):
+        nonlocal pushes
+        pushes += 1
+        return push(prefix, row)
+
+    monkeypatch.setattr(_Prefix, "push", counted)
+    for shape, sequence, kind in cases:
+        reconstruct(shape, sequence, kind)
+    assert (len(cases), pushes) == (160, 7344)
+
+
+def test_reconstruct_rejects_sequences_that_break_a_border_rule_before_any_push(monkeypatch):
+    square = make_shape((3, 3, 3))  # region sizes 0, 1, 2, 3, 2, 1, 0
+    cases = [
+        (square, (-1, 0, 1, 2, 1, 0, -1)),  # negative
+        (square, (0, 1, 2, 3, 3, 2, 1)),  # 1 above the empty region at (3, 0)
+        (square, (0, 0.5, 1.5, 2.5, 1.5, 0.5, 0)),  # not integers
+        (square, (0, 1, 2, "3", 2, 1, 0)),  # not a number
+        (square, (0, 0, 2, 2, 2, 1, 0)),  # rises by 2 on a right step
+        (square, (0, 1, 2, 2, 2, 0, 0)),  # falls by 2 on a down step
+        (square, (0, 1, 0, 1, 1, 1, 0)),  # falls on a right step
+        (square, (0, 1, 1, 1, 0, 1, 0)),  # rises on a down step
+    ]
+    rng = random.Random(18)
+    while len(cases) < 200:
+        shape = random_board(rng.randint(2, 7), rng)
+        sequence = list(i_sequence(random_avoider(shape, rng.choice(list(KINDS)), rng)))
+        sequence[rng.randrange(len(sequence))] += rng.choice((-2, -1, 1, 2, 0.5))
+        if breaks_a_border_rule(shape, sequence):
+            cases.append((shape, tuple(sequence)))
+
+    def no_push(prefix, row):
+        raise AssertionError("a sequence that breaks a border rule needs no search")
+
+    monkeypatch.setattr(_Prefix, "push", no_push)
+    for shape, sequence in cases:
+        assert breaks_a_border_rule(shape, sequence), sequence
+        for kind in KINDS:
+            assert reconstructed(shape, sequence, kind) is None, (shape, sequence, kind)
+            assert backtracking_reconstruct(shape, sequence, kind) is None, (shape, sequence)
+
+
+def occurrence_tops(kind, placed, u):
+    """Top rows of the occurrences that a 1 in row u after the ``placed`` rows would complete."""
+    pairs = combinations(placed, 2)
+    if kind == "312":
+        return [a for a, b in pairs if a > u > b]
+    return [b for a, b in pairs if u < a < b]
+
+
+def check_against_a_recount(prefix, kind, cap) -> bool:
+    """Assert ``prefix``'s state against a recount from its placed rows alone.
+
+    ``forb`` is defined for the unused rows only.  Returns whether every
+    unused row can still avoid the pattern in the last column reaching it.
+    """
+    placed, n = prefix.placed, prefix.n
+    unused = [u for u in range(1, n + 1) if u not in placed]
+    assert prefix.used == [False] + [u in placed for u in range(1, n + 1)]
+    assert prefix.mask == sum(1 << u for u in placed)
+    assert prefix.L == [_region_chain(placed, len(placed), v) for v in range(n + 1)]
+    forb = [min(occurrence_tops(kind, placed, u), default=n + 1) for u in unused]
+    assert [prefix.forb[u] for u in unused] == forb, (kind, placed)
+    return all(f > cap[u] for u, f in zip(unused, forb))
+
+
+def test_prefix_state_matches_a_recount_from_its_rows():
+    rng = random.Random(4)
+    steps = 0
+    for _ in range(100):
+        n = rng.randint(1, 9)
+        shape = random_board(n, rng)
+        heights = shape.heights
+        cap = [0] + [[h for h in heights if h >= u][-1] for u in range(1, n + 1)]
+        for kind in KINDS:
+            prefix = _Prefix(shape, kind)
+            placed = prefix.placed
+            for _ in range(6 * n):
+                j = len(placed)
+                free = [r for r in range(1, heights[j] + 1) if r not in placed] if j < n else []
+                if free and (not placed or rng.random() < 0.6):
+                    alive = prefix.push(rng.choice(free))
+                    # Like the search, the walk extends only the prefixes that push calls alive.
+                    assert alive == check_against_a_recount(prefix, kind, cap), (shape, placed)
+                    steps += 1
+                    if alive:
+                        continue
+                prefix.pop()
+                check_against_a_recount(prefix, kind, cap)
+                steps += 1
+    assert steps > 5000
 
 
 def test_reconstruct_does_not_recurse_per_column():
