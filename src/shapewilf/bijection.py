@@ -221,10 +221,11 @@ def _fits(prefix: _Prefix, checks) -> bool:
     take more than n - y placed rows above y.  The chain starts at L[y] and
     ends, at best, as placed rows up to some v followed by f unused rows in
     (v, y].  Only rows <= y are read, so a push of row r can change the
-    answer only where y >= r.
+    answer only where y >= r.  ``checks`` runs along the border, y falling;
+    it is read with y rising, since a prefix that fails mostly fails low.
     """
     mask, L, used = prefix.mask, prefix.L, prefix.used
-    for y, t, ones, rows in checks:
+    for y, t, ones, rows in reversed(checks):
         f = ones - (mask & rows).bit_count()
         if f < 0:
             return False

@@ -24,7 +24,9 @@ single-shape count reads the last one, and the conjecture-2 scan reads every
 length of a word rectangle from one pass), ``walk_shapes``, which walks the
 tree of column-height sequences depth first and carries each shape's state
 dict to the shapes one column longer (so a whole scan pays one step per
-shape, and every positive content of a shape is counted at once), and
+shape, and every positive content of a shape is counted at once; its regime
+state is one int too, a bit per empty row and a field per row count, and its
+``moves`` are kept per walk, since the same states recur across shapes), and
 ``enumerate_fillings``, which expands one state at a time in lexicographic
 order.  None of them recurses, so widths in the thousands are fine.  All counts
 are exact Python integers, and every count runs in the calling process.
@@ -219,61 +221,73 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
     One depth-first walk per first-column height m covers every weakly
     decreasing height sequence that starts with m, carrying the state dict of
     each shape to the shapes that extend it by one column, so every shape
-    costs one ``step``.  The regime state holds the row counts so far
-    (``CONTENTS``) or the bitmask of empty rows (``POSITIVE_ROWS``); a state
-    dies once an empty row lies above the column or more rows are empty than
-    columns remain within ``max_cols``.  The histogram maps every positive
-    content to its number of avoiders (``CONTENTS``), or ``POSITIVE_ROWS`` to
-    the number of avoiders with no empty row; counts of 0 are left out.
-    Shapes come in depth-first order, not in ``iter_shapes`` order.
+    costs one ``step``.  The regime state is one int: bit r-1 is set while row
+    r has no 1, and with ``CONTENTS`` row r's count so far is a field of
+    ``max_cols.bit_length()`` bits above those ``max_rows`` bits (with
+    ``POSITIVE_ROWS`` there are no fields).  A 1 in a row clears its bit and
+    adds one to its field; a state dies once an empty row lies above the
+    column or more rows are empty than columns remain within ``max_cols``.
+    The moves of each (state, height, column) are listed once per call, in a
+    dict that ends with it.  The histogram maps every positive content to its
+    number of avoiders (``CONTENTS``), or ``POSITIVE_ROWS`` to the number of
+    avoiders with no empty row; counts of 0 are left out.  Shapes come in
+    depth-first order, not in ``iter_shapes`` order.  A bound that is not a
+    positive int raises ``BadComposition``.
     """
     if regime not in (CONTENTS, POSITIVE_ROWS):
         raise ValueError(f"regime must be {CONTENTS!r} or {POSITIVE_ROWS!r}, got {regime!r}")
+    check_bounds(max_cols=max_cols, max_rows=max_rows)
     patterns = canonical_patterns(patterns)
-    positive = regime == POSITIVE_ROWS
+    empty = (1 << max_rows) - 1  # the empty-row bits
+    bits = max_cols.bit_length()
+    field = (1 << bits) - 1
+    one = 1 if regime == CONTENTS else 0  # a 1 counted in its row's field, or not at all
+    fill = [0, *(one << max_rows + bits * r for r in range(max_rows))]  # fill[row]
+    keep = [0, *(~(1 << r) for r in range(max_rows))]  # keep[row]: all but row's empty bit
+    memo: dict = {}  # (state, h, done) -> its moves, for this walk only
 
     def moves(state, h: int, done: int) -> list:
-        # A move fills at most one empty row and must leave no more empty rows
-        # than columns that may still follow this one.
-        if positive:
-            if state >> h:
-                return []  # an empty row above h stays empty
-            empty = state.bit_count()
-        else:
-            if 0 in state[h:]:
-                return []  # an empty row above h stays empty
-            empty = state.count(0)
-        left = max_cols - done
-        if empty > left + 1:
-            return []
-        rows = range(1, h + 1)
-        if positive:
-            if empty > left:
-                rows = [row for row in rows if state >> (row - 1) & 1]
-            return [(row, state & ~(1 << (row - 1))) for row in rows]
-        if empty > left:
-            rows = [row for row in rows if state[row - 1] == 0]
-        return [(row, state[: row - 1] + (state[row - 1] + 1,) + state[row:]) for row in rows]
+        key = (state, h, done)
+        out = memo.get(key)
+        if out is None:
+            # A move fills at most one empty row and must leave no more empty
+            # rows than columns that may still follow this one; an empty row
+            # above h stays empty.
+            vacant = state & empty
+            short = vacant.bit_count() - (max_cols - done)
+            if vacant >> h or short > 1:
+                out = []
+            else:
+                out = [
+                    (row, (state & keep[row]) + fill[row])
+                    for row in range(1, h + 1)
+                    if short < 1 or vacant >> row - 1 & 1
+                ]
+            memo[key] = out
+        return out
 
-    if max_cols < 1:
-        return
+    # A final state with no empty bit names a positive content: its m row
+    # counts, or POSITIVE_ROWS, the one such state when there are no fields.
+    contents: dict = {0: POSITIVE_ROWS} if regime == POSITIVE_ROWS else {}
+
     # Every row of a shape in the walk is at most max_cols long, and the first
     # step of each walk cuts the start to the trackers on rows 1..m.
     trackers = _Trackers(patterns, (max_cols,) * max_rows)
     for m in range(1, max_rows + 1):
-        start = (1 << m) - 1 if positive else (0,) * m
-        stack = [((m,), {(trackers.start, start): 1})]
+        stack = [((m,), {(trackers.start, (1 << m) - 1): 1})]
         while stack:
             heights, states = stack.pop()
             h = heights[-1]
             states = step(states, h, len(heights), trackers, moves)
             histogram: dict = {}
             for (_, state), n in states.items():
-                if positive:
-                    if state == 0:
-                        histogram[POSITIVE_ROWS] = histogram.get(POSITIVE_ROWS, 0) + n
-                elif 0 not in state:
-                    histogram[state] = histogram.get(state, 0) + n
+                if not state & empty:
+                    name = contents.get(state)
+                    if name is None:
+                        name = contents[state] = tuple(
+                            state >> max_rows + bits * r & field for r in range(m)
+                        )
+                    histogram[name] = histogram.get(name, 0) + n
             yield heights, histogram
             if len(heights) < max_cols:
                 stack.extend((heights + (g,), states) for g in range(h, 0, -1))
@@ -334,6 +348,15 @@ def check_content(shape: FerrersShape, content):
             f"composition sums to {sum(comp)} but the shape has {shape.width} columns"
         )
     return comp
+
+
+def check_bounds(**bounds) -> None:
+    """Reject a scan bound that is not an int, or below 1 (nothing to scan passes vacuously)."""
+    for name, value in bounds.items():
+        if not isinstance(value, int):
+            raise BadComposition(f"scan bound {name} must be an integer, got {value!r}")
+        if value < 1:
+            raise BadComposition(f"scan bound {name} must be positive, got {value}")
 
 
 def count_fillings(shape: FerrersShape, content, patterns) -> int:
@@ -447,13 +470,26 @@ class CountRecord(FrozenValue):
     __slots__ = _fields = ("shape", "content", "patterns", "count")
 
     def __init__(self, shape: FerrersShape, content, patterns: tuple[Word, ...], count: int):
-        self._assign(shape, content, patterns, count)
+        # Scans build thousands of records: the slots' own setters get past
+        # the frozen ``__setattr__`` at under half of ``_assign``'s cost.
+        _set_shape(self, shape)
+        _set_content(self, content)
+        _set_patterns(self, patterns)
+        _set_count(self, count)
 
     def key(self) -> tuple[str, str, str]:
         return _record_key(self.shape, self.content, self.patterns)
 
     def to_json(self) -> dict:
         return _record_json(self.key(), self.count)
+
+
+_set_shape, _set_content, _set_patterns, _set_count = (
+    CountRecord.shape.__set__,
+    CountRecord.content.__set__,
+    CountRecord.patterns.__set__,
+    CountRecord.count.__set__,
+)
 
 
 def _record_key(shape: FerrersShape, content, patterns) -> tuple[str, str, str]:

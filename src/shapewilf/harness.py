@@ -23,7 +23,6 @@ import json
 import os
 
 from .core import (
-    BadComposition,
     FrozenValue,
     InvalidPattern,
     Value,
@@ -44,6 +43,7 @@ from .enumeration import (
     CountRecord,
     cached_record,
     canonical_patterns,
+    check_bounds,
     column_states,
     compositions,
     content_text,
@@ -176,15 +176,6 @@ def reproduce_table(table_id: int, cache=None) -> ScanReport:
     return report
 
 
-def _check_bounds(**bounds) -> None:
-    """Reject a scan bound that is not an int, or below 1 (nothing to scan passes vacuously)."""
-    for name, value in bounds.items():
-        if not isinstance(value, int):
-            raise BadComposition(f"scan bound {name} must be an integer, got {value!r}")
-        if value < 1:
-            raise BadComposition(f"scan bound {name} must be positive, got {value}")
-
-
 def iter_shapes(max_cols: int, max_rows: int):
     """All shapes within the bounds, by total cell count, then lexicographically."""
     found: list[tuple[int, ...]] = []
@@ -237,7 +228,7 @@ def check_equivalence(
     omega, sigma, max_cols: int, max_rows: int, cache=None
 ) -> ScanReport:
     """Compare avoider counts of two pattern sets over all shapes and contents."""
-    _check_bounds(max_cols=max_cols, max_rows=max_rows)
+    check_bounds(max_cols=max_cols, max_rows=max_rows)
     omega = canonical_patterns(omega)
     sigma = canonical_patterns(sigma)
     report = ScanReport(
@@ -264,7 +255,7 @@ def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
     inequality; ties and strict inequalities both count as consistent and
     stay in the records.
     """
-    _check_bounds(max_cols=max_cols, max_rows=max_rows)
+    check_bounds(max_cols=max_cols, max_rows=max_rows)
     report = ScanReport(scope=f"conjecture1 cols<={max_cols} rows<={max_rows}")
     scanned = _scan(((P231,), (P312,)), POSITIVE_ROWS, max_cols, max_rows, cache)
     for shape, _, (rec_a, rec_b) in scanned:
@@ -288,7 +279,7 @@ def scan_conjecture2(
     rectangle, stepped a column per length.  beta must be a permutation
     (possibly empty).
     """
-    _check_bounds(max_length=max_length, max_alphabet=max_alphabet)
+    check_bounds(max_length=max_length, max_alphabet=max_alphabet)
     beta = make_word(beta)
     if beta:
         validate_pattern(beta)

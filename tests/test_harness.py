@@ -267,9 +267,8 @@ def test_walked_conjecture1_scan_matches_per_cell_counts(cols, rows):
     assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
 
 
-@given(pattern_sets, max_cols, max_rows, st.sampled_from([CONTENTS, POSITIVE_ROWS]))
-@settings(max_examples=20, deadline=None)
-def test_walk_yields_every_shape_once_with_per_cell_counts(patterns, cols, rows, regime):
+def check_walk(patterns, cols, rows, regime) -> dict:
+    """Walk the bounds, check every shape's histogram against per-cell counts, return them."""
     walked = list(walk_shapes(patterns, cols, rows, regime))
     histograms = dict(walked)
     shapes = list(iter_shapes(cols, rows))
@@ -283,12 +282,53 @@ def test_walk_yields_every_shape_once_with_per_cell_counts(patterns, cols, rows,
         assert set(histogram) <= set(contents)
         assert 0 not in histogram.values()
         for content in contents:
-            assert histogram.get(content, 0) == counted(shape, content, patterns).count
+            expected = counted(shape, content, patterns).count
+            assert histogram.get(content, 0) == expected, (cols, rows, shape, content)
+    return histograms
+
+
+@given(pattern_sets, max_cols, max_rows, st.sampled_from([CONTENTS, POSITIVE_ROWS]))
+@settings(max_examples=20, deadline=None)
+def test_walk_yields_every_shape_once_with_per_cell_counts(patterns, cols, rows, regime):
+    check_walk(patterns, cols, rows, regime)
+
+
+@pytest.mark.parametrize("cols", [3, 4, 7, 8, 15, 16])
+def test_walks_at_the_regime_field_width_boundaries(cols):
+    # With CONTENTS each row's count is a field of cols.bit_length() bits, so
+    # these bounds put the largest count, cols in a one-row shape, just below
+    # and at a power of two; a field one bit short carries into its neighbour.
+    rows = 3 if cols <= 8 else 2
+    for patterns in [(), (P231,)]:
+        histograms = check_walk(patterns, cols, rows, CONTENTS)
+        assert histograms[(1,) * cols] == {(cols,): 1}
+        check_walk(patterns, cols, rows, POSITIVE_ROWS)
+
+
+def test_walks_share_no_moves_across_calls():
+    # 5 x 4 and 6 x 4 pack their states alike, but a state's moves depend on
+    # the columns left, so moves kept from one walk would miscount the next.
+    for cols in (5, 6, 5):
+        for regime in (CONTENTS, POSITIVE_ROWS):
+            check_walk([P231, (2, 2, 1)], cols, 4, regime)
 
 
 def test_walk_rejects_an_unknown_regime():
     with pytest.raises(ValueError):
         list(walk_shapes([P231], 3, 3, "unconstrained"))
+
+
+@pytest.mark.parametrize(
+    "cols, rows, bound, message",
+    [
+        (2.5, 2, "max_cols", "must be an integer"),
+        (3, 2.0, "max_rows", "must be an integer"),
+        (0, 2, "max_cols", "must be positive"),
+    ],
+)
+def test_walk_rejects_bounds_as_the_scans_do(cols, rows, bound, message):
+    with pytest.raises(BadComposition, match=f"scan bound {bound} {message}"):
+        list(walk_shapes([P231], cols, rows, CONTENTS))
 
 
 def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
