@@ -73,7 +73,11 @@ class FrozenValue(Value):
     __slots__ = ()
 
     def _assign(self, *values) -> None:
-        """From ``__init__``: set the attributes named in ``__slots__``, in that order."""
+        """From ``__init__``: set the attributes named in ``__slots__``, in that order.
+
+        ``enumeration.CountRecord``, built once per scan cell, is the one
+        class that sets its slots directly instead.
+        """
         setter = object.__setattr__
         for name, value in zip(self.__slots__, values):
             setter(self, name, value)
@@ -119,10 +123,7 @@ class FerrersShape(FrozenValue):
             while rows[covering - 1] < j:
                 covering -= 1
             heights.append(covering)
-        # Scans build thousands of shapes: the slots' own setters get past the
-        # frozen ``__setattr__`` at under half of ``_assign``'s cost.
-        _set_rows(self, rows)
-        _set_heights(self, tuple(heights))
+        self._assign(rows, tuple(heights))
 
     @property
     def n_rows(self) -> int:
@@ -135,9 +136,6 @@ class FerrersShape(FrozenValue):
     @property
     def n_cells(self) -> int:
         return sum(self.rows)
-
-
-_set_rows, _set_heights = FerrersShape.rows.__set__, FerrersShape.heights.__set__
 
 
 class Filling(FrozenValue):
