@@ -24,13 +24,14 @@ covers the next content[i] rows from the bottom.
 ``reconstruct`` finds the partner from its I-sequence alone.  It searches
 column by column, on its own stack, over one prefix state (``_Prefix``)
 that each placed 1 pushes and each backtrack pops.  The state answers the
-pattern test for a new 1 with one comparison, and bounds the final chain at
+312 test for a new 1 with one comparison, and bounds the final chain at
 every border vertex, so a prefix is cut as soon as some target is out of
-reach, whether or not that vertex's region is complete yet.  A push of row
-r can change that bound only at vertices with y >= r, so only those are
-tested again.  alpha reads its input through the same state, in one pass
-that pushes the columns in order: the pattern test before each push decides
-avoidance, and the chains of the pushed prefix give the I-sequence.
+reach, complete region or not.  A push of row r can change that bound only
+at vertices with y >= r, so only those are tested again.  alpha reads its
+input through the same state, in one pass over the columns: the test before
+each push decides avoidance, and the pushed chains give the I-sequence.
+The state keeps 312's rule alone: 231 is read and searched through
+``_transpose``, which swaps the kinds and reverses I and N.
 """
 
 from enum import Enum
@@ -100,7 +101,16 @@ def _region_sizes(vertices, n: int) -> BorderSequence:
     return tuple(x + y - n for x, y in vertices)
 
 
-_KIND_PATTERNS = {"231": P231, "312": P312}
+def _transpose(placement: FullRookPlacement) -> FullRookPlacement:
+    """The inverse permutation on the conjugate board: column c, row r goes to column r, row c.
+
+    It swaps 231 and 312 occurrences, keeps each one's rectangle inside the
+    board and runs the border backwards, so I and N come out reversed.
+    """
+    cols = [0] * len(placement.col_to_row)
+    for c, r in enumerate(placement.col_to_row, 1):
+        cols[r - 1] = c
+    return FullRookPlacement(Filling(make_shape(placement.shape.heights), tuple(cols)))
 
 
 class _Prefix:
@@ -110,34 +120,30 @@ class _Prefix:
     whether row v is placed, and bit v of ``mask`` is set exactly then, so
     ``(mask & rows).bit_count()`` counts the placed rows in a set ``rows``.
     For v = 0..n, ``L[v]`` is the longest increasing chain among the placed
-    rows <= v, read in column order.  ``forb[u]`` is the lowest top row of a
-    pattern occurrence that a 1 in row u would complete in the next column,
-    or n + 1 if there is none, so the pattern fires there exactly when
-    ``forb[u] <= h`` for the column's height h.  For 312 it is the least
-    earlier row above u over pairs of columns a < b with rows above and
-    below u; for 231 the least later row of an ascent a < b whose lower row
-    is above u.
+    rows <= v, read in column order.  ``forb[u]`` is the lowest top row of
+    a 312 that a 1 in row u would complete in the next column (the least
+    earlier row above u over columns a < b with rows above and below u), or
+    n + 1 if none, so 312 fires there exactly when ``forb[u] <= h``.
 
-    ``push`` places a 1 in the next column and ``pop`` takes the last one
-    back; each push keeps what its pop needs to undo it.  A push of row r
-    changes ``used``, ``mask`` and ``L`` at rows >= r only.  ``cap[u]`` is
-    the height of the last column that reaches row u: an unused row whose
-    forb is at most that can never be placed, and ``push`` reports it.
+    ``push`` places a 1 in the next column and ``pop`` takes it back, from
+    what the push kept.  A push of row r changes ``used``, ``mask`` and
+    ``L`` at rows >= r and ``forb`` above r only.  ``cap[u]`` is the height
+    of the last column that reaches row u: an unused row whose forb is at
+    most that can never be placed, and ``push`` reports it.
     """
 
-    __slots__ = ("n", "is_312", "used", "mask", "L", "forb", "cap", "placed", "undo")
+    __slots__ = ("n", "used", "mask", "L", "forb", "cap", "placed", "undo")
 
-    def __init__(self, shape: FerrersShape, kind: str):
+    def __init__(self, shape: FerrersShape):
         n = shape.n_rows
         self.n = n
-        self.is_312 = kind == "312"
         self.used = [False] * (n + 1)
         self.mask = 0
         self.L = [0] * (n + 1)
         self.forb = [n + 1] * (n + 1)
         self.cap = [0] + [shape.heights[length - 1] for length in shape.rows]
         self.placed: list[int] = []
-        self.undo: list[tuple[int, int, list[int]]] = []
+        self.undo: list[tuple[int, list[int]]] = []
 
     def push(self, r: int) -> bool:
         """Place row r in the next column; False if some unused row can no longer be placed."""
@@ -150,43 +156,28 @@ class _Prefix:
         while s <= n and L[s] < chain:
             s += 1
         L[r:s] = [chain] * (s - r)
+        self.undo.append((s, forb[r + 1 :]))
+        # New pairs end in row r: rows u > r now meet the least earlier row above u.
         alive = True
-        if self.is_312:
-            # New pairs end in row r: rows u > r now meet the least earlier row above u.
-            lo = r + 1
-            saved = forb[lo:]
-            above = n + 1
-            for u in range(n, r, -1):
-                if used[u]:
-                    above = u
-                elif above < forb[u]:
-                    forb[u] = above
-                    if above <= cap[u]:
-                        alive = False
-        else:
-            # New ascents end in row r: rows below the highest earlier row under r meet r.
-            p = r - 1
-            while p and not used[p]:
-                p -= 1
-            lo = 1
-            saved = forb[1:p]
-            for u in range(1, p):
-                if r < forb[u] and not used[u]:
-                    forb[u] = r
-                    if r <= cap[u]:
-                        alive = False
-        self.undo.append((s, lo, saved))
+        above = n + 1
+        for u in range(n, r, -1):
+            if used[u]:
+                above = u
+            elif above < forb[u]:
+                forb[u] = above
+                if above <= cap[u]:
+                    alive = False
         return alive
 
     def pop(self) -> None:
         """Take back the newest column."""
-        s, lo, saved = self.undo.pop()
+        s, saved = self.undo.pop()
         r = self.placed.pop()
         self.used[r] = False
         self.mask ^= 1 << r
         L = self.L
         L[r:s] = [L[r - 1]] * (s - r)
-        self.forb[lo : lo + len(saved)] = saved
+        self.forb[r + 1 :] = saved
 
 
 def _chains(placement: FullRookPlacement, kind: str | None) -> BorderSequence:
@@ -196,9 +187,13 @@ def _chains(placement: FullRookPlacement, kind: str | None) -> BorderSequence:
     L[y].  With a ``kind``, each 1 is tested before its push and NotAvoiding
     raised when it completes an occurrence (``forb[row] <= h``).  The test is
     exact: in a full placement the row of the next 1 is always still unused.
+    For 231 the pass reads the transpose, a 312 test, and reverses its chains.
     """
+    mirrored = kind == "231"
+    if mirrored:
+        placement = _transpose(placement)
     shape = placement.shape
-    prefix = _Prefix(shape, kind)
+    prefix = _Prefix(shape)
     forb, L, placed = prefix.forb, prefix.L, prefix.placed
     cols, heights = placement.col_to_row, shape.heights
     chains = []
@@ -206,10 +201,10 @@ def _chains(placement: FullRookPlacement, kind: str | None) -> BorderSequence:
         if x > len(placed):  # a right step: column x - 1 comes in
             row = cols[x - 1]
             if kind and forb[row] <= heights[x - 1]:
-                raise NotAvoiding(f"placement contains {format_word(_KIND_PATTERNS[kind])}")
+                raise NotAvoiding(f"placement contains {kind}")
             prefix.push(row)
         chains.append(L[y])
-    return tuple(chains)
+    return tuple(reversed(chains) if mirrored else chains)
 
 
 def _fits(prefix: _Prefix, checks) -> bool:
@@ -250,35 +245,36 @@ def _fits(prefix: _Prefix, checks) -> bool:
 def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     """The unique ``kind``-avoiding full rook placement with the given I-sequence.
 
-    Before any push, each value must be an integer from 0 to its region
-    size x + y - n that rises by 0 or 1 on each right step of the border
-    and falls by 0 or 1 on each down step.  The search then goes column by
-    column, rows bottom-up, on its own stack, over one ``_Prefix`` that each
-    step pushes and each backtrack pops.  A row is tried only if it is
-    unused, completes no pattern occurrence (``forb[row] > h``) and gives
-    each vertex whose region the column completes its target chain.  The
-    pushed prefix is cut when an unused row can avoid the pattern in no
-    column left to it, or when ``_fits`` fails at a vertex with y >= row,
-    the only ones the push can change.  No cut drops a prefix of a
-    ``kind``-avoiding full placement with the sequence, so the result is the
-    first one in lexicographic order of its columns, as a plain backtracking
-    search finds it.  Raises NoSuchPlacement if there is none.
+    The search is for a 312-avoider; for 231 it finds the transpose, with the
+    sequence reversed on the conjugate board.  First each value must be an
+    integer from 0 to its region size x + y - n that rises by 0 or 1 on each
+    right step of the border and falls by 0 or 1 on each down step, rules
+    the transpose keeps.  Then it goes column by column, rows bottom-up, and
+    tries a row only if it is unused, completes no 312 (``forb[row] > h``)
+    and gives each vertex whose region the column completes its target.  A
+    pushed prefix is cut when an unused row can avoid 312 in no column left
+    to it, or when ``_fits`` fails at a vertex with y >= row.  No cut drops a
+    prefix of an avoider, and there is at most one.  Raises NoSuchPlacement,
+    naming the caller's shape and kind, if there is none.
     """
-    if kind not in _KIND_PATTERNS:
+    if kind not in ("231", "312"):
         raise ValueError(f"kind must be '231' or '312', got {kind!r}")
     if shape.n_rows != shape.width:
         raise ShapeMismatch(
             f"full placements need as many rows as columns: {shape.n_rows} vs {shape.width}"
         )
-    vertices = border_path(shape)
+    unrealizable = NoSuchPlacement(
+        f"no {kind}-avoiding full placement on {format_shape(shape)} has that I-sequence"
+    )
     target = tuple(sequence)
+    mirrored = kind == "231"
+    if mirrored:
+        shape, target = make_shape(shape.heights), target[::-1]
+    vertices = border_path(shape)
     if len(target) != len(vertices):
         raise ShapeMismatch(
             f"sequence has {len(target)} values but the border {len(vertices)} vertices"
         )
-    unrealizable = NoSuchPlacement(
-        f"no {kind}-avoiding full placement on {format_shape(shape)} has that I-sequence"
-    )
     n = shape.n_rows
     sizes = _region_sizes(vertices, n)
     values = zip(target, sizes)
@@ -295,7 +291,7 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     suffix, above = [0] * (n + 2), [0] * (n + 1)
     for i, (x, y) in enumerate(vertices, 1):
         suffix[x + 1] = above[y] = i
-    prefix = _Prefix(shape, kind)
+    prefix = _Prefix(shape)
     used, forb, placed, L = prefix.used, prefix.forb, prefix.placed, prefix.L
     start = 1  # the lowest row still to try in column len(placed)
     while len(placed) < n:
@@ -320,7 +316,8 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
                 raise unrealizable
             start = placed[-1] + 1
             prefix.pop()
-    return FullRookPlacement(Filling(shape, tuple(placed)))
+    found = FullRookPlacement(Filling(shape, tuple(placed)))
+    return _transpose(found) if mirrored else found
 
 
 def _flipped(placement: FullRookPlacement, kind: str):
@@ -365,6 +362,8 @@ def blowup(filling: Filling, content, direction: Direction) -> FullRookPlacement
     band's rows bottom-up in column order (INCREASING) or top-down
     (DECREASING).  The result has exactly one 1 per row and per column.
     """
+    if not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
     comp = make_composition(content)
     if filling_content(filling) != comp:
         raise ContentMismatch(

@@ -108,7 +108,7 @@ class FerrersShape(FrozenValue):
         if not rows:
             raise NotFerrers("a shape needs at least one row")
         for i, length in enumerate(rows):
-            if not isinstance(length, int):
+            if type(length) is not int:
                 raise NotFerrers(f"row {i + 1} has length {length!r}, not an integer")
             if length < 1:
                 raise NotFerrers(f"row {i + 1} has non-positive length {length}")
@@ -155,7 +155,7 @@ class Filling(FrozenValue):
             )
         for j, row in enumerate(col_to_row, start=1):
             height = shape.heights[j - 1]
-            if not isinstance(row, int):
+            if type(row) is not int:
                 raise ShapeMismatch(f"column {j}: row {row!r} is not an integer")
             if not 1 <= row <= height:
                 raise ShapeMismatch(f"column {j}: row {row} is outside the shape (height {height})")
@@ -194,7 +194,7 @@ def make_shape(rows) -> FerrersShape:
 def make_word(letters) -> Word:
     word = tuple(letters)
     for v in word:
-        if not isinstance(v, int) or v < 1:
+        if type(v) is not int or v < 1:
             raise InvalidPattern(f"letters must be positive integers, got {v!r}")
     return word
 
@@ -259,7 +259,7 @@ def border_path(shape: FerrersShape) -> BorderVertexPath:
 
 def make_composition(parts) -> Composition:
     comp = tuple(parts)
-    if not comp or any(not isinstance(p, int) or p < 1 for p in comp):
+    if not comp or any(type(p) is not int or p < 1 for p in comp):
         raise BadComposition(f"composition parts must be positive integers, got {comp}")
     return comp
 

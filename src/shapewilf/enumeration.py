@@ -358,7 +358,7 @@ def check_content(shape: FerrersShape, content):
 def check_bounds(**bounds) -> None:
     """Reject a scan bound that is not an int, or below 1 (nothing to scan passes vacuously)."""
     for name, value in bounds.items():
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise BadComposition(f"scan bound {name} must be an integer, got {value!r}")
         if value < 1:
             raise BadComposition(f"scan bound {name} must be positive, got {value}")

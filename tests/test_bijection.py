@@ -137,9 +137,9 @@ def test_alpha_small_cases():
     assert alpha(single).col_to_row == (1,)
     assert alpha(placement(SQUARE3, (3, 2, 1))).col_to_row == (1, 2, 3)
     assert alpha_inverse(placement(SQUARE3, (1, 2, 3))).col_to_row == (3, 2, 1)
-    with pytest.raises(NotAvoiding):
+    with pytest.raises(NotAvoiding, match="^placement contains 231$"):
         alpha(placement(SQUARE3, (2, 3, 1)))
-    with pytest.raises(NotAvoiding):
+    with pytest.raises(NotAvoiding, match="^placement contains 312$"):
         alpha_inverse(placement(SQUARE3, (3, 1, 2)))
 
 
@@ -163,6 +163,13 @@ def test_blowup_trivial_and_one_row():
     assert blown.shape.rows == (2, 2) and blown.col_to_row == (2, 1)
     with pytest.raises(ContentMismatch):
         blowup(f, (1, 2), Direction.INCREASING)
+
+
+def test_blowup_rejects_a_direction_that_is_not_a_member():
+    filling = Filling(make_shape((2,)), (1, 1))
+    for direction in ("increasing", "decreasing", None, 1):
+        with pytest.raises(ValueError, match="direction must be a Direction"):
+            blowup(filling, (2,), direction)
 
 
 def test_shrink_worked_example():

@@ -22,6 +22,7 @@ from shapewilf import (
     format_patterns,
     format_shape,
     format_word,
+    make_composition,
     make_shape,
     parse_patterns,
     parse_shape,
@@ -29,6 +30,7 @@ from shapewilf import (
     validate_pattern,
     word_to_filling,
 )
+from shapewilf.enumeration import check_bounds
 from worked_example import CONTENT, FILLING, SHAPE
 
 
@@ -151,6 +153,28 @@ def test_full_rook_placement_validation():
         FullRookPlacement(Filling(square, (1, 1)))  # row 1 used twice
     with pytest.raises(ShapeMismatch):
         FullRookPlacement(Filling(make_shape((3, 1)), (2, 1, 1)))  # 2 rows, 3 columns
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda v: make_shape((2, v)),
+        lambda v: Filling(make_shape((2, 2)), (v, 2)),
+        lambda v: validate_pattern((v,)),
+        lambda v: make_composition((v, 1)),
+        lambda v: check_bounds(max_cols=v),
+    ],
+    ids=["shape-row", "filling-row", "letter", "composition-part", "scan-bound"],
+)
+def test_a_bool_is_rejected_like_a_float(site):
+    # True == 1, but it would print as "True" in every text encoding.
+    errors = []
+    for value in (1.5, True):
+        with pytest.raises(ValueError) as exc:
+            site(value)
+        errors.append((type(exc.value), str(exc.value).replace(repr(value), "<value>")))
+    assert errors[0] == errors[1]
+    assert "<value>" in errors[0][1]
 
 
 def test_pattern_validation():

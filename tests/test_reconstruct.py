@@ -2,8 +2,10 @@
 
 The border statistics and alpha's avoidance test are checked against their
 definitions too: the package reads I and the test from one ``_Prefix`` pass,
-and N as x + y - n.  So is the ``_Prefix`` state itself, and the number of
-pushes the search makes on seeded sequences is pinned.
+and N as x + y - n.  So are the ``_Prefix`` state itself (its one 312 rule)
+and ``_transpose``, through which the package reads and searches 231, and
+the number of pushes the search makes on seeded sequences is pinned.  The
+oracle searches 231 directly, so it checks the mirror too.
 """
 
 import random
@@ -30,7 +32,7 @@ from shapewilf import (
     n_sequence,
     reconstruct,
 )
-from shapewilf.bijection import P231, P312, _Prefix
+from shapewilf.bijection import P231, P312, _Prefix, _transpose
 from shapewilf.matcher import LastColumnChecker
 
 KINDS = {"231": P231, "312": P312}
@@ -161,6 +163,19 @@ def test_border_statistics_and_avoidance_match_their_definitions():
     assert (placements, avoiders) == (11464, {"231": 4989, "312": 4989})
 
 
+def test_transpose_swaps_the_kinds_and_reverses_the_border_sequences():
+    placements = 0
+    for shape in square_boards(6):
+        for rook in full_placements(shape):
+            mirror = _transpose(rook)
+            assert _transpose(mirror) == rook
+            assert contains(rook.filling, P231) == contains(mirror.filling, P312), rook
+            assert i_sequence(mirror) == i_sequence(rook)[::-1]
+            assert n_sequence(mirror) == n_sequence(rook)[::-1]
+            placements += 1
+    assert placements == 11464
+
+
 def test_alpha_round_trips_without_the_general_matcher(monkeypatch):
     rng = random.Random(12)
     square = random_avoider(make_shape((12,) * 12), "231", rng)
@@ -262,7 +277,7 @@ def test_reconstruct_keeps_its_search_tree(monkeypatch):
     monkeypatch.setattr(_Prefix, "push", counted)
     for shape, sequence, kind in cases:
         reconstruct(shape, sequence, kind)
-    assert (len(cases), pushes) == (160, 7344)
+    assert (len(cases), pushes) == (160, 6984)
 
 
 def test_reconstruct_rejects_sequences_that_break_a_border_rule_before_any_push(monkeypatch):
@@ -296,54 +311,50 @@ def test_reconstruct_rejects_sequences_that_break_a_border_rule_before_any_push(
             assert backtracking_reconstruct(shape, sequence, kind) is None, (shape, sequence)
 
 
-def occurrence_tops(kind, placed, u):
-    """Top rows of the occurrences that a 1 in row u after the ``placed`` rows would complete."""
-    pairs = combinations(placed, 2)
-    if kind == "312":
-        return [a for a, b in pairs if a > u > b]
-    return [b for a, b in pairs if u < a < b]
+def occurrence_tops(placed, u):
+    """Top rows of the 312 occurrences that a 1 in row u after the ``placed`` rows would complete."""
+    return [a for a, b in combinations(placed, 2) if a > u > b]
 
 
-def check_against_a_recount(prefix, kind, cap) -> bool:
+def check_against_a_recount(prefix, cap) -> bool:
     """Assert ``prefix``'s state against a recount from its placed rows alone.
 
     ``forb`` is defined for the unused rows only.  Returns whether every
-    unused row can still avoid the pattern in the last column reaching it.
+    unused row can still avoid 312 in the last column reaching it.
     """
     placed, n = prefix.placed, prefix.n
     unused = [u for u in range(1, n + 1) if u not in placed]
     assert prefix.used == [False] + [u in placed for u in range(1, n + 1)]
     assert prefix.mask == sum(1 << u for u in placed)
     assert prefix.L == [_region_chain(placed, len(placed), v) for v in range(n + 1)]
-    forb = [min(occurrence_tops(kind, placed, u), default=n + 1) for u in unused]
-    assert [prefix.forb[u] for u in unused] == forb, (kind, placed)
+    forb = [min(occurrence_tops(placed, u), default=n + 1) for u in unused]
+    assert [prefix.forb[u] for u in unused] == forb, placed
     return all(f > cap[u] for u, f in zip(unused, forb))
 
 
 def test_prefix_state_matches_a_recount_from_its_rows():
     rng = random.Random(4)
     steps = 0
-    for _ in range(100):
+    for _ in range(200):  # enough boards for a walk of more than 5000 steps
         n = rng.randint(1, 9)
         shape = random_board(n, rng)
         heights = shape.heights
         cap = [0] + [[h for h in heights if h >= u][-1] for u in range(1, n + 1)]
-        for kind in KINDS:
-            prefix = _Prefix(shape, kind)
-            placed = prefix.placed
-            for _ in range(6 * n):
-                j = len(placed)
-                free = [r for r in range(1, heights[j] + 1) if r not in placed] if j < n else []
-                if free and (not placed or rng.random() < 0.6):
-                    alive = prefix.push(rng.choice(free))
-                    # Like the search, the walk extends only the prefixes that push calls alive.
-                    assert alive == check_against_a_recount(prefix, kind, cap), (shape, placed)
-                    steps += 1
-                    if alive:
-                        continue
-                prefix.pop()
-                check_against_a_recount(prefix, kind, cap)
+        prefix = _Prefix(shape)
+        placed = prefix.placed
+        for _ in range(6 * n):
+            j = len(placed)
+            free = [r for r in range(1, heights[j] + 1) if r not in placed] if j < n else []
+            if free and (not placed or rng.random() < 0.6):
+                alive = prefix.push(rng.choice(free))
+                # Like the search, the walk extends only the prefixes that push calls alive.
+                assert alive == check_against_a_recount(prefix, cap), (shape, placed)
                 steps += 1
+                if alive:
+                    continue
+            prefix.pop()
+            check_against_a_recount(prefix, cap)
+            steps += 1
     assert steps > 5000
 
 
