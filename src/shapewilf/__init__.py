@@ -40,7 +40,6 @@ from .core import (
 from .matcher import (
     avoids_all,
     contains,
-    word_contains,
 )
 from .enumeration import (
     CONTENTS,
@@ -49,13 +48,11 @@ from .enumeration import (
     CorruptCache,
     CountRecord,
     ResultCache,
-    brute_count_fillings,
     compositions,
     count_all_fillings,
     count_fillings,
     count_positive_fillings,
     count_words,
-    count_words_direct,
     counted,
     enumerate_fillings,
     walk_shapes,

@@ -15,11 +15,13 @@ blowup (each row i becomes a band of content[i] rows, its 1's re-stacked
 monotonically) and the inverse shrink turns it into content-preserving
 bijections between fillings avoiding {231,221} and {312,212}, and between
 fillings avoiding {231,121} and {312,211}.  ``EquivalenceVariant.trace`` is
-that map's one pipeline: it checks the input, blows it up, applies alpha (or
-alpha_inverse) and shrinks, and keeps every step.  ``forward``, ``inverse``
-and the CLI's ``bijection`` command all go through it.  The bands are given
-by the content alone: ``blowup`` and ``shrink`` both take it, and band i
-covers the next content[i] rows from the bottom.
+that map's one pipeline: it blows the input up (checking its content),
+applies alpha (or alpha_inverse) and shrinks, and keeps every step.  A
+filling avoids the variant's two patterns exactly when its blowup avoids 231
+(or 312), so alpha's own test of the blowup decides the input's avoidance.
+``forward``, ``inverse`` and the CLI's ``bijection`` command all go through
+it.  The bands are given by the content alone: ``blowup`` and ``shrink``
+both take it, and band i covers the next content[i] rows from the bottom.
 
 ``reconstruct`` finds the partner from its I-sequence alone.  It searches
 column by column, on its own stack, over one prefix state (``_Prefix``)
@@ -247,15 +249,16 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
 
     The search is for a 312-avoider; for 231 it finds the transpose, with the
     sequence reversed on the conjugate board.  First each value must be an
-    integer from 0 to its region size x + y - n that rises by 0 or 1 on each
-    right step of the border and falls by 0 or 1 on each down step, rules
-    the transpose keeps.  Then it goes column by column, rows bottom-up, and
-    tries a row only if it is unused, completes no 312 (``forb[row] > h``)
-    and gives each vertex whose region the column completes its target.  A
-    pushed prefix is cut when an unused row can avoid 312 in no column left
-    to it, or when ``_fits`` fails at a vertex with y >= row.  No cut drops a
-    prefix of an avoider, and there is at most one.  Raises NoSuchPlacement,
-    naming the caller's shape and kind, if there is none.
+    integer (an int or an integral float, not a bool) from 0 to its region
+    size x + y - n that rises by 0 or 1 on each right step of the border and
+    falls by 0 or 1 on each down step, rules the transpose keeps.  Then it
+    goes column by column, rows bottom-up, and tries a row only if it is
+    unused, completes no 312 (``forb[row] > h``) and gives each vertex whose
+    region the column completes its target.  A pushed prefix is cut when an
+    unused row can avoid 312 in no column left to it, or when ``_fits`` fails
+    at a vertex with y >= row.  No cut drops a prefix of an avoider, and
+    there is at most one.  Raises NoSuchPlacement, naming the caller's shape
+    and kind, if there is none.
     """
     if kind not in ("231", "312"):
         raise ValueError(f"kind must be '231' or '312', got {kind!r}")
@@ -280,7 +283,7 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     values = zip(target, sizes)
     steps = zip(vertices, target, vertices[1:], target[1:])  # x2 - x + y2 - y is 1 or -1
     if not (
-        all(isinstance(t, (int, float)) and 0 <= t <= k and t % 1 == 0 for t, k in values)
+        all(type(t) in (int, float) and 0 <= t <= k and t % 1 == 0 for t, k in values)
         and all(0 <= (t2 - t) * (x2 - x + y2 - y) <= 1 for (x, y), t, (x2, y2), t2 in steps)
     ):
         raise unrealizable
@@ -441,11 +444,14 @@ class EquivalenceVariant(FrozenValue):
             avoids, stacking, kind = self.target, self.inverse_direction, "312"
         else:
             avoids, stacking, kind = self.source, self.forward_direction, "231"
-        for pattern in avoids:
-            if contains(filling, pattern):
-                raise NotAvoiding(f"input filling contains {format_word(pattern)}")
         placement = blowup(filling, content, stacking)
-        iseq, nseq, target = _flipped(placement, kind)
+        try:
+            iseq, nseq, target = _flipped(placement, kind)
+        except NotAvoiding:
+            # The blowup contains kind exactly when the filling contains one
+            # of ``avoids``: name the first.
+            found = next(p for p in avoids if contains(filling, p))
+            raise NotAvoiding(f"input filling contains {format_word(found)}") from None
         partner = _partner(placement, kind, iseq, nseq, target)
         return MapTrace(
             avoids, stacking, placement, iseq, nseq, target, partner, shrink(partner, content)

@@ -36,7 +36,7 @@ import json
 import os
 import sys
 from functools import partial
-from itertools import accumulate, combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations
 from operator import sub
 from typing import Iterator
 
@@ -55,7 +55,6 @@ from .core import (
     parse_composition,
     validate_pattern,
 )
-from .matcher import avoids_all
 
 UNCONSTRAINED = "unconstrained"
 POSITIVE_ROWS = "positive-rows"
@@ -392,35 +391,6 @@ def count_words(n: int, m: int, patterns) -> int:
     return count_all_fillings(word_rectangle(n, m), patterns)
 
 
-def count_words_direct(n: int, m: int, patterns) -> int:
-    """Oracle twin of count_words: iterate all m**n words and test each one."""
-    from .matcher import word_contains
-
-    patterns = canonical_patterns(patterns)
-    total = 0
-    for word in product(range(1, m + 1), repeat=n):
-        if not any(word_contains(word, x) for x in patterns):
-            total += 1
-    return total
-
-
-def brute_count_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> int:
-    """Oracle twin of the engine and ``counted``: filter the product of column choices."""
-    content = check_content(shape, content)
-    patterns = canonical_patterns(patterns)
-    total = 0
-    for cols in product(*(range(1, h + 1) for h in shape.heights)):
-        if content != UNCONSTRAINED:
-            counts = [0] * shape.n_rows
-            for row in cols:
-                counts[row - 1] += 1
-            if (0 in counts) if content == POSITIVE_ROWS else tuple(counts) != content:
-                continue
-        if avoids_all(Filling(shape, cols), patterns):
-            total += 1
-    return total
-
-
 def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> Iterator[Filling]:
     """Stream the avoiding fillings in lexicographic order of col_to_row.
 
@@ -432,18 +402,17 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
         yield Filling(shape, cols)
 
 
-def compositions(total: int, parts: int, positive: bool = True) -> Iterator[Composition]:
-    """All compositions of ``total`` into ``parts`` parts, lexicographically.
+def compositions(total: int, parts: int) -> Iterator[Composition]:
+    """All compositions of ``total`` into ``parts`` positive parts, lexicographically.
 
-    Stars and bars: the ``parts - 1`` cuts are points of 1..total-1 (positive
-    parts) or of 0..total with repeats, listed in lexicographic order.
+    Stars and bars: the ``parts - 1`` cuts are points of 1..total-1, listed in
+    lexicographic order.
     """
     if parts < 1:
         raise BadComposition(f"need at least one part, got {parts}")
-    if total < (parts if positive else 0):
+    if total < parts:
         return
-    choose = combinations if positive else combinations_with_replacement
-    for cuts in choose(range(1, total) if positive else range(total + 1), parts - 1):
+    for cuts in combinations(range(1, total), parts - 1):
         yield tuple(map(sub, (*cuts, total), (0, *cuts)))
 
 
@@ -523,6 +492,8 @@ def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], int]:
     count = row["count"]
     if not all(isinstance(part, str) for part in key) or type(count) is not int:
         raise TypeError("shape, content and patterns must be strings and count an integer")
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
     return key, count
 
 

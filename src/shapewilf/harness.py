@@ -50,6 +50,7 @@ from .enumeration import (
     counted,
     parse_content,
     walk_shapes,
+    word_rectangle,
 )
 
 VERDICT_EQUAL = "equal"
@@ -143,7 +144,7 @@ class ScanReport(Value):
 
 
 def _load_table(table_id: int) -> dict:
-    if table_id not in (1, 2, 3, 4):
+    if type(table_id) is not int or table_id not in (1, 2, 3, 4):
         raise ValueError(f"table id must be 1..4, got {table_id}")
     path = os.path.join(os.path.dirname(__file__), "fixtures", f"table{table_id}.json")
     with open(path, encoding="utf-8") as handle:
@@ -296,7 +297,7 @@ def scan_conjecture2(
     def count(pattern, n: int, m: int) -> int:
         columns = passes.get((pattern, m))
         if columns is None:
-            rectangle = make_shape((max_length,) * m)
+            rectangle = word_rectangle(max_length, m)
             columns = passes[pattern, m] = enumerate(column_states(rectangle, (pattern,)), start=1)
         for length, states in columns:  # lengths come in order; cached ones are stepped over
             if length == n:
@@ -304,7 +305,7 @@ def scan_conjecture2(
 
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
-            rectangle = make_shape((n,) * m)
+            rectangle = word_rectangle(n, m)
             rec_a, rec_b = (
                 cached_record(rectangle, UNCONSTRAINED, (p,), cache, lambda: count(p, n, m))
                 for p in (x, y)

@@ -1,4 +1,4 @@
-"""Pattern containment and avoidance tests for fillings and words.
+"""Pattern containment and avoidance tests for fillings.
 
 A filling contains a pattern x (with k = max(x) letters and r positions) if
 there are rows rho_1 < ... < rho_k and columns c_1 < ... < c_r such that
@@ -103,35 +103,3 @@ class LastColumnChecker:
                 return True
         return False
 
-
-def word_contains(word: Word, pattern: Word) -> bool:
-    """Subsequence with the same relative order, equal letters matching equal letters.
-
-    This follows the order-theoretic definition directly (pairwise comparisons
-    along a backtracking scan) and is used as an independent cross-check of
-    the matrix-based ``contains``.
-    """
-    pattern = validate_pattern(pattern)
-    r = len(pattern)
-    n = len(word)
-    if r > n:
-        return False
-    chosen: list[int] = []
-
-    def extend(t: int, start: int) -> bool:
-        if t == r:
-            return True
-        for i in range(start, n - (r - t) + 1):
-            wi = word[i]
-            if all(
-                (pattern[s] < pattern[t]) == (word[chosen[s]] < wi)
-                and (pattern[s] == pattern[t]) == (word[chosen[s]] == wi)
-                for s in range(t)
-            ):
-                chosen.append(i)
-                if extend(t + 1, i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, 0)

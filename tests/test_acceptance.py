@@ -33,9 +33,9 @@ from shapewilf import (
     parse_shape,
     parse_word,
     reproduce_table,
-    word_contains,
 )
 from shapewilf.bijection import Direction, P121, P211, P212, P221, P231, P312
+from oracles import word_contains
 from worked_example import CHAIN_SEQ, CONTENT, FILLING, FLIPPED_SEQ, IMAGE_FILLING, SHAPE
 
 

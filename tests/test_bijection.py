@@ -15,10 +15,12 @@ from shapewilf import (
     alpha_inverse,
     avoids_all,
     blowup,
+    contains,
     border_path,
     count_fillings,
     enumerate_fillings,
     filling_content,
+    format_word,
     i_sequence,
     iter_shapes,
     make_shape,
@@ -27,7 +29,7 @@ from shapewilf import (
     shrink,
     VARIANTS,
 )
-from shapewilf.bijection import P121, P211, P212, P221, P231, P312
+from shapewilf.bijection import P121, P211, P212, P221, P231, P312, _chains
 from worked_example import (
     BLOWN_PLACEMENT,
     BLOWN_SHAPE,
@@ -219,9 +221,12 @@ def test_equivalence_maps_on_worked_example():
 def test_equivalence_maps_validate_their_inputs():
     contains_221 = Filling(make_shape((3, 3)), (2, 2, 1))
     with pytest.raises(NotAvoiding):
-        THEOREM_11.forward(contains_221, (2, 1))
+        THEOREM_11.forward(contains_221, (1, 2))
     with pytest.raises(NotAvoiding):
-        THEOREM_11.inverse(Filling(make_shape((3, 3)), (2, 1, 2)), (2, 1))
+        THEOREM_11.inverse(Filling(make_shape((3, 3)), (2, 1, 2)), (1, 2))
+    # the content is checked first, as in every engine entry
+    with pytest.raises(ContentMismatch):
+        THEOREM_11.forward(contains_221, (2, 1))
 
 
 def test_equivalence_maps_reduce_to_alpha_on_full_placements():
@@ -302,10 +307,38 @@ def test_blowup_transfers_avoidance_both_ways():
                 assert avoids_all(filling, [P312, P211]) == avoids_all(inc.filling, [P312])
 
 
+def test_alphas_pass_over_the_blowup_decides_the_input_avoidance_up_to_5x4():
+    # trace tests no pattern on its input: _chains on the blowup must reject
+    # exactly the fillings that contain a pattern of the variant, and trace
+    # then names the first of them.
+    cases = 0
+    for shape in iter_shapes(5, 4):
+        for content in compositions_of(shape):
+            for filling in enumerate_fillings(shape, [], content=content):
+                for variant in VARIANTS.values():
+                    for inverse, avoids, stacking, kind in (
+                        (False, variant.source, variant.forward_direction, "231"),
+                        (True, variant.target, variant.inverse_direction, "312"),
+                    ):
+                        found = [p for p in avoids if contains(filling, p)]
+                        try:
+                            _chains(blowup(filling, content, stacking), kind)
+                        except NotAvoiding:
+                            assert found, (filling, content, avoids)
+                            with pytest.raises(NotAvoiding) as exc:
+                                variant.trace(filling, content, inverse)
+                            named = format_word(found[0])
+                            assert str(exc.value) == f"input filling contains {named}"
+                        else:
+                            assert not found, (filling, content, avoids)
+                        cases += 1
+    assert cases == 8296
+
+
 def compositions_of(shape):
     from shapewilf import compositions
 
-    return compositions(shape.width, shape.n_rows, positive=True)
+    return compositions(shape.width, shape.n_rows)
 
 
 def test_internal_failure_is_not_a_caller_error():

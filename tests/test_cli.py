@@ -311,6 +311,17 @@ def test_damaged_cache_has_its_own_exit_status(tmp_path, capsys):
     assert "line 1 is not a count record" in err
 
 
+def test_a_negative_cached_count_is_a_damaged_cache(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(
+        '{"shape": "3,3", "content": "unconstrained", "patterns": "231", "count": -5}\n'
+    )
+    status, out, err = run(capsys, "count", "--shape", "3,3", "--patterns", "231",
+                           "--cache", str(cache))
+    assert (status, out) == (3, "")
+    assert "line 1 is not a count record (count -5 is negative)" in err
+
+
 def test_internal_errors_have_their_own_exit_status(tmp_path, capsys, monkeypatch):
     def broken_count(*args, **kwargs):
         raise RuntimeError("planted")

@@ -18,13 +18,11 @@ from shapewilf import (
     POSITIVE_ROWS,
     ResultCache,
     UNCONSTRAINED,
-    brute_count_fillings,
     compositions,
     count_all_fillings,
     count_fillings,
     count_positive_fillings,
     count_words,
-    count_words_direct,
     counted,
     enumerate_fillings,
     filling_content,
@@ -36,6 +34,7 @@ from shapewilf import (
 from shapewilf import enumeration
 from shapewilf.enumeration import _Trackers, column_states, step, word_rectangle
 from shapewilf.matcher import avoids_all
+from oracles import brute_count_fillings, count_words_direct
 
 P231 = (2, 3, 1)
 P312 = (3, 1, 2)
@@ -213,29 +212,16 @@ def test_positive_row_counts():
 @settings(deadline=None)
 def test_counts_add_up_across_contents(shape, patterns):
     per_content = [
-        count_fillings(shape, a, patterns)
-        for a in compositions(shape.width, shape.n_rows, positive=True)
+        count_fillings(shape, a, patterns) for a in compositions(shape.width, shape.n_rows)
     ]
     assert sum(per_content) == count_positive_fillings(shape, patterns)
-    # unconstrained = sum over all content vectors, including those with 0's
+    # unconstrained = sum over all content vectors, including those with 0's:
+    # one less in every part of a positive composition of width + rows
     by_vector = sum(
-        brute_count_fillings_for_vector(shape, vector, patterns)
-        for vector in compositions(shape.width, shape.n_rows, positive=False)
+        brute_count_fillings(shape, patterns, tuple(part - 1 for part in c))
+        for c in compositions(shape.width + shape.n_rows, shape.n_rows)
     )
     assert by_vector == count_all_fillings(shape, patterns)
-
-
-def brute_count_fillings_for_vector(shape, vector, patterns):
-    from shapewilf import Filling, avoids_all
-
-    n = 0
-    for cols in product(*(range(1, h + 1) for h in shape.heights)):
-        counts = [0] * shape.n_rows
-        for row in cols:
-            counts[row - 1] += 1
-        if tuple(counts) == tuple(vector) and avoids_all(Filling(shape, cols), patterns):
-            n += 1
-    return n
 
 
 def test_word_counts():
@@ -343,11 +329,8 @@ def test_column_states_checks_its_input():
         lambda shape, content, patterns: list(column_states(shape, patterns, content)),
         lambda shape, content, patterns: counted(shape, content, patterns),
         lambda shape, content, patterns: list(enumerate_fillings(shape, patterns, content)),
-        lambda shape, content, patterns: brute_count_fillings(shape, patterns, content),
     ],
-    ids=[
-        "count_fillings", "column_states", "counted", "enumerate_fillings", "brute_count_fillings"
-    ],
+    ids=["count_fillings", "column_states", "counted", "enumerate_fillings"],
 )
 def test_every_engine_entry_checks_the_content_before_the_patterns(entry):
     # (1, 1) sums to 2 on a shape of 3 columns, and (1, 3) is no pattern
@@ -403,38 +386,34 @@ def test_compositions():
     assert len(list(compositions(6, 4))) == 10
     assert list(compositions(3, 1)) == [(3,)]
     assert list(compositions(2, 3)) == []  # too many positive parts
-    assert len(list(compositions(3, 2, positive=False))) == 4
     with pytest.raises(BadComposition):
         list(compositions(3, 0))
 
 
-def recursive_compositions(total, parts, positive=True):
+def recursive_compositions(total, parts):
     """The recursive generator ``compositions`` replaced, kept as its oracle."""
-    lo = 1 if positive else 0
 
     def rec(prefix, left, k):
         if k == 1:
-            if left >= lo:
+            if left >= 1:
                 yield prefix + (left,)
             return
-        for v in range(lo, left - lo * (k - 1) + 1):
+        for v in range(1, left - k + 2):
             yield from rec(prefix + (v,), left - v, k - 1)
 
     yield from rec((), total, parts)
 
 
-@pytest.mark.parametrize("positive", [True, False])
-def test_compositions_match_the_recursive_generator(positive):
+def test_compositions_match_the_recursive_generator():
     for total in range(-1, 10):
         for parts in range(1, 7):
-            assert list(compositions(total, parts, positive)) == list(
-                recursive_compositions(total, parts, positive)
+            assert list(compositions(total, parts)) == list(
+                recursive_compositions(total, parts)
             ), (total, parts)
 
 
 def test_compositions_with_many_parts_do_not_recurse():
     assert next(compositions(1500, 1500)) == (1,) * 1500
-    assert next(compositions(0, 1500, positive=False)) == (0,) * 1500
 
 
 @pytest.mark.parametrize(

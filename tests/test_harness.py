@@ -57,6 +57,13 @@ def test_reproduce_table_2_and_3_match_the_published_values():
         assert not report.mismatches
 
 
+@pytest.mark.parametrize("table_id", [0, 5, 2.0, True, "2"])
+def test_a_table_id_that_is_not_an_int_from_1_to_4_is_rejected(table_id):
+    # 2.0 == 2 and True == 1, but neither names a fixture file
+    with pytest.raises(ValueError, match="table id must be 1..4"):
+        reproduce_table(table_id)
+
+
 def test_published_table_1_has_one_anomalous_cell():
     # The published table prints 26 for (5,5,5,4) with content (1,2,1,1)
     # avoiding 231; the engine gives 25, and acceptance criterion 1 confirms

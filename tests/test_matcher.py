@@ -10,10 +10,10 @@ from shapewilf import (
     contains,
     make_shape,
     parse_word,
-    word_contains,
     word_to_filling,
 )
 from shapewilf.matcher import LastColumnChecker
+from oracles import word_contains
 from worked_example import FILLING, SECOND_FILLING, SHAPE
 
 

@@ -21,6 +21,7 @@ from shapewilf import (
     FullRookPlacement,
     NoSuchPlacement,
     NotAvoiding,
+    VARIANTS,
     alpha,
     alpha_inverse,
     border_path,
@@ -65,7 +66,7 @@ def backtracking_reconstruct(shape, sequence, kind):
     by_x = defaultdict(list)
     for idx, (x, _) in enumerate(vertices):
         by_x[x].append(idx)
-    if any(target[idx] != 0 for idx in by_x[0]):
+    if any(target[idx] != 0 for idx in by_x[0]) or any(type(t) is bool for t in target):
         return None
     checker = LastColumnChecker(KINDS[kind])
     heights = shape.heights
@@ -121,13 +122,14 @@ def full_placements(shape):
 def breaks_a_border_rule(shape, sequence):
     """Does ``sequence`` break a rule that every I-sequence on ``shape`` keeps?
 
-    Each value is an integer from 0 to its region's size, and it rises by 0
-    or 1 on a right step of the border and falls by 0 or 1 on a down step.
+    Each value is an integer (an int or an integral float, not a bool) from 0
+    to its region's size, and it rises by 0 or 1 on a right step of the
+    border and falls by 0 or 1 on a down step.
     """
     vertices = border_path(shape)
     n = shape.n_rows
     for (x, y), t in zip(vertices, sequence):
-        if not isinstance(t, (int, float)) or t != int(t) or not 0 <= t <= x + y - n:
+        if type(t) not in (int, float) or t != int(t) or not 0 <= t <= x + y - n:
             return True
     for (x, _), t, (x2, _), t2 in zip(vertices, sequence, vertices[1:], sequence[1:]):
         if t2 - t not in ((0, 1) if x2 > x else (0, -1)):
@@ -190,6 +192,15 @@ def test_alpha_round_trips_without_the_general_matcher(monkeypatch):
     monkeypatch.setattr("shapewilf.bijection.contains", no_scan)
     for rook in (square, staircase):
         assert alpha_inverse(alpha(rook)) == rook
+    # Nor does trace scan an avoiding input, in either variant or direction.
+    shape, content = make_shape((7, 7, 6, 4, 4)), (2, 2, 1, 1, 1)
+    for variant in VARIANTS.values():
+        for inverse, avoids in ((False, variant.source), (True, variant.target)):
+            fillings = list(enumerate_fillings(shape, avoids, content))
+            assert len(fillings) > 20
+            for filling in fillings:
+                image = variant.trace(filling, content, inverse).image
+                assert variant.trace(image, content, not inverse).image == filling
 
 
 def test_reconstruct_agrees_with_the_backtracking_oracle_on_small_boards():
@@ -287,6 +298,7 @@ def test_reconstruct_rejects_sequences_that_break_a_border_rule_before_any_push(
         (square, (0, 1, 2, 3, 3, 2, 1)),  # 1 above the empty region at (3, 0)
         (square, (0, 0.5, 1.5, 2.5, 1.5, 0.5, 0)),  # not integers
         (square, (0, 1, 2, "3", 2, 1, 0)),  # not a number
+        (square, (0, True, 2, 3, 2, 1, 0)),  # a bool, though True == 1
         (square, (0, 0, 2, 2, 2, 1, 0)),  # rises by 2 on a right step
         (square, (0, 1, 2, 2, 2, 0, 0)),  # falls by 2 on a down step
         (square, (0, 1, 0, 1, 1, 1, 0)),  # falls on a right step
