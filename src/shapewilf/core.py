@@ -117,13 +117,19 @@ class FerrersShape(FrozenValue):
                     f"row lengths must not grow upwards: row {i + 1} is {length}, "
                     f"row {i} is {rows[i - 1]}"
                 )
-        heights = []
-        covering = len(rows)  # rows reaching the column; lengths weakly decrease
-        for j in range(1, rows[0] + 1):
-            while rows[covering - 1] < j:
-                covering -= 1
-            heights.append(covering)
-        self._assign(rows, tuple(heights))
+        self._assign(rows, _heights(rows))
+
+    @classmethod
+    def _generated(cls, rows: tuple[int, ...]) -> "FerrersShape":
+        """The shape of ``rows`` without the per-row checks, for rows generated valid.
+
+        ``rows`` must be a non-empty tuple of weakly decreasing positive ints,
+        as ``harness.iter_shapes`` builds them; outside input goes through
+        ``__init__``.
+        """
+        shape = object.__new__(cls)
+        shape._assign(rows, _heights(rows))
+        return shape
 
     @property
     def n_rows(self) -> int:
@@ -136,6 +142,16 @@ class FerrersShape(FrozenValue):
     @property
     def n_cells(self) -> int:
         return sum(self.rows)
+
+
+def _heights(rows: tuple[int, ...]) -> tuple[int, ...]:
+    heights = []
+    covering = len(rows)  # rows reaching the column; lengths weakly decrease
+    for j in range(1, rows[0] + 1):
+        while rows[covering - 1] < j:
+            covering -= 1
+        heights.append(covering)
+    return tuple(heights)
 
 
 class Filling(FrozenValue):

@@ -567,17 +567,37 @@ class ResultCache:
         self.close()
 
 
-def cached_record(shape, content, patterns, cache, count) -> CountRecord:
-    """The record of a cell: its count in ``cache`` if any, else ``count()``, then cached."""
+def shape_records(shape, contents, pattern_sets, cache, histogram) -> list[CountRecord]:
+    """The records of one shape: for each content in turn, one per pattern set.
+
+    ``histogram(shape, side)`` maps each content to its number of avoiders of
+    ``pattern_sets[side]``; a content it leaves out counts 0.  Without a
+    cache, every count is read from the histograms and no cache key is
+    built.  With one, a cached count wins, ``histogram`` is called at most
+    once per pattern set, at that set's first miss (so a warm cache never
+    counts), and each miss reaches the cache as its record is built, in
+    report order.
+    """
     if cache is None:
-        return CountRecord(shape, content, patterns, count())
-    key = _record_key(shape, content, patterns)
-    hit = cache.get(key)
-    if hit is not None:
-        return CountRecord(shape, content, patterns, hit)
-    record = CountRecord(shape, content, patterns, count())
-    cache.add(key, record.count)
-    return record
+        sides = [(patterns, histogram(shape, side)) for side, patterns in enumerate(pattern_sets)]
+        return [
+            CountRecord(shape, content, patterns, found.get(content, 0))
+            for content in contents
+            for patterns, found in sides
+        ]
+    counts = [None] * len(pattern_sets)
+    records = []
+    for content in contents:
+        for side, patterns in enumerate(pattern_sets):
+            key = _record_key(shape, content, patterns)
+            count = cache.get(key)
+            if count is None:
+                if counts[side] is None:
+                    counts[side] = histogram(shape, side)
+                count = counts[side].get(content, 0)
+                cache.add(key, count)
+            records.append(CountRecord(shape, content, patterns, count))
+    return records
 
 
 def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
@@ -590,7 +610,10 @@ def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
         count = partial(count_positive_fillings, shape, patterns)
     else:
         count = partial(count_fillings, shape, content, patterns)
-    return cached_record(shape, content, patterns, cache, count)
+    (record,) = shape_records(
+        shape, (content,), (patterns,), cache, lambda shape, side: {content: count()}
+    )
+    return record
 
 
 def __getattr__(name):

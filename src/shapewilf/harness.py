@@ -10,11 +10,13 @@ positive contents, comparing the avoider counts of two pattern sets.
 ``walk_shapes`` per pattern set, which pays one column step per shape rather
 than one transfer-matrix count per (shape, content) cell; bounds such as
 7 columns x 5 rows (7,125 cells) or 9 x 5 (2,001 shapes) take well under a
-second.  Their records still come in shape order, then content order, and a
-``--cache`` hit wins over the walk, which runs only when some record is not
-cached.  ``scan_conjecture2``, which stops at its first witness, advances one
-column pass per (alphabet, pattern) by a column per length, and table
-reproduction counts cell by cell.  Every count runs in-process.
+second.  ``enumeration.shape_records`` builds each shape's records in one
+pass, content by content, then pattern set by pattern set; a ``--cache`` hit
+wins over the walk, which runs only when some record is not cached.
+``scan_conjecture2``, which stops at its first witness, advances one column
+pass per (alphabet, pattern) by a column per length, and table reproduction
+counts cell by cell.  Every record comes from ``shape_records``, and every
+count runs in-process.
 """
 
 import csv
@@ -23,13 +25,13 @@ import json
 import os
 
 from .core import (
+    FerrersShape,
     FrozenValue,
     InvalidPattern,
     Value,
     direct_sum,
     format_patterns,
     format_shape,
-    make_shape,
     make_word,
     parse_shape,
     parse_word,
@@ -41,7 +43,6 @@ from .enumeration import (
     POSITIVE_ROWS,
     UNCONSTRAINED,
     CountRecord,
-    cached_record,
     canonical_patterns,
     check_bounds,
     column_states,
@@ -49,6 +50,7 @@ from .enumeration import (
     content_text,
     counted,
     parse_content,
+    shape_records,
     walk_shapes,
     word_rectangle,
 )
@@ -178,7 +180,10 @@ def reproduce_table(table_id: int, cache=None) -> ScanReport:
 
 
 def iter_shapes(max_cols: int, max_rows: int):
-    """All shapes within the bounds, by total cell count, then lexicographically."""
+    """All shapes within the bounds, by total cell count, then lexicographically.
+
+    The rows are generated valid, so the shapes skip the per-row checks.
+    """
     found: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -190,25 +195,26 @@ def iter_shapes(max_cols: int, max_rows: int):
             stack.extend(prefix + (length,) for length in range(1, cap + 1))
     found.sort(key=lambda rows: (sum(rows), rows))
     for rows in found:
-        yield make_shape(rows)
+        yield FerrersShape._generated(rows)
 
 
 def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
-    """Yield (shape, content, records of each pattern set) for every cell in the bounds.
+    """Yield (shape, records) for every shape in the bounds.
 
-    Cells come in shape order, then content order, and the contents of each
-    (width, rows) size are listed once.  Every record comes from
-    ``cached_record``, with or without a cache, so a cached count wins.  Each
-    pattern set is counted by one ``walk_shapes`` over the bounds, run at its
-    first count the cache lacks, and its new records reach the cache in report
-    order; a warm cache does no counting.
+    Shapes come in ``iter_shapes`` order, and each shape's records come from
+    one ``shape_records`` call: for each content in turn, one record per
+    pattern set.  The contents of each (width, rows) size are listed once.
+    Each pattern set is counted by one ``walk_shapes`` over the bounds, run at
+    the first count the cache lacks, so a cached count wins, new records
+    reach the cache in report order and a warm cache does no counting.
     """
     walks = [None] * len(pattern_sets)  # per pattern set: its histograms by column heights
 
-    def walked(side: int, shape) -> dict:
-        if walks[side] is None:
-            walks[side] = dict(walk_shapes(pattern_sets[side], max_cols, max_rows, regime))
-        return walks[side][shape.heights]
+    def histogram(shape, side: int) -> dict:
+        walk = walks[side]
+        if walk is None:
+            walk = walks[side] = dict(walk_shapes(pattern_sets[side], max_cols, max_rows, regime))
+        return walk[shape.heights]
 
     sizes: dict = {}
     for shape in iter_shapes(max_cols, max_rows):
@@ -218,11 +224,7 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
             contents = sizes[size] = (
                 list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
             )
-        for content in contents:
-            yield shape, content, [
-                cached_record(shape, content, p, cache, lambda: walked(side, shape).get(content, 0))
-                for side, p in enumerate(pattern_sets)
-            ]
+        yield shape, shape_records(shape, contents, pattern_sets, cache, histogram)
 
 
 def check_equivalence(
@@ -236,13 +238,16 @@ def check_equivalence(
         scope=f"equivalence {format_patterns(omega)} vs {format_patterns(sigma)} "
         f"cols<={max_cols} rows<={max_rows}"
     )
-    scanned = _scan((omega, sigma), CONTENTS, max_cols, max_rows, cache)
-    for shape, content, (rec_a, rec_b) in scanned:
-        report.records += [rec_a, rec_b]
-        if rec_a.count != rec_b.count:
-            report.mismatches.append(
-                Mismatch(format_shape(shape), content_text(content), rec_a.count, rec_b.count)
-            )
+    for shape, records in _scan((omega, sigma), CONTENTS, max_cols, max_rows, cache):
+        report.records += records
+        pairs = iter(records)
+        for rec_a, rec_b in zip(pairs, pairs):
+            if rec_a.count != rec_b.count:
+                report.mismatches.append(
+                    Mismatch(
+                        format_shape(shape), content_text(rec_a.content), rec_a.count, rec_b.count
+                    )
+                )
     report.verdict = VERDICT_EQUAL if not report.mismatches else VERDICT_UNEQUAL
     return report
 
@@ -259,8 +264,9 @@ def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
     check_bounds(max_cols=max_cols, max_rows=max_rows)
     report = ScanReport(scope=f"conjecture1 cols<={max_cols} rows<={max_rows}")
     scanned = _scan(((P231,), (P312,)), POSITIVE_ROWS, max_cols, max_rows, cache)
-    for shape, _, (rec_a, rec_b) in scanned:
-        report.records += [rec_a, rec_b]
+    for shape, records in scanned:
+        report.records += records
+        rec_a, rec_b = records  # one content: POSITIVE_ROWS
         if rec_a.count > rec_b.count:
             report.mismatches.append(
                 Mismatch(format_shape(shape), POSITIVE_ROWS, rec_a.count, rec_b.count)
@@ -292,24 +298,24 @@ def scan_conjecture2(
         scope=f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
         f"n<={max_length} m<={max_alphabet}"
     )
-    passes: dict = {}  # (pattern, m) -> (length, column states) of the max_length x m rectangle
+    pattern_sets = ((x,), (y,))
+    passes: dict = {}  # (side, m) -> (length, column states) of the max_length x m rectangle
 
-    def count(pattern, n: int, m: int) -> int:
-        columns = passes.get((pattern, m))
+    def histogram(rectangle, side: int) -> dict:
+        n, m = rectangle.width, rectangle.n_rows
+        columns = passes.get((side, m))
         if columns is None:
-            rectangle = word_rectangle(max_length, m)
-            columns = passes[pattern, m] = enumerate(column_states(rectangle, (pattern,)), start=1)
+            columns = passes[side, m] = enumerate(
+                column_states(word_rectangle(max_length, m), pattern_sets[side]), start=1
+            )
         for length, states in columns:  # lengths come in order; cached ones are stepped over
             if length == n:
-                return sum(states.values())
+                return {UNCONSTRAINED: sum(states.values())}
 
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
             rectangle = word_rectangle(n, m)
-            rec_a, rec_b = (
-                cached_record(rectangle, UNCONSTRAINED, (p,), cache, lambda: count(p, n, m))
-                for p in (x, y)
-            )
+            rec_a, rec_b = shape_records(rectangle, (UNCONSTRAINED,), pattern_sets, cache, histogram)
             report.records += [rec_a, rec_b]
             if rec_a.count != rec_b.count:
                 report.mismatches.append(

@@ -1,13 +1,23 @@
-"""Naive counters and a naive word matcher, kept as oracles for the test suite.
+"""Naive counters, a naive word matcher and a peeling ``reconstruct``, kept as oracles.
 
-Each one does its job the slow, obvious way, so that the engine and the
-matrix-based ``contains`` can be checked against it.  The package itself
-calls none of them.
+Each one does its job a slow or obvious way of its own, so that the engine,
+the matrix-based ``contains`` and the bijection's search can be checked
+against it.  The package itself calls none of them.
 """
 
+from bisect import bisect_left
 from itertools import product
 
-from shapewilf import POSITIVE_ROWS, UNCONSTRAINED, Filling, avoids_all, validate_pattern
+from shapewilf import (
+    POSITIVE_ROWS,
+    UNCONSTRAINED,
+    Filling,
+    avoids_all,
+    border_path,
+    contains,
+    make_shape,
+    validate_pattern,
+)
 
 
 def brute_count_fillings(shape, patterns, content=UNCONSTRAINED) -> int:
@@ -68,3 +78,73 @@ def word_contains(word, pattern) -> bool:
         return False
 
     return extend(0, 0)
+
+
+def region_chain(col_to_row, x: int, y: int) -> int:
+    """Longest row-and-column increasing chain among 1's with col <= x, row <= y."""
+    tails: list[int] = []
+    for c in range(x):
+        row = col_to_row[c]
+        if row <= y:
+            i = bisect_left(tails, row)
+            if i == len(tails):
+                tails.append(row)
+            else:
+                tails[i] = row
+    return len(tails)
+
+
+def peel_reconstruct(shape, sequence, kind):
+    """The ``kind``-avoiding full placement with I-sequence ``sequence``, or None.
+
+    For 312 it peels the board's top row off, one row at a time.  The top
+    row's 1 is in the last column a <= w (w the row's length) where the
+    sequence rises along the top of the border, since the columns a+1..w of
+    a 312-avoider must fall below it.  Deleting that row and column leaves
+    the border reading I(0..a-1), then I at (w, top - 1) up to the new
+    column w - 1, then the old border after (w, top - 1).  231 goes through
+    the inverse permutation on the conjugate board, with the sequence
+    reversed.  A candidate is returned only if its recounted I-sequence
+    (``region_chain``) is ``sequence`` and ``contains`` finds no ``kind`` in it.
+    """
+    target = tuple(sequence)
+    vertices = border_path(shape)
+    if len(target) != len(vertices) or any(type(t) not in (int, float) for t in target):
+        return None
+    if kind == "231":
+        conjugate = make_shape(shape.heights)
+        mirror = _peel_312(conjugate, target[::-1])
+        cols = None if mirror is None else _inverse(mirror)
+    else:
+        cols = _peel_312(shape, target)
+    if cols is None:
+        return None
+    if tuple(region_chain(cols, x, y) for x, y in vertices) != target:
+        return None
+    if contains(Filling(shape, cols), (2, 3, 1) if kind == "231" else (3, 1, 2)):
+        return None
+    return cols
+
+
+def _peel_312(shape, sequence):
+    # The candidate's rows by column, or None when some top row has no rise.
+    seq = list(sequence)
+    columns = list(range(shape.width))  # the board's columns still left, by index
+    cols = [0] * shape.width
+    for top in range(shape.n_rows, 0, -1):
+        w = shape.rows[top - 1] - (shape.width - len(columns))  # every deleted column was in it
+        rises = [x for x in range(1, w + 1) if seq[x] > seq[x - 1]]
+        if not rises:
+            return None
+        a = rises[-1]
+        cols[columns.pop(a - 1)] = top
+        seq = seq[:a] + [seq[w + 1]] * (w - a) + seq[w + 2 :]
+    return tuple(cols)
+
+
+def _inverse(cols):
+    # The inverse permutation: the 1 in column c, row r goes to column r, row c.
+    inverse = [0] * len(cols)
+    for c, r in enumerate(cols, 1):
+        inverse[r - 1] = c
+    return tuple(inverse)

@@ -50,6 +50,18 @@ def test_iter_shapes_order_and_bounds():
     assert all(s.width <= 3 and s.n_rows <= 3 for s in shapes)
 
 
+def test_generated_shapes_equal_checked_ones():
+    # iter_shapes builds its shapes without FerrersShape's per-row checks
+    shapes = list(iter_shapes(8, 6))
+    assert len(shapes) == 3002
+    for shape in shapes:
+        checked = make_shape(shape.rows)
+        assert type(shape.rows) is tuple and shape.rows == checked.rows
+        assert type(shape.heights) is tuple and shape.heights == checked.heights
+        assert shape == checked and hash(shape) == hash(checked)
+        assert repr(shape) == repr(checked)
+
+
 def test_reproduce_table_2_and_3_match_the_published_values():
     for table_id in (2, 3):
         report = reproduce_table(table_id)
@@ -407,6 +419,17 @@ def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
     assert (tmp_path / "cache.jsonl").stat().st_size == size
     with pytest.raises(AssertionError):
         check_equivalence(omega, sigma, 5, 4)  # without the cache it must walk
+
+
+def test_scans_without_a_cache_build_no_cache_key(monkeypatch):
+    def no_key(*cell):
+        raise AssertionError("built a cache key without a cache")
+
+    monkeypatch.setattr(enumeration, "_record_key", no_key)
+    assert check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 4, 3).verdict == "equal"
+    assert scan_conjecture1(4, 3).verdict == "conjecture-consistent"
+    assert scan_conjecture2((1,), 4, 3).verdict == "equal"
+    assert counted(make_shape((3, 2)), (2, 1), [P231]).count == 2
 
 
 def test_a_walk_builds_its_trackers_once(monkeypatch):

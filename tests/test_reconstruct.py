@@ -5,12 +5,14 @@ definitions too: the package reads I and the test from one ``_Prefix`` pass,
 and N as x + y - n.  So are the ``_Prefix`` state itself (its one 312 rule)
 and ``_transpose``, through which the package reads and searches 231, and
 the number of pushes the search makes on seeded sequences is pinned.  The
-oracle searches 231 directly, so it checks the mirror too.
+oracle searches 231 directly, so it checks the mirror too.  A second oracle,
+``peel_reconstruct``, builds the placement by peeling its top row off with
+no search; it is checked against ``reconstruct`` on every sequence that
+keeps the border rules of the small boards.
 """
 
 import random
 import sys
-from bisect import bisect_left
 from collections import defaultdict
 from itertools import combinations
 
@@ -36,21 +38,9 @@ from shapewilf import (
 from shapewilf.bijection import P231, P312, _Prefix, _transpose
 from shapewilf.matcher import LastColumnChecker
 
+from oracles import peel_reconstruct, region_chain
+
 KINDS = {"231": P231, "312": P312}
-
-
-def _region_chain(col_to_row, x: int, y: int) -> int:
-    """Longest row-and-column increasing chain among 1's with col <= x, row <= y."""
-    tails: list[int] = []
-    for c in range(x):
-        row = col_to_row[c]
-        if row <= y:
-            i = bisect_left(tails, row)
-            if i == len(tails):
-                tails.append(row)
-            else:
-                tails[i] = row
-    return len(tails)
 
 
 def backtracking_reconstruct(shape, sequence, kind):
@@ -86,7 +76,7 @@ def backtracking_reconstruct(shape, sequence, kind):
             if ok:
                 for idx in by_x[j + 1]:
                     x, y = vertices[idx]
-                    if _region_chain(placed, x, y) != target[idx]:
+                    if region_chain(placed, x, y) != target[idx]:
                         ok = False
                         break
             if ok and rec(j + 1):
@@ -137,6 +127,39 @@ def breaks_a_border_rule(shape, sequence):
     return False
 
 
+def border_rule_sequences(shape):
+    """Every integer sequence on ``shape``'s border that breaks no border rule."""
+    vertices = border_path(shape)
+    n = shape.n_rows
+    stack = [(0,)]  # the region of the first vertex, (0, n), is empty
+    while stack:
+        sequence = stack.pop()
+        if len(sequence) == len(vertices):
+            yield sequence
+            continue
+        (x, _), (x2, y2) = vertices[len(sequence) - 1 : len(sequence) + 1]
+        for t in (sequence[-1], sequence[-1] + (1 if x2 > x else -1)):
+            if 0 <= t <= x2 + y2 - n:
+                stack.append(sequence + (t,))
+
+
+def peel_agreement(max_n):
+    """Check the peel against ``reconstruct`` on every border-rule sequence, both kinds.
+
+    The boards are every n-row, width-n board with n <= max_n.  Returns the
+    number of sequences and of realizable (sequence, kind) pairs.
+    """
+    sequences = realizable = 0
+    for shape in square_boards(max_n):
+        for sequence in border_rule_sequences(shape):
+            sequences += 1
+            for kind in KINDS:
+                expected = reconstructed(shape, sequence, kind)
+                assert peel_reconstruct(shape, sequence, kind) == expected, (shape, sequence, kind)
+                realizable += expected is not None
+    return sequences, realizable
+
+
 def raises_not_avoiding(alpha_map, rook):
     try:
         alpha_map(rook)
@@ -151,7 +174,7 @@ def test_border_statistics_and_avoidance_match_their_definitions():
         vertices = border_path(shape)
         for rook in full_placements(shape):
             cols = rook.col_to_row
-            assert i_sequence(rook) == tuple(_region_chain(cols, x, y) for x, y in vertices)
+            assert i_sequence(rook) == tuple(region_chain(cols, x, y) for x, y in vertices)
             assert not breaks_a_border_rule(shape, i_sequence(rook))
             assert n_sequence(rook) == tuple(
                 sum(1 for c in range(x) if cols[c] <= y) for x, y in vertices
@@ -272,6 +295,21 @@ def test_reconstruct_agrees_with_the_oracle_on_sampled_avoiders(n):
     assert unrealizable > 0
 
 
+def test_the_top_row_peel_agrees_with_reconstruct_on_every_border_rule_sequence():
+    assert peel_agreement(5) == (6214, 1342)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_the_top_row_peel_agrees_with_reconstruct_on_sampled_avoiders(n):
+    unrealizable = 0
+    for shape, sequence, nudged, kind in sampled_cases(n):
+        assert peel_reconstruct(shape, sequence, kind) == reconstructed(shape, sequence, kind)
+        expected = reconstructed(shape, nudged, kind)
+        assert peel_reconstruct(shape, nudged, kind) == expected, (shape, nudged, kind)
+        unrealizable += expected is None
+    assert unrealizable > 0
+
+
 def test_reconstruct_keeps_its_search_tree(monkeypatch):
     # The pushes of the search on alpha's seeded targets at n = 8 and 9.  A
     # faster search visits the same prefixes; a change to which prefixes it
@@ -338,7 +376,7 @@ def check_against_a_recount(prefix, cap) -> bool:
     unused = [u for u in range(1, n + 1) if u not in placed]
     assert prefix.used == [False] + [u in placed for u in range(1, n + 1)]
     assert prefix.mask == sum(1 << u for u in placed)
-    assert prefix.L == [_region_chain(placed, len(placed), v) for v in range(n + 1)]
+    assert prefix.L == [region_chain(placed, len(placed), v) for v in range(n + 1)]
     forb = [min(occurrence_tops(placed, u), default=n + 1) for u in unused]
     assert [prefix.forb[u] for u in unused] == forb, placed
     return all(f > cap[u] for u, f in zip(unused, forb))
