@@ -2,13 +2,14 @@
 
 Exit status: 0 on success, 1 when a verification scan found a mismatch
 against published values (or an --expect assertion failed), 2 on usage
-errors, including malformed shapes, patterns, and contents, and a --cache
-path that cannot be read or created (reported before any count runs), 3 when
-the --cache file holds a line that is not a count record (a torn last line is
-only skipped, with a warning), 4 on an internal error (a bug: its traceback
-and an ``internal error:`` line go to stderr), and 141 when the reader of
-stdout closes it early, as ``| head`` does (quietly, like a process that
-SIGPIPE stopped).
+errors (``core.UsageError``), including malformed shapes, patterns, and
+contents, and a --cache path that cannot be read or created (reported before
+any count runs) or appended to (reported when the append fails), 3 when the
+--cache file holds a line that is not a count record or two lines that give
+one record different counts (a torn last line is only skipped, with a
+warning), 4 on an internal error (a bug: its traceback and an ``internal
+error:`` line go to stderr), and 141 when the reader of stdout closes it
+early, as ``| head`` does (quietly, like a process that SIGPIPE stopped).
 """
 
 import argparse
@@ -18,14 +19,8 @@ import sys
 from contextlib import nullcontext
 
 from .core import (
-    BadComposition,
-    ContentMismatch,
     Filling,
-    InvalidPattern,
-    NotAvoiding,
-    NotFerrers,
-    ParseError,
-    ShapeMismatch,
+    UsageError,
     format_shape,
     format_word,
     parse_composition,
@@ -54,30 +49,9 @@ from .harness import (
 )
 
 
-class UnusableCache(Exception):
-    """The --cache path cannot be read or created."""
-
-
-USAGE_ERRORS = (
-    NotFerrers,
-    InvalidPattern,
-    BadComposition,
-    ContentMismatch,
-    ShapeMismatch,
-    NotAvoiding,
-    ParseError,
-    UnusableCache,
-)
-
-
 def _open_cache(args):
     """A context manager giving the --cache ResultCache, or None without --cache."""
-    if not args.cache:
-        return nullcontext()
-    try:
-        return ResultCache(args.cache)
-    except OSError as exc:
-        raise UnusableCache(f"cannot use cache {args.cache}: {exc.strerror}") from exc
+    return ResultCache(args.cache) if args.cache else nullcontext()
 
 
 def _emit_report(report, args) -> None:
@@ -113,9 +87,7 @@ def _cmd_count_words(args) -> int:
     with _open_cache(args) as cache:
         record = counted(rectangle, UNCONSTRAINED, patterns, cache=cache)
     if args.out == "json":
-        out = record.to_json()
-        out.update({"length": args.length, "alphabet": args.alphabet})
-        print(json.dumps(out))
+        print(json.dumps({**record.to_json(), "length": args.length, "alphabet": args.alphabet}))
     else:
         print(record.count)
     return 0
@@ -185,7 +157,8 @@ def _cmd_scan_conj1(args) -> int:
         report = scan_conjecture1(args.max_cols, args.max_rows, cache=cache)
     if args.out == "plain":
         for rec_a, rec_b in report.strict_inequalities():
-            print(f"strict: {rec_a.to_json()['shape']}: {rec_a.count} < {rec_b.count}")
+            if rec_a.count < rec_b.count:
+                print(f"strict: {format_shape(rec_a.shape)}: {rec_a.count} < {rec_b.count}")
     _emit_report(report, args)
     return 0
 
@@ -286,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CorruptCache as exc:

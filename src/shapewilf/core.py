@@ -6,31 +6,35 @@ exactly one 1 in every column, recorded as the row index of that 1.
 """
 
 
-class NotFerrers(ValueError):
+class UsageError(ValueError):
+    """Input the caller has to fix; the CLI reports it and exits 2."""
+
+
+class NotFerrers(UsageError):
     """Row lengths do not form a Ferrers shape."""
 
 
-class InvalidPattern(ValueError):
+class InvalidPattern(UsageError):
     """Pattern words must use every letter value 1..max at least once."""
 
 
-class BadComposition(ValueError):
+class BadComposition(UsageError):
     """Content vector is incompatible with the shape."""
 
 
-class ContentMismatch(ValueError):
+class ContentMismatch(UsageError):
     """Filling content differs from the stated composition."""
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(UsageError):
     """The shapes of the arguments are incompatible."""
 
 
-class NotAvoiding(ValueError):
+class NotAvoiding(UsageError):
     """Input contains a pattern it was required to avoid."""
 
 
-class ParseError(ValueError):
+class ParseError(UsageError):
     """Text is not a comma-separated list of integers."""
 
 
@@ -302,7 +306,7 @@ def parse_word(text: str) -> Word:
         return ()
     if "," in text:
         return make_word(_parse_int_list(text, "word"))
-    if not text.isdigit():
+    if not text.isdecimal():
         raise InvalidPattern(f"cannot parse word {text!r}")
     return make_word(int(ch) for ch in text)
 

@@ -35,6 +35,7 @@ are exact Python integers, and every count runs in the calling process.
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, combinations
 from operator import sub
@@ -46,6 +47,7 @@ from .core import (
     FerrersShape,
     Filling,
     FrozenValue,
+    UsageError,
     Word,
     format_composition,
     format_patterns,
@@ -408,6 +410,8 @@ def compositions(total: int, parts: int) -> Iterator[Composition]:
     Stars and bars: the ``parts - 1`` cuts are points of 1..total-1, listed in
     lexicographic order.
     """
+    if type(total) is not int or type(parts) is not int:
+        raise BadComposition(f"total and parts must be integers, got {total!r}, {parts!r}")
     if parts < 1:
         raise BadComposition(f"need at least one part, got {parts}")
     if total < parts:
@@ -497,6 +501,10 @@ def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], int]:
     return key, count
 
 
+class UnusableCache(UsageError, OSError):
+    """The result-cache path cannot be read, created or appended to."""
+
+
 class ResultCache:
     """Append-only JSONL cache of count records, keyed by the text encodings.
 
@@ -504,44 +512,59 @@ class ResultCache:
     and closed by ``close`` or at the end of a ``with`` block, so every record
     reaches the file as one whole line.  A torn last line, as a crash while
     appending leaves behind, is skipped with a warning on stderr and cut off
-    the file, so the next record starts a fresh line; any other line that is
-    not a count record raises ``CorruptCache``.  A path that cannot be read, or
-    whose directory does not exist, raises ``OSError`` here, before any count.
+    the file, so the next record starts a fresh line.  Any other line that is
+    not a count record, or that gives an earlier line's key another count,
+    raises ``CorruptCache``; a repeated record (two runs appending at once)
+    loads.  An ``OSError`` on the path raises ``UnusableCache`` (an
+    ``OSError`` too): here, before any count, for a path that cannot be read
+    or created, and from ``add`` or ``close`` when an append fails.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._known: dict[tuple[str, str, str], int] = {}
         self._handle = None
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError:
-            if os.path.isdir(os.path.dirname(path) or "."):
-                return  # the first ``add`` creates the file
-            raise
-        lines = data.split(b"\n")
-        tail = lines.pop()  # empty unless the last line lacks its newline
-        for number, line in enumerate(lines, start=1):
-            if line.strip():
+        with self._io():
+            try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
+            except FileNotFoundError:
+                if os.path.isdir(os.path.dirname(path) or "."):
+                    return  # the first ``add`` creates the file
+                raise
+            lines = data.split(b"\n")  # the last is empty unless it lacks its newline
+            for number, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
                 try:
                     key, count = _cache_entry(line)
                 except (ValueError, KeyError, TypeError) as exc:
+                    if number < len(lines):
+                        raise CorruptCache(
+                            f"{path}: line {number} is not a count record ({exc})"
+                        ) from exc
+                    print(f"warning: {path}: skipped torn last line {number}", file=sys.stderr)
+                    with open(path, "r+b") as handle:
+                        handle.truncate(len(data) - len(line))
+                    return
+                known = self._known.setdefault(key, count)
+                if known != count:
+                    keys = [seen.strip() and _cache_entry(seen)[0] for seen in lines[:number]]
                     raise CorruptCache(
-                        f"{path}: line {number} is not a count record ({exc})"
-                    ) from exc
-                self._known.setdefault(key, count)
-        if tail.strip():
-            try:
-                key, count = _cache_entry(tail)
-            except (ValueError, KeyError, TypeError):
-                print(f"warning: {path}: skipped torn last line {len(lines) + 1}", file=sys.stderr)
-                with open(path, "r+b") as handle:
-                    handle.truncate(len(data) - len(tail))
-            else:
-                self._known.setdefault(key, count)
+                        f"{path}: lines {keys.index(key) + 1} and {number} give one record the "
+                        f"counts {known} and {count}"
+                    )
+            if lines[-1].strip():  # a whole last record: end its line
                 with open(path, "ab") as handle:
                     handle.write(b"\n")
+
+    @contextmanager
+    def _io(self):
+        """Raise each ``OSError`` on the path as ``UnusableCache``."""
+        try:
+            yield
+        except OSError as exc:
+            raise UnusableCache(f"cannot use cache {self.path}: {exc.strerror}") from exc
 
     def get(self, key: tuple[str, str, str]):
         return self._known.get(key)
@@ -550,15 +573,17 @@ class ResultCache:
         """Append the record of ``key`` (a ``CountRecord.key()``) unless the key is known."""
         if key in self._known:
             return
+        with self._io():
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
+            self._handle.write(json.dumps(_record_json(key, count)) + "\n")
         self._known[key] = count
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
-        self._handle.write(json.dumps(_record_json(key, count)) + "\n")
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            with self._io():
+                handle.close()
 
     def __enter__(self) -> "ResultCache":
         return self

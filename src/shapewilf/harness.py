@@ -98,11 +98,8 @@ class ScanReport(Value):
 
     def strict_inequalities(self) -> list[tuple[CountRecord, CountRecord]]:
         """Consecutive record pairs with differing counts (derived, not stored)."""
-        out = []
-        for a, b in zip(self.records[::2], self.records[1::2]):
-            if a.count != b.count:
-                out.append((a, b))
-        return out
+        pairs = zip(self.records[::2], self.records[1::2])
+        return [(a, b) for a, b in pairs if a.count != b.count]
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import shapewilf
-from shapewilf import cli
+from shapewilf import POSITIVE_ROWS, CountRecord, Mismatch, ScanReport, cli, enumeration, make_shape
 from shapewilf.cli import main
 from worked_example import CHAIN_SEQ, FLIPPED_SEQ
 
@@ -301,6 +302,86 @@ def test_unusable_cache_path_fails_before_counting(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def fail_appends(monkeypatch):
+    """Make every append to a cache fail as on a read-only file (root ignores ``chmod``)."""
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if "a" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "open", guarded_open, raising=False)
+
+
+# Malformed input for every command; {cache} is a cache path whose appends
+# fail, {missing} one in a directory that does not exist.
+MALFORMED = {
+    "count-not-ferrers": ["count", "--shape", "4,5"],
+    "count-shape-text": ["count", "--shape", "5,x"],
+    "count-superscript-pattern": ["count", "--shape", "5,5,4", "--patterns", "\u00b231"],
+    "count-gap-pattern": ["count", "--shape", "3,2", "--patterns", "13"],
+    "count-content": ["count", "--shape", "5,5,4", "--content", "2,2"],
+    "count-cache-append": ["count", "--shape", "3,3", "--cache", "{cache}"],
+    "count-cache-missing": ["count", "--shape", "3,3", "--cache", "{missing}"],
+    "count-words-size": ["count-words", "--length", "0", "--alphabet", "3"],
+    "count-words-superscript-pattern":
+        ["count-words", "--length", "3", "--alphabet", "2", "--patterns", "2\u00b9"],
+    "count-words-cache-append":
+        ["count-words", "--length", "3", "--alphabet", "2", "--cache", "{cache}"],
+    "enumerate-content": ["enumerate", "--shape", "3,3", "--content", "1,1,1"],
+    "enumerate-superscript-pattern": ["enumerate", "--shape", "3,3", "--patterns", "1\u00b3"],
+    "bijection-not-avoiding":
+        ["bijection", "--theorem", "11", "--shape", "3,3,3", "--content", "1,1,1",
+         "--filling", "231"],
+    "bijection-content":
+        ["bijection", "--theorem", "11", "--shape", "3,3,3", "--content", "1,2",
+         "--filling", "123"],
+    "bijection-superscript-filling":
+        ["bijection", "--theorem", "11", "--shape", "3,3,3", "--content", "1,1,1",
+         "--filling", "1\u00b23"],
+    "bijection-outside-shape":
+        ["bijection", "--theorem", "11", "--shape", "2,2", "--content", "1,1", "--filling", "13"],
+    "table-cache-append": ["table", "4", "--cache", "{cache}"],
+    "table-cache-missing": ["table", "4", "--cache", "{missing}"],
+    "check-equiv-superscript-pattern":
+        ["check-equiv", "\u00b231", "312", "--max-cols", "2", "--max-rows", "2"],
+    "check-equiv-bound": ["check-equiv", "231", "312", "--max-cols", "0", "--max-rows", "2"],
+    "check-equiv-cache-append":
+        ["check-equiv", "231", "312", "--max-cols", "2", "--max-rows", "2", "--cache", "{cache}"],
+    "scan-conj1-bound": ["scan-conj1", "--max-cols", "2", "--max-rows", "0"],
+    "scan-conj1-cache-append":
+        ["scan-conj1", "--max-cols", "2", "--max-rows", "2", "--cache", "{cache}"],
+    "scan-conj2-superscript-beta":
+        ["scan-conj2", "--beta", "\u00b2", "--max-length", "3", "--max-alphabet", "2"],
+    "scan-conj2-beta": ["scan-conj2", "--beta", "11", "--max-length", "3", "--max-alphabet", "2"],
+    "scan-conj2-bound": ["scan-conj2", "--max-length", "0", "--max-alphabet", "2"],
+    "scan-conj2-cache-append":
+        ["scan-conj2", "--max-length", "3", "--max-alphabet", "2", "--cache", "{cache}"],
+}
+
+
+def test_malformed_input_reaches_every_command():
+    usage = cli.build_parser().format_usage()  # "usage: shapewilf [-h] {count,...} ..."
+    commands = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+    assert {argv[0] for argv in MALFORMED.values()} == set(commands)
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_is_a_usage_error_on_one_line(tmp_path, capsys, monkeypatch, name):
+    # exit 2 with one ``error:`` line, never 4 with a traceback
+    fail_appends(monkeypatch)
+    paths = {"cache": str(tmp_path / "c.jsonl"), "missing": str(tmp_path / "missing" / "c.jsonl")}
+    argv = [arg.format(**paths) for arg in MALFORMED[name]]
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if "--cache" in argv:
+        missing = "{missing}" in MALFORMED[name]
+        reason = "No such file or directory" if missing else "Permission denied"
+        assert err == f"error: cannot use cache {argv[-1]}: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_damaged_cache_has_its_own_exit_status(tmp_path, capsys):
     cache = tmp_path / "c.jsonl"
     cache.write_text('{"shape": "5,5,4", "content": \n{"shape": "3,3", "content": "2,1"}\n')
@@ -320,6 +401,40 @@ def test_a_negative_cached_count_is_a_damaged_cache(tmp_path, capsys):
                            "--cache", str(cache))
     assert (status, out) == (3, "")
     assert "line 1 is not a count record (count -5 is negative)" in err
+
+
+def test_conflicting_cache_records_are_a_damaged_cache(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    record = {"shape": "5,5,4", "content": "2,2,1", "patterns": "231"}
+    cache.write_text("".join(json.dumps({**record, "count": n}) + "\n" for n in (99, 18)))
+    status, out, err = run(capsys, "count", "--shape", "5,5,4", "--content", "2,2,1",
+                           "--patterns", "231", "--cache", str(cache))
+    assert (status, out) == (3, "")
+    assert err == (
+        f"error: damaged cache: {cache}: lines 1 and 2 give one record the counts 99 and 18\n"
+    )
+
+
+def test_scan_conj1_prints_only_the_strict_inequalities_that_hold(capsys, monkeypatch):
+    # a counterexample shape (5 > 3) beside one strict pair (2 < 4)
+    counts = {(3, 2): (5, 3), (2, 2): (2, 4), (1,): (1, 1)}
+    records = [
+        CountRecord(make_shape(rows), POSITIVE_ROWS, (pattern,), count)
+        for rows, pair in counts.items()
+        for pattern, count in zip([(2, 3, 1), (3, 1, 2)], pair)
+    ]
+    report = ScanReport(
+        "conjecture1 planted", records, [Mismatch("3,2", POSITIVE_ROWS, 5, 3)],
+        "counterexample-found",
+    )
+    monkeypatch.setattr(cli, "scan_conjecture1", lambda *args, **kwargs: report)
+    status, out, err = run(capsys, "scan-conj1", "--max-cols", "3", "--max-rows", "2")
+    assert (status, err) == (0, "")
+    assert out.splitlines() == [
+        "strict: 2,2: 2 < 4",
+        "MISMATCH shape=3,2 content=positive-rows 5 vs 3",
+        "verdict: counterexample-found (6 counts)",
+    ]
 
 
 def test_internal_errors_have_their_own_exit_status(tmp_path, capsys, monkeypatch):
@@ -347,12 +462,13 @@ def test_a_reader_that_stops_early_ends_the_command_quietly():
     # reader closes its end
     src = os.path.dirname(os.path.dirname(shapewilf.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    command = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "shapewilf", "enumerate", "--shape", "7,7,7,7,7",
          "--patterns", "231"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert command.stdout.readline() == b"1111111\n"
-    command.stdout.close()
-    err = command.stderr.read()
-    assert (command.wait(timeout=60), err) == (141, b"")
+    ) as command:
+        assert command.stdout.readline() == b"1111111\n"
+        command.stdout.close()
+        err = command.stderr.read()
+        status = command.wait(timeout=60)
+    assert (status, err) == (141, b"")

@@ -30,6 +30,7 @@ from shapewilf import (
     validate_pattern,
     word_to_filling,
 )
+from shapewilf import core, enumeration
 from shapewilf.enumeration import check_bounds
 from worked_example import CONTENT, FILLING, SHAPE
 
@@ -201,6 +202,31 @@ def test_text_encodings_round_trip():
         parse_patterns("13")
     with pytest.raises(ValueError):
         parse_shape("5,x")
+
+
+@pytest.mark.parametrize(
+    "text", ["\u00b231", "2\u00b31", "\u24602"], ids=["superscript-2", "superscript-3", "circled-1"]
+)
+def test_a_word_with_a_digit_int_cannot_read_is_an_invalid_pattern(text):
+    # str.isdigit accepts these, but int() does not
+    with pytest.raises(InvalidPattern, match="cannot parse word"):
+        parse_word(text)
+
+
+def test_a_word_reads_every_decimal_digit_int_reads():
+    assert parse_word("\u0662\u0663\u0661") == (2, 3, 1)  # Arabic-Indic 231
+
+
+def test_every_input_error_is_a_usage_error_and_a_value_error():
+    # The CLI exits 2 on exactly these; library callers may catch ValueError.
+    input_errors = [
+        core.NotFerrers, core.InvalidPattern, core.BadComposition, core.ContentMismatch,
+        core.ShapeMismatch, core.NotAvoiding, core.ParseError, enumeration.UnusableCache,
+    ]
+    assert all(issubclass(error, core.UsageError) for error in input_errors)
+    assert issubclass(core.UsageError, ValueError)
+    assert issubclass(enumeration.UnusableCache, OSError)
+    assert not issubclass(enumeration.CorruptCache, core.UsageError)
 
 
 # --- value semantics of the record classes ---------------------------------

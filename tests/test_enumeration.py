@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -32,7 +33,7 @@ from shapewilf import (
     parse_shape,
 )
 from shapewilf import enumeration
-from shapewilf.enumeration import _Trackers, column_states, step, word_rectangle
+from shapewilf.enumeration import UnusableCache, _Trackers, column_states, step, word_rectangle
 from shapewilf.matcher import avoids_all
 from oracles import brute_count_fillings, count_words_direct
 
@@ -386,8 +387,19 @@ def test_compositions():
     assert len(list(compositions(6, 4))) == 10
     assert list(compositions(3, 1)) == [(3,)]
     assert list(compositions(2, 3)) == []  # too many positive parts
-    with pytest.raises(BadComposition):
+    with pytest.raises(BadComposition, match="need at least one part"):
         list(compositions(3, 0))
+
+
+@pytest.mark.parametrize(
+    "total, parts",
+    [(True, 1), (3, True), (3.0, 2), (3, 2.0), ("3", 2)],
+    ids=["bool-total", "bool-parts", "float-total", "float-parts", "text-total"],
+)
+def test_compositions_take_only_int_sizes(total, parts):
+    # True == 1 and 3.0 == 3, but neither is a number of columns or rows
+    with pytest.raises(BadComposition, match="must be integers"):
+        list(compositions(total, parts))
 
 
 def recursive_compositions(total, parts):
@@ -505,16 +517,17 @@ def test_counts_match_the_published_table_and_the_direct_word_count():
 
 def test_result_cache(tmp_path):
     path = tmp_path / "counts.jsonl"
-    cache = ResultCache(str(path))
     shape = parse_shape("5,5,4")
-    record = counted(shape, (2, 2, 1), [P231], cache=cache)
-    assert record.count == 18
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert lines == [{"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18}]
-    # warm lookups do not append again, across regimes and instances
-    counted(shape, (2, 2, 1), [P231], cache=cache)
-    counted(shape, UNCONSTRAINED, [P231], cache=ResultCache(str(path)))
-    counted(shape, POSITIVE_ROWS, [P231], cache=ResultCache(str(path)))
+    with ResultCache(str(path)) as cache:
+        record = counted(shape, (2, 2, 1), [P231], cache=cache)
+        assert record.count == 18
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines == [{"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18}]
+        # warm lookups do not append again, across regimes and instances
+        counted(shape, (2, 2, 1), [P231], cache=cache)
+    for content in (UNCONSTRAINED, POSITIVE_ROWS):
+        with ResultCache(str(path)) as cache:
+            counted(shape, content, [P231], cache=cache)
     reloaded = ResultCache(str(path))
     assert reloaded.get(("5,5,4", "2,2,1", "231")) == 18
     assert len(path.read_text().splitlines()) == 3
@@ -624,6 +637,94 @@ def test_cache_rejects_a_bad_line_before_the_last(tmp_path, bad_line):
     with pytest.raises(CorruptCache, match="line 2"):
         ResultCache(str(path))
     assert path.read_text() == text  # a damaged cache is reported, not repaired
+
+
+def cache_line(content, count):
+    return json.dumps({"shape": "5,5,4", "content": content, "patterns": "231", "count": count})
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "whole-last-line"])
+def test_cache_rejects_two_lines_that_count_one_record_differently(tmp_path, end):
+    path = tmp_path / "counts.jsonl"
+    text = f"{cache_line('2,2,1', 99)}\n{cache_line('1,1,3', 8)}\n\n{cache_line('2,2,1', 18)}{end}"
+    path.write_text(text)
+    with pytest.raises(CorruptCache, match="lines 1 and 4 give one record the counts 99 and 18"):
+        ResultCache(str(path))
+    assert path.read_text() == text
+
+
+def test_cache_loads_a_record_repeated_with_the_same_count(tmp_path):
+    # two runs that append at once can both write a record neither had read
+    path = tmp_path / "counts.jsonl"
+    text = f"{cache_line('2,2,1', 18)}\n{cache_line('1,1,3', 8)}\n{cache_line('2,2,1', 18)}\n"
+    path.write_text(text)
+    with ResultCache(str(path)) as cache:
+        assert cache.get(("5,5,4", "2,2,1", "231")) == 18
+        assert counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache).count == 18
+    assert path.read_text() == text
+
+
+def fail_opening(monkeypatch, failing_mode):
+    """Make the cache's ``open`` in ``failing_mode`` fail as on a read-only file.
+
+    Root ignores file modes, so ``chmod`` cannot make an append fail.
+    """
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if mode == failing_mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "open", guarded_open, raising=False)
+
+
+def test_an_unreadable_or_uncreatable_cache_path_is_an_unusable_cache(tmp_path, monkeypatch):
+    missing = str(tmp_path / "missing" / "counts.jsonl")
+    with pytest.raises(UnusableCache) as exc:
+        ResultCache(missing)
+    assert str(exc.value) == f"cannot use cache {missing}: No such file or directory"
+    assert isinstance(exc.value, OSError) and isinstance(exc.value.__cause__, FileNotFoundError)
+    path = tmp_path / "counts.jsonl"
+    path.write_text(f"{cache_line('2,2,1', 18)}\n")
+    fail_opening(monkeypatch, "rb")
+    with pytest.raises(UnusableCache, match="Permission denied"):
+        ResultCache(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, failing_mode",
+    [("", "a"), (f"{cache_line('2,2,1', 18)}\n{{\"sha", "r+b"), (cache_line("2,2,1", 18), "ab")],
+    ids=["append", "torn-line-cut", "newline-repair"],
+)
+def test_a_failed_write_to_the_cache_is_an_unusable_cache(
+    tmp_path, monkeypatch, text, failing_mode
+):
+    path = tmp_path / "counts.jsonl"
+    path.write_text(text)
+    fail_opening(monkeypatch, failing_mode)
+    with pytest.raises(UnusableCache) as exc:
+        with ResultCache(str(path)) as cache:
+            counted(parse_shape("5,5,4"), (1, 1, 3), [P231], cache=cache)
+    assert str(exc.value) == f"cannot use cache {path}: Permission denied"
+    assert isinstance(exc.value.__cause__, PermissionError)
+    assert path.read_text() == text
+
+
+def test_a_failed_close_is_an_unusable_cache(tmp_path, monkeypatch):
+    class FullDisk:
+        def write(self, text):
+            return len(text)
+
+        def close(self):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    path = tmp_path / "counts.jsonl"
+    cache = ResultCache(str(path))
+    monkeypatch.setattr(enumeration, "open", lambda *args, **kwargs: FullDisk(), raising=False)
+    cache.add(("5,5,4", "2,2,1", "231"), 18)
+    with pytest.raises(UnusableCache, match=f"cannot use cache .*: {os.strerror(errno.ENOSPC)}"):
+        cache.close()
+    cache.close()  # the handle went with the first close
 
 
 def test_counted_dispatches_regimes():

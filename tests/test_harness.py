@@ -232,8 +232,10 @@ def test_table_1_records_are_the_published_counts_but_the_erratum():
 
 def test_cache_makes_reports_reproducible(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cold = reproduce_table(1, cache=ResultCache(path))
-    warm = reproduce_table(1, cache=ResultCache(path))
+    with ResultCache(path) as cache:
+        cold = reproduce_table(1, cache=cache)
+    with ResultCache(path) as cache:
+        warm = reproduce_table(1, cache=cache)
     assert warm.to_json() == cold.to_json()
     assert warm.to_csv() == cold.to_csv()
     # the cache file holds one record per distinct count
