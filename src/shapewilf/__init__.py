@@ -7,6 +7,7 @@ general contents, and scan/reproduction commands for the published tables.
 """
 
 from .core import (
+    BadChoice,
     BadComposition,
     BorderVertexPath,
     Composition,

@@ -40,6 +40,7 @@ from enum import Enum
 from itertools import accumulate
 
 from .core import (
+    BadChoice,
     ContentMismatch,
     FerrersShape,
     Filling,
@@ -261,7 +262,7 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     and kind, if there is none.
     """
     if kind not in ("231", "312"):
-        raise ValueError(f"kind must be '231' or '312', got {kind!r}")
+        raise BadChoice(f"kind must be '231' or '312', got {kind!r}")
     if shape.n_rows != shape.width:
         raise ShapeMismatch(
             f"full placements need as many rows as columns: {shape.n_rows} vs {shape.width}"
@@ -366,7 +367,7 @@ def blowup(filling: Filling, content, direction: Direction) -> FullRookPlacement
     (DECREASING).  The result has exactly one 1 per row and per column.
     """
     if not isinstance(direction, Direction):
-        raise ValueError(f"direction must be a Direction, got {direction!r}")
+        raise BadChoice(f"direction must be a Direction, got {direction!r}")
     comp = make_composition(content)
     if filling_content(filling) != comp:
         raise ContentMismatch(

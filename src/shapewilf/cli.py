@@ -55,10 +55,12 @@ def _open_cache(args):
 
 
 def _emit_report(report, args) -> None:
+    # json and csv are written as they are formatted, with no document in memory.
     if args.out == "json":
-        print(report.to_json())
+        report.write_json(sys.stdout)
+        print()
     elif args.out == "csv":
-        print(report.to_csv(), end="")
+        report.write_csv(sys.stdout)
     else:
         for mismatch in report.mismatches:
             print(

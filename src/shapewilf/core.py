@@ -38,6 +38,10 @@ class ParseError(UsageError):
     """Text is not a comma-separated list of integers."""
 
 
+class BadChoice(UsageError):
+    """An argument is not one of the values it may take (a table id, a kind, a regime)."""
+
+
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
 BorderVertexPath = tuple[tuple[int, int], ...]
@@ -77,11 +81,7 @@ class FrozenValue(Value):
     __slots__ = ()
 
     def _assign(self, *values) -> None:
-        """From ``__init__``: set the attributes named in ``__slots__``, in that order.
-
-        ``enumeration.CountRecord``, built once per scan cell, is the one
-        class that sets its slots directly instead.
-        """
+        """From ``__init__``: set the attributes named in ``__slots__``, in that order."""
         setter = object.__setattr__
         for name, value in zip(self.__slots__, values):
             setter(self, name, value)

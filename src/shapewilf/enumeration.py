@@ -36,12 +36,12 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from operator import sub
 from typing import Iterator
 
 from .core import (
+    BadChoice,
     BadComposition,
     Composition,
     FerrersShape,
@@ -237,7 +237,7 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
     positive int raises ``BadComposition``.
     """
     if regime not in (CONTENTS, POSITIVE_ROWS):
-        raise ValueError(f"regime must be {CONTENTS!r} or {POSITIVE_ROWS!r}, got {regime!r}")
+        raise BadChoice(f"regime must be {CONTENTS!r} or {POSITIVE_ROWS!r}, got {regime!r}")
     check_bounds(max_cols=max_cols, max_rows=max_rows)
     patterns = canonical_patterns(patterns)
     empty = (1 << max_rows) - 1  # the empty-row bits
@@ -448,42 +448,28 @@ class CountRecord(FrozenValue):
     __slots__ = _fields = ("shape", "content", "patterns", "count")
 
     def __init__(self, shape: FerrersShape, content, patterns: tuple[Word, ...], count: int):
-        # The scans build one record per shape and content, so records alone
-        # set their slots through the slots' own setters: they get past the
-        # frozen ``__setattr__`` at under half of ``_assign``'s cost, and the
-        # benchmark's ``sweep`` scans run about 11% faster for it.
-        _set_shape(self, shape)
-        _set_content(self, content)
-        _set_patterns(self, patterns)
-        _set_count(self, count)
+        self._assign(shape, content, patterns, count)
 
     def key(self) -> tuple[str, str, str]:
         return _record_key(self.shape, self.content, self.patterns)
 
     def to_json(self) -> dict:
-        return _record_json(self.key(), self.count)
+        return record_json(*self.key(), self.count)
 
 
-_set_shape, _set_content, _set_patterns, _set_count = (
-    CountRecord.shape.__set__,
-    CountRecord.content.__set__,
-    CountRecord.patterns.__set__,
-    CountRecord.count.__set__,
-)
+def patterns_text(patterns) -> str:
+    """Canonical text for a pattern set; the empty set is the empty string."""
+    return format_patterns(canonical_patterns(patterns)) if patterns else ""
 
 
 def _record_key(shape: FerrersShape, content, patterns) -> tuple[str, str, str]:
     """The text encodings that key a count record in the result cache."""
-    return (
-        format_shape(shape),
-        content_text(content),
-        format_patterns(canonical_patterns(patterns)) if patterns else "",
-    )
+    return format_shape(shape), content_text(content), patterns_text(patterns)
 
 
-def _record_json(key: tuple[str, str, str], count: int) -> dict:
-    shape_text, content, patterns = key
-    return {"shape": shape_text, "content": content, "patterns": patterns, "count": count}
+def record_json(shape: str, content: str, patterns: str, count: int) -> dict:
+    """The JSON object of one count record, from its text encodings."""
+    return {"shape": shape, "content": content, "patterns": patterns, "count": count}
 
 
 class CorruptCache(Exception):
@@ -576,7 +562,7 @@ class ResultCache:
         with self._io():
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
-            self._handle.write(json.dumps(_record_json(key, count)) + "\n")
+            self._handle.write(json.dumps(record_json(*key, count)) + "\n")
         self._known[key] = count
 
     def close(self) -> None:
@@ -592,53 +578,55 @@ class ResultCache:
         self.close()
 
 
-def shape_records(shape, contents, pattern_sets, cache, histogram) -> list[CountRecord]:
-    """The records of one shape: for each content in turn, one per pattern set.
+def shape_counts(shape, contents, pattern_sets, cache, histogram) -> tuple:
+    """The histograms of one shape: per pattern set, the count of each content in turn.
 
     ``histogram(shape, side)`` maps each content to its number of avoiders of
-    ``pattern_sets[side]``; a content it leaves out counts 0.  Without a
-    cache, every count is read from the histograms and no cache key is
-    built.  With one, a cached count wins, ``histogram`` is called at most
-    once per pattern set, at that set's first miss (so a warm cache never
-    counts), and each miss reaches the cache as its record is built, in
-    report order.
+    ``pattern_sets[side]``; a content it leaves out counts 0.  The tuple
+    returned has, per pattern set, a tuple of counts in the order of
+    ``contents``.  Without a cache they are read from ``histogram``, and no
+    cache key is built.  With one, they are read content by content, then
+    pattern set by pattern set: a cached count wins, ``histogram`` is called
+    at most once per pattern set, at that set's first miss (so a warm cache
+    never counts), and each miss reaches the cache in that order, which is
+    the order of the report's records.
     """
     if cache is None:
-        sides = [(patterns, histogram(shape, side)) for side, patterns in enumerate(pattern_sets)]
-        return [
-            CountRecord(shape, content, patterns, found.get(content, 0))
-            for content in contents
-            for patterns, found in sides
-        ]
-    counts = [None] * len(pattern_sets)
-    records = []
+        sides = range(len(pattern_sets))
+        return tuple([tuple(map(histogram(shape, side).get, contents, repeat(0))) for side in sides])
+    walked = [None] * len(pattern_sets)
+    counts = [[] for _ in pattern_sets]
     for content in contents:
         for side, patterns in enumerate(pattern_sets):
             key = _record_key(shape, content, patterns)
             count = cache.get(key)
             if count is None:
-                if counts[side] is None:
-                    counts[side] = histogram(shape, side)
-                count = counts[side].get(content, 0)
+                if walked[side] is None:
+                    walked[side] = histogram(shape, side)
+                count = walked[side].get(content, 0)
                 cache.add(key, count)
-            records.append(CountRecord(shape, content, patterns, count))
-    return records
+            counts[side].append(count)
+    return tuple(map(tuple, counts))
+
+
+def count_content(shape: FerrersShape, content, patterns) -> int:
+    """Count one set: ``content`` checked against the shape, ``patterns`` canonical."""
+    if content == UNCONSTRAINED:
+        return count_all_fillings(shape, patterns)
+    if content == POSITIVE_ROWS:
+        return count_positive_fillings(shape, patterns)
+    return count_fillings(shape, content, patterns)
 
 
 def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
     """Count one set under any regime, consulting/filling the cache if given."""
     content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
-    if content == UNCONSTRAINED:
-        count = partial(count_all_fillings, shape, patterns)
-    elif content == POSITIVE_ROWS:
-        count = partial(count_positive_fillings, shape, patterns)
-    else:
-        count = partial(count_fillings, shape, content, patterns)
-    (record,) = shape_records(
-        shape, (content,), (patterns,), cache, lambda shape, side: {content: count()}
+    ((count,),) = shape_counts(
+        shape, (content,), (patterns,), cache,
+        lambda shape, side: {content: count_content(shape, content, patterns)},
     )
-    return record
+    return CountRecord(shape, content, patterns, count)
 
 
 def __getattr__(name):

@@ -10,21 +10,30 @@ positive contents, comparing the avoider counts of two pattern sets.
 ``walk_shapes`` per pattern set, which pays one column step per shape rather
 than one transfer-matrix count per (shape, content) cell; bounds such as
 7 columns x 5 rows (7,125 cells) or 9 x 5 (2,001 shapes) take well under a
-second.  ``enumeration.shape_records`` builds each shape's records in one
-pass, content by content, then pattern set by pattern set; a ``--cache`` hit
-wins over the walk, which runs only when some record is not cached.
-``scan_conjecture2``, which stops at its first witness, advances one column
-pass per (alphabet, pattern) by a column per length, and table reproduction
-counts cell by cell.  Every record comes from ``shape_records``, and every
-count runs in-process.
+second.  ``scan_conjecture2``, which stops at its first witness, advances
+one column pass per (alphabet, pattern) by a column per length, and table
+reproduction counts cell by cell.  Every count runs in-process.
+
+A report holds, per shape in report order, the shape's contents and one
+histogram per pattern set (the count of each content in turn), and every
+report gets them from ``enumeration.shape_counts``, where a ``--cache`` hit
+wins over the count, which runs only when some count is not cached.  The
+scans find their mismatches by comparing a shape's histograms and visit its
+contents only where they differ.  No ``CountRecord`` is built until
+``ScanReport.records`` is read, and the JSON and CSV writers stream the
+records from the histograms, with each shape, content and pattern text
+formatted once.
 """
 
 import csv
 import io
 import json
 import os
+from itertools import starmap
+from operator import eq
 
 from .core import (
+    BadChoice,
     FerrersShape,
     FrozenValue,
     InvalidPattern,
@@ -45,12 +54,15 @@ from .enumeration import (
     CountRecord,
     canonical_patterns,
     check_bounds,
+    check_content,
     column_states,
     compositions,
     content_text,
-    counted,
+    count_content,
     parse_content,
-    shape_records,
+    patterns_text,
+    record_json,
+    shape_counts,
     walk_shapes,
     word_rectangle,
 )
@@ -76,13 +88,74 @@ class Mismatch(FrozenValue):
         return out
 
 
+class _Records:
+    """The records of a report, built from its counts each time they are read.
+
+    It reads like a list of ``CountRecord``, one per (shape, content, pattern
+    set) in report order: ``len`` builds no record, iteration builds one at
+    a time and indexing builds them all.  ``append`` and ``+=`` add records
+    to the report, and it pickles as a plain list.
+    """
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: "ScanReport"):
+        self._report = report
+
+    def __len__(self) -> int:
+        return sum(len(contents) * len(sets) for _, contents, sets, _ in self._report.counts)
+
+    def __iter__(self):
+        return starmap(CountRecord, self._report._cells())
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, _Records) and other._report.counts == self._report.counts:
+            return True
+        if not isinstance(other, (_Records, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+    def index(self, record) -> int:
+        return list(self).index(record)
+
+    def append(self, record: CountRecord) -> None:
+        self._report.counts.append(
+            (record.shape, (record.content,), (record.patterns,), ((record.count,),))
+        )
+
+    def extend(self, records) -> None:
+        for record in list(records):  # a copy first, so that a report can extend by itself
+            self.append(record)
+
+    def __iadd__(self, records) -> "_Records":
+        self.extend(records)
+        return self
+
+
 class ScanReport(Value):
     """Outcome of a table reproduction or a comparison scan.
 
-    Reports compare by value, and each gets its own lists unless given some.
+    ``counts`` holds one (shape, contents, pattern sets, histograms) tuple
+    per shape, in report order: the shape's contents and, per pattern set,
+    its histogram over them, the number of avoiders of each content in turn
+    (as ``enumeration.shape_counts`` gives them).  ``records`` reads them as
+    one ``CountRecord`` per (shape, content, pattern set), built only when
+    read; the JSON and CSV writers format each shape, content and pattern
+    text once and build no record.  Reports compare by value, and each gets
+    its own lists unless given some.
     """
 
-    __slots__ = _fields = ("scope", "records", "mismatches", "verdict")
+    __slots__ = ("scope", "counts", "mismatches", "verdict")
+    _fields = ("scope", "records", "mismatches", "verdict")
 
     def __init__(
         self,
@@ -92,59 +165,126 @@ class ScanReport(Value):
         verdict: str = VERDICT_EQUAL,
     ):
         self.scope = scope
-        self.records = [] if records is None else records
+        self.counts = []
+        self.records.extend(records or ())
         self.mismatches = [] if mismatches is None else mismatches
         self.verdict = verdict
 
+    @property
+    def records(self) -> _Records:
+        return _Records(self)
+
+    @records.setter
+    def records(self, records) -> None:
+        # ``report.records += ...`` extends the report, then sets its own records back.
+        if not (isinstance(records, _Records) and records._report is self):
+            records = list(records)
+            self.counts = []
+            self.records.extend(records)
+
+    def _cells(self):
+        """(shape, content, patterns, count) of every record, in report order."""
+        for shape, contents, pattern_sets, histograms in self.counts:
+            for content, counts in zip(contents, zip(*histograms)):
+                for patterns, count in zip(pattern_sets, counts):
+                    yield shape, content, patterns, count
+
+    def _texts(self, encode):
+        """Per shape: its text, its pattern set texts, and (content text, counts) per content.
+
+        Each text is encoded once per shape, content or pattern sets, in
+        report order; the counts are one per pattern set.
+        """
+        content_texts: dict = {}  # content -> its encoded text
+        pattern_texts: dict = {}  # pattern sets -> their encoded texts
+        for shape, contents, pattern_sets, histograms in self.counts:
+            sides = pattern_texts.get(pattern_sets)
+            if sides is None:
+                sides = [encode(patterns_text(patterns)) for patterns in pattern_sets]
+                pattern_texts[pattern_sets] = sides
+            texts = []
+            for content in contents:
+                text = content_texts.get(content)
+                if text is None:
+                    text = content_texts[content] = encode(content_text(content))
+                texts.append(text)
+            yield encode(format_shape(shape)), sides, zip(texts, zip(*histograms))
+
+    def _rows(self):
+        """(shape, content, patterns, count) texts and count of every record, in report order."""
+        for shape, sides, cells in self._texts(str):
+            for content, counts in cells:
+                for patterns, count in zip(sides, counts):
+                    yield shape, content, patterns, count
+
     def strict_inequalities(self) -> list[tuple[CountRecord, CountRecord]]:
         """Consecutive record pairs with differing counts (derived, not stored)."""
-        pairs = zip(self.records[::2], self.records[1::2])
-        return [(a, b) for a, b in pairs if a.count != b.count]
+        cells = self._cells()
+        return [(CountRecord(*a), CountRecord(*b)) for a, b in zip(cells, cells) if a[3] != b[3]]
 
     def to_json_dict(self) -> dict:
         return {
             "scope": self.scope,
-            "records": [r.to_json() for r in self.records],
+            "records": [record_json(*row) for row in self._rows()],
             "mismatches": [m.to_json() for m in self.mismatches],
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+    def write_json(self, stream) -> None:
+        """Write ``to_json()`` to ``stream`` a batch of records at a time."""
+        dumps = json.dumps
+        stream.write('{\n  "scope": ' + dumps(self.scope) + ',\n  "records": [')
+        # Each record laid out as json.dumps(to_json_dict(), indent=2) lays it
+        # out, joined from the texts of its shape, its content and its patterns.
+        lead, batch = "\n", []
+        for shape, sides, cells in self._texts(dumps):
+            head = '    {\n      "shape": ' + shape + ',\n      "content": '
+            tails = [f',\n      "patterns": {patterns},\n      "count": ' for patterns in sides]
+            for content, counts in cells:
+                record = head + content
+                batch += [f"{record}{tail}{count}\n    }}" for tail, count in zip(tails, counts)]
+            if len(batch) >= 4096:
+                stream.write(lead + ",\n".join(batch))
+                lead, batch = ",\n", []
+        if batch:
+            stream.write(lead + ",\n".join(batch))
+            lead = ",\n"
+        stream.write("]" if lead == "\n" else "\n  ]")
+        tail = {"mismatches": [m.to_json() for m in self.mismatches], "verdict": self.verdict}
+        stream.write(",\n" + dumps(tail, indent=2)[2:])  # its keys, at the document's indent
 
-    def to_csv(self) -> str:
-        """Flat record rows; table scopes group compositions into columns."""
-        if self.scope.startswith("table"):
-            return self._table_csv()
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["shape", "content", "patterns", "count"])
-        for record in self.records:
-            writer.writerow(record.to_json().values())
-        return buf.getvalue()
-
-    def _table_csv(self) -> str:
-        # One block per shape: compositions as columns, one row per pattern set.
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+    def write_csv(self, stream) -> None:
+        """Write ``to_csv()`` to ``stream``: flat record rows; tables group contents into columns."""
+        writer = csv.writer(stream)
+        if not self.scope.startswith("table"):
+            writer.writerow(["shape", "content", "patterns", "count"])
+            writer.writerows(self._rows())
+            return
+        # One block per shape: contents as columns, one row per pattern set.
         by_shape: dict[str, dict[str, dict[str, int]]] = {}
-        for record in self.records:
-            row = record.to_json()
-            cols = by_shape.setdefault(row["shape"], {})
-            cols.setdefault(row["content"], {})[row["patterns"]] = row["count"]
-        for shape_text, cols in by_shape.items():
+        for shape, content, patterns, count in self._rows():
+            by_shape.setdefault(shape, {}).setdefault(content, {})[patterns] = count
+        for shape, cols in by_shape.items():
             contents = list(cols)
-            writer.writerow(["shape " + shape_text] + contents)
-            patterns = sorted({p for counts in cols.values() for p in counts})
-            for pattern in patterns:
+            writer.writerow(["shape " + shape] + contents)
+            for pattern in sorted({p for counts in cols.values() for p in counts}):
                 writer.writerow([pattern] + [cols[c].get(pattern, "") for c in contents])
             writer.writerow([])
+
+    def to_json(self) -> str:
+        buf = io.StringIO()
+        self.write_json(buf)
+        return buf.getvalue()
+
+    def to_csv(self) -> str:
+        buf = io.StringIO()
+        self.write_csv(buf)
         return buf.getvalue()
 
 
 def _load_table(table_id: int) -> dict:
     if type(table_id) is not int or table_id not in (1, 2, 3, 4):
-        raise ValueError(f"table id must be 1..4, got {table_id}")
+        raise BadChoice(f"table id must be 1..4, got {table_id}")
     path = os.path.join(os.path.dirname(__file__), "fixtures", f"table{table_id}.json")
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
@@ -153,23 +293,28 @@ def _load_table(table_id: int) -> dict:
 def reproduce_table(table_id: int, cache=None) -> ScanReport:
     """Recompute every cell of a published table and compare exactly."""
     fixture = _load_table(table_id)
-    pattern_a = validate_pattern(parse_word(fixture["pattern_a"]))
-    pattern_b = validate_pattern(parse_word(fixture["pattern_b"]))
+    pattern_sets = tuple(
+        (validate_pattern(parse_word(fixture[side])),) for side in ("pattern_a", "pattern_b")
+    )
     report = ScanReport(scope=f"table {table_id}")
     for cell in fixture["cells"]:
         shape = parse_shape(cell["shape"])
-        content = parse_content(cell["content"])
-        for pattern, expected in ((pattern_a, cell["a"]), (pattern_b, cell["b"])):
-            record = counted(shape, content, (pattern,), cache=cache)
-            report.records.append(record)
-            if record.count != expected:
+        content = check_content(shape, parse_content(cell["content"]))
+        contents = (content,)
+        histograms = shape_counts(
+            shape, contents, pattern_sets, cache,
+            lambda shape, side: {content: count_content(shape, content, pattern_sets[side])},
+        )
+        report.counts.append((shape, contents, pattern_sets, histograms))
+        for patterns, (count,), expected in zip(pattern_sets, histograms, (cell["a"], cell["b"])):
+            if count != expected:
                 report.mismatches.append(
                     Mismatch(
                         cell["shape"],
                         cell["content"],
-                        record.count,
+                        count,
                         expected,
-                        note=f"{format_patterns((pattern,))}: computed vs published",
+                        note=f"{format_patterns(patterns)}: computed vs published",
                     )
                 )
     report.verdict = VERDICT_EQUAL if not report.mismatches else VERDICT_UNEQUAL
@@ -196,14 +341,14 @@ def iter_shapes(max_cols: int, max_rows: int):
 
 
 def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
-    """Yield (shape, records) for every shape in the bounds.
+    """Yield (shape, contents, histograms) for every shape in the bounds.
 
-    Shapes come in ``iter_shapes`` order, and each shape's records come from
-    one ``shape_records`` call: for each content in turn, one record per
-    pattern set.  The contents of each (width, rows) size are listed once.
-    Each pattern set is counted by one ``walk_shapes`` over the bounds, run at
-    the first count the cache lacks, so a cached count wins, new records
-    reach the cache in report order and a warm cache does no counting.
+    Shapes come in ``iter_shapes`` order, and each shape's histograms, one
+    per pattern set, come from one ``shape_counts`` call.  The contents of
+    each (width, rows) size are listed once.  Each pattern set is counted by
+    one ``walk_shapes`` over the bounds, run at the first count the cache
+    lacks, so a cached count wins, new counts reach the cache in report
+    order and a warm cache does no counting.
     """
     walks = [None] * len(pattern_sets)  # per pattern set: its histograms by column heights
 
@@ -211,7 +356,7 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
         walk = walks[side]
         if walk is None:
             walk = walks[side] = dict(walk_shapes(pattern_sets[side], max_cols, max_rows, regime))
-        return walk[shape.heights]
+        return walk.pop(shape.heights)  # each shape is read once; the report keeps its counts
 
     sizes: dict = {}
     for shape in iter_shapes(max_cols, max_rows):
@@ -221,7 +366,7 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
             contents = sizes[size] = (
                 list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
             )
-        yield shape, shape_records(shape, contents, pattern_sets, cache, histogram)
+        yield shape, contents, shape_counts(shape, contents, pattern_sets, cache, histogram)
 
 
 def check_equivalence(
@@ -235,16 +380,15 @@ def check_equivalence(
         scope=f"equivalence {format_patterns(omega)} vs {format_patterns(sigma)} "
         f"cols<={max_cols} rows<={max_rows}"
     )
-    for shape, records in _scan((omega, sigma), CONTENTS, max_cols, max_rows, cache):
-        report.records += records
-        pairs = iter(records)
-        for rec_a, rec_b in zip(pairs, pairs):
-            if rec_a.count != rec_b.count:
-                report.mismatches.append(
-                    Mismatch(
-                        format_shape(shape), content_text(rec_a.content), rec_a.count, rec_b.count
-                    )
-                )
+    pattern_sets = (omega, sigma)
+    for shape, contents, histograms in _scan(pattern_sets, CONTENTS, max_cols, max_rows, cache):
+        report.counts.append((shape, contents, pattern_sets, histograms))
+        counts_a, counts_b = histograms
+        if counts_a != counts_b:  # the contents are visited only where the histograms differ
+            shape_text = format_shape(shape)
+            for content, a, b in zip(contents, counts_a, counts_b):
+                if a != b:
+                    report.mismatches.append(Mismatch(shape_text, content_text(content), a, b))
     report.verdict = VERDICT_EQUAL if not report.mismatches else VERDICT_UNEQUAL
     return report
 
@@ -260,14 +404,13 @@ def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
     """
     check_bounds(max_cols=max_cols, max_rows=max_rows)
     report = ScanReport(scope=f"conjecture1 cols<={max_cols} rows<={max_rows}")
-    scanned = _scan(((P231,), (P312,)), POSITIVE_ROWS, max_cols, max_rows, cache)
-    for shape, records in scanned:
-        report.records += records
-        rec_a, rec_b = records  # one content: POSITIVE_ROWS
-        if rec_a.count > rec_b.count:
-            report.mismatches.append(
-                Mismatch(format_shape(shape), POSITIVE_ROWS, rec_a.count, rec_b.count)
-            )
+    pattern_sets = ((P231,), (P312,))
+    scanned = _scan(pattern_sets, POSITIVE_ROWS, max_cols, max_rows, cache)
+    for shape, contents, histograms in scanned:
+        report.counts.append((shape, contents, pattern_sets, histograms))
+        (a,), (b,) = histograms  # the one content, POSITIVE_ROWS
+        if a > b:
+            report.mismatches.append(Mismatch(format_shape(shape), POSITIVE_ROWS, a, b))
     report.verdict = VERDICT_CONSISTENT if not report.mismatches else VERDICT_COUNTEREXAMPLE
     return report
 
@@ -309,18 +452,20 @@ def scan_conjecture2(
             if length == n:
                 return {UNCONSTRAINED: sum(states.values())}
 
+    contents = (UNCONSTRAINED,)
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
             rectangle = word_rectangle(n, m)
-            rec_a, rec_b = shape_records(rectangle, (UNCONSTRAINED,), pattern_sets, cache, histogram)
-            report.records += [rec_a, rec_b]
-            if rec_a.count != rec_b.count:
+            histograms = shape_counts(rectangle, contents, pattern_sets, cache, histogram)
+            report.counts.append((rectangle, contents, pattern_sets, histograms))
+            (a,), (b,) = histograms
+            if a != b:
                 report.mismatches.append(
                     Mismatch(
                         format_shape(rectangle),
                         UNCONSTRAINED,
-                        rec_a.count,
-                        rec_b.count,
+                        a,
+                        b,
                         note=f"first witness at length {n}, alphabet {m}",
                     )
                 )

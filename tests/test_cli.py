@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,20 @@ import sys
 import pytest
 
 import shapewilf
-from shapewilf import POSITIVE_ROWS, CountRecord, Mismatch, ScanReport, cli, enumeration, make_shape
+from shapewilf import (
+    POSITIVE_ROWS,
+    CountRecord,
+    Mismatch,
+    ScanReport,
+    check_equivalence,
+    cli,
+    enumeration,
+    format_shape,
+    make_shape,
+    reproduce_table,
+    scan_conjecture1,
+    scan_conjecture2,
+)
 from shapewilf.cli import main
 from worked_example import CHAIN_SEQ, FLIPPED_SEQ
 
@@ -178,6 +193,83 @@ def test_table_1_reports_the_known_anomaly(capsys):
     status, out, _ = run(capsys, "table", "1")
     assert status == 1
     assert "MISMATCH shape=5,5,5,4 content=1,2,1,1 25 vs 26" in out
+
+
+# --- streamed reports: the bytes of a document rendered whole -------------
+
+# command line, the library call it makes, its exit status
+STREAMED = {
+    "check-equiv": (
+        ["check-equiv", "231", "312", "--max-cols", "5", "--max-rows", "4"],
+        lambda: check_equivalence([(2, 3, 1)], [(3, 1, 2)], 5, 4), 0,
+    ),
+    "scan-conj1": (
+        ["scan-conj1", "--max-cols", "6", "--max-rows", "4"], lambda: scan_conjecture1(6, 4), 0,
+    ),
+    "scan-conj2": (
+        ["scan-conj2", "--beta", "1", "--max-length", "7", "--max-alphabet", "5"],
+        lambda: scan_conjecture2((1,), 7, 5), 0,
+    ),
+    "table": (["table", "1"], lambda: reproduce_table(1), 1),
+}
+
+
+def rendered_whole(report, out: str) -> str:
+    """What the command prints, from a whole document and the records' own ``to_json``."""
+    if out == "json":
+        doc = report.to_json_dict()
+        assert doc["records"] == [record.to_json() for record in report.records]
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if out == "csv" and report.scope.startswith("table"):
+        by_shape = {}
+        for record in report.records:
+            row = record.to_json()
+            cols = by_shape.setdefault(row["shape"], {})
+            cols.setdefault(row["content"], {})[row["patterns"]] = row["count"]
+        for shape_text, cols in by_shape.items():
+            writer.writerow(["shape " + shape_text] + list(cols))
+            for pattern in sorted({p for counts in cols.values() for p in counts}):
+                writer.writerow([pattern] + [cols[c].get(pattern, "") for c in cols])
+            writer.writerow([])
+        return buf.getvalue()
+    if out == "csv":
+        writer.writerow(["shape", "content", "patterns", "count"])
+        writer.writerows(record.to_json().values() for record in report.records)
+        return buf.getvalue()
+    lines = []
+    if report.scope.startswith("conjecture1"):
+        records = list(report.records)
+        for rec_a, rec_b in zip(records[::2], records[1::2]):
+            if rec_a.count < rec_b.count:
+                lines.append(f"strict: {format_shape(rec_a.shape)}: {rec_a.count} < {rec_b.count}")
+    for m in report.mismatches:
+        note = f" ({m.note})" if m.note else ""
+        lines.append(f"MISMATCH shape={m.shape} content={m.content} {m.a} vs {m.b}{note}")
+    lines.append(f"verdict: {report.verdict} ({len(list(report.records))} counts)")
+    if report.scope.startswith("conjecture2") and report.verdict == "unequal":
+        m = report.mismatches[0]
+        lines.append(f"witness: {m.note}: {m.a} vs {m.b}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("out", ["plain", "json", "csv"])
+@pytest.mark.parametrize("command", sorted(STREAMED))
+def test_streamed_reports_print_the_bytes_of_a_whole_document(tmp_path, capsys, command, out):
+    argv, scan, status = STREAMED[command]
+    want = rendered_whole(scan(), out)
+    cache = tmp_path / "c.jsonl"
+    cached = ["--cache", str(cache)]
+    assert run(capsys, *argv, "--out", out) == (status, want, "")
+    assert run(capsys, *argv, "--out", out, *cached) == (status, want, "")  # cold
+    assert run(capsys, *argv, "--out", out, *cached) == (status, want, "")  # warm
+    whole = cache.read_bytes()
+    cut = whole.index(b"\n", len(whole) // 2) + 1
+    cache.write_bytes(whole[:cut] + b'{"shape": "1')  # torn last line
+    printed, stdout, stderr = run(capsys, *argv, "--out", out, *cached)
+    assert (printed, stdout) == (status, want) and "skipped torn last line" in stderr
+    assert cache.read_bytes() == whole
 
 
 def test_check_equiv_with_expectation(capsys):

@@ -30,6 +30,7 @@ from shapewilf import (
     validate_pattern,
     word_to_filling,
 )
+import shapewilf
 from shapewilf import core, enumeration
 from shapewilf.enumeration import check_bounds
 from worked_example import CONTENT, FILLING, SHAPE
@@ -227,6 +228,25 @@ def test_every_input_error_is_a_usage_error_and_a_value_error():
     assert issubclass(core.UsageError, ValueError)
     assert issubclass(enumeration.UnusableCache, OSError)
     assert not issubclass(enumeration.CorruptCache, core.UsageError)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: shapewilf.reproduce_table(5), "table id must be 1..4"),
+        (lambda: shapewilf.reconstruct(make_shape((1,)), (0, 1, 0), "123"), "kind must be"),
+        (
+            lambda: shapewilf.blowup(Filling(make_shape((1,)), (1,)), (1,), "increasing"),
+            "direction must be a Direction",
+        ),
+        (lambda: list(shapewilf.walk_shapes([(1, 2)], 2, 2, "unconstrained")), "regime must be"),
+    ],
+    ids=["table-id", "reconstruct-kind", "blowup-direction", "walk-regime"],
+)
+def test_a_choice_outside_its_values_is_a_usage_error(call, message):
+    with pytest.raises(core.BadChoice, match=message):
+        call()
+    assert issubclass(core.BadChoice, core.UsageError)
 
 
 # --- value semantics of the record classes ---------------------------------

@@ -21,6 +21,7 @@ from shapewilf import (
     direct_sum,
     enumeration,
     format_patterns,
+    format_shape,
     harness,
     iter_shapes,
     make_shape,
@@ -265,6 +266,30 @@ def per_cell_records(cells, pattern_sets):
     ]
 
 
+def per_cell_mismatches(reference, differs):
+    """The mismatches of the record pairs of ``reference`` whose counts ``differs``."""
+    return [
+        Mismatch(format_shape(a.shape), enumeration.content_text(a.content), a.count, b.count)
+        for a, b in zip(reference[::2], reference[1::2])
+        if differs(a.count, b.count)
+    ]
+
+
+def unread(scan):
+    """The report of ``scan()`` and the number of ``CountRecord``s built while it ran."""
+    built = []
+    init = CountRecord.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CountRecord, "__init__", counted_init)
+        report = scan()
+    return report, len(built)
+
+
 @given(pattern_sets, pattern_sets, max_cols, max_rows)
 @settings(max_examples=20, deadline=None)
 def test_walked_equivalence_scan_matches_per_cell_counts(omega, sigma, cols, rows):
@@ -273,19 +298,44 @@ def test_walked_equivalence_scan_matches_per_cell_counts(omega, sigma, cols, row
         for shape in iter_shapes(cols, rows)
         for content in compositions(shape.width, shape.n_rows)
     ]
-    report = check_equivalence(omega, sigma, cols, rows)
+    report, built = unread(lambda: check_equivalence(omega, sigma, cols, rows))
+    assert built == 0
     reference = per_cell_records(cells, (omega, sigma))
     assert report.records == reference
     assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
+    mismatches = per_cell_mismatches(reference, int.__ne__)
+    assert report.mismatches == mismatches
+    assert report.verdict == ("unequal" if mismatches else "equal")
 
 
 @given(max_cols, max_rows)
 @settings(max_examples=20, deadline=None)
 def test_walked_conjecture1_scan_matches_per_cell_counts(cols, rows):
     cells = [(shape, POSITIVE_ROWS) for shape in iter_shapes(cols, rows)]
-    report = scan_conjecture1(cols, rows)
+    report, built = unread(lambda: scan_conjecture1(cols, rows))
+    assert built == 0
     reference = per_cell_records(cells, ((P231,), (P312,)))
+    assert report.records == reference
     assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
+    mismatches = per_cell_mismatches(reference, int.__gt__)
+    assert report.mismatches == mismatches
+    assert report.verdict == ("counterexample-found" if mismatches else "conjecture-consistent")
+
+
+def test_scan_reports_build_records_only_when_read():
+    report, built = unread(lambda: check_equivalence([P231], [P312], 5, 4))
+    assert built == 0 and len(report.mismatches) == 3
+    # the count, the documents and the strict pairs build no record beyond the pairs
+    reads = [
+        lambda: len(report.records),
+        report.to_json,
+        report.to_csv,
+        report.to_json_dict,
+        lambda: len(report.strict_inequalities()),
+        lambda: list(report.records),
+    ]
+    assert [unread(read)[1] for read in reads] == [0, 0, 0, 0, 6, 662]
+    assert len(report.records) == 662 and len(report.strict_inequalities()) == 3
 
 
 def check_walk(patterns, cols, rows, regime) -> dict:
