@@ -341,6 +341,8 @@ def format_patterns(patterns) -> str:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
+        if "_" in text:  # int() would read "1_0" as 10
+            raise ValueError
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ParseError(f"cannot parse {what} {text!r}: expected comma-separated integers")

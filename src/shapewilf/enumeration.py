@@ -383,6 +383,8 @@ def count_positive_fillings(shape: FerrersShape, patterns) -> int:
 
 def word_rectangle(n: int, m: int) -> FerrersShape:
     """The m rows of length n whose fillings are the words of length n over {1..m}."""
+    if type(n) is not int or type(m) is not int:
+        raise BadComposition(f"length and alphabet size must be integers, got {n!r}, {m!r}")
     if n < 1 or m < 1:
         raise BadComposition(f"need positive length and alphabet size, got {n}, {m}")
     return make_shape((n,) * m)

@@ -14,15 +14,16 @@ second.  ``scan_conjecture2``, which stops at its first witness, advances
 one column pass per (alphabet, pattern) by a column per length, and table
 reproduction counts cell by cell.  Every count runs in-process.
 
-A report holds, per shape in report order, the shape's contents and one
-histogram per pattern set (the count of each content in turn), and every
-report gets them from ``enumeration.shape_counts``, where a ``--cache`` hit
+A report is its counts: per shape in report order, the shape's contents
+and one histogram per pattern set (the count of each content in turn), which
+every report gets from ``enumeration.shape_counts``, where a ``--cache`` hit
 wins over the count, which runs only when some count is not cached.  The
 scans find their mismatches by comparing a shape's histograms and visit its
-contents only where they differ.  No ``CountRecord`` is built until
-``ScanReport.records`` is read, and the JSON and CSV writers stream the
-records from the histograms, with each shape, content and pattern text
-formatted once.
+contents only where they differ.  ``ScanReport.records`` is a read-only
+view: its length builds no ``CountRecord`` and iterating it builds one at a
+time, while comparing, copying and pickling a report read only its counts.
+The JSON and CSV writers stream the records from the histograms, with each
+shape, content and pattern text formatted once.
 """
 
 import csv
@@ -30,7 +31,6 @@ import io
 import json
 import os
 from itertools import starmap
-from operator import eq
 
 from .core import (
     BadChoice,
@@ -88,57 +88,30 @@ class Mismatch(FrozenValue):
         return out
 
 
-class _Records:
-    """The records of a report, built from its counts each time they are read.
+def _cells(counts):
+    """(shape, content, patterns, count) of every record of ``counts``, in report order."""
+    for shape, contents, pattern_sets, histograms in counts:
+        for content, cell_counts in zip(contents, zip(*histograms)):
+            for patterns, count in zip(pattern_sets, cell_counts):
+                yield shape, content, patterns, count
 
-    It reads like a list of ``CountRecord``, one per (shape, content, pattern
-    set) in report order: ``len`` builds no record, iteration builds one at
-    a time and indexing builds them all.  ``append`` and ``+=`` add records
-    to the report, and it pickles as a plain list.
+
+class _Records:
+    """The records of a report's counts, one ``CountRecord`` per (shape, content, pattern set).
+
+    ``len`` builds no record, and iteration builds one at a time, in report order.
     """
 
-    __slots__ = ("_report",)
+    __slots__ = ("_counts",)
 
-    def __init__(self, report: "ScanReport"):
-        self._report = report
+    def __init__(self, counts: list):
+        self._counts = counts
 
     def __len__(self) -> int:
-        return sum(len(contents) * len(sets) for _, contents, sets, _ in self._report.counts)
+        return sum(len(contents) * len(sets) for _, contents, sets, _ in self._counts)
 
     def __iter__(self):
-        return starmap(CountRecord, self._report._cells())
-
-    def __getitem__(self, index):
-        return list(self)[index]
-
-    def __eq__(self, other):
-        if isinstance(other, _Records) and other._report.counts == self._report.counts:
-            return True
-        if not isinstance(other, (_Records, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-    def __reduce__(self):
-        return list, (list(self),)
-
-    def index(self, record) -> int:
-        return list(self).index(record)
-
-    def append(self, record: CountRecord) -> None:
-        self._report.counts.append(
-            (record.shape, (record.content,), (record.patterns,), ((record.count,),))
-        )
-
-    def extend(self, records) -> None:
-        for record in list(records):  # a copy first, so that a report can extend by itself
-            self.append(record)
-
-    def __iadd__(self, records) -> "_Records":
-        self.extend(records)
-        return self
+        return starmap(CountRecord, _cells(self._counts))
 
 
 class ScanReport(Value):
@@ -149,45 +122,28 @@ class ScanReport(Value):
     its histogram over them, the number of avoiders of each content in turn
     (as ``enumeration.shape_counts`` gives them).  ``records`` reads them as
     one ``CountRecord`` per (shape, content, pattern set), built only when
-    read; the JSON and CSV writers format each shape, content and pattern
+    iterated; the JSON and CSV writers format each shape, content and pattern
     text once and build no record.  Reports compare by value, and each gets
     its own lists unless given some.
     """
 
-    __slots__ = ("scope", "counts", "mismatches", "verdict")
-    _fields = ("scope", "records", "mismatches", "verdict")
+    __slots__ = _fields = ("scope", "counts", "mismatches", "verdict")
 
     def __init__(
         self,
         scope: str,
-        records: list[CountRecord] | None = None,
+        counts: list | None = None,
         mismatches: list[Mismatch] | None = None,
         verdict: str = VERDICT_EQUAL,
     ):
         self.scope = scope
-        self.counts = []
-        self.records.extend(records or ())
+        self.counts = [] if counts is None else counts
         self.mismatches = [] if mismatches is None else mismatches
         self.verdict = verdict
 
     @property
     def records(self) -> _Records:
-        return _Records(self)
-
-    @records.setter
-    def records(self, records) -> None:
-        # ``report.records += ...`` extends the report, then sets its own records back.
-        if not (isinstance(records, _Records) and records._report is self):
-            records = list(records)
-            self.counts = []
-            self.records.extend(records)
-
-    def _cells(self):
-        """(shape, content, patterns, count) of every record, in report order."""
-        for shape, contents, pattern_sets, histograms in self.counts:
-            for content, counts in zip(contents, zip(*histograms)):
-                for patterns, count in zip(pattern_sets, counts):
-                    yield shape, content, patterns, count
+        return _Records(self.counts)
 
     def _texts(self, encode):
         """Per shape: its text, its pattern set texts, and (content text, counts) per content.
@@ -219,7 +175,7 @@ class ScanReport(Value):
 
     def strict_inequalities(self) -> list[tuple[CountRecord, CountRecord]]:
         """Consecutive record pairs with differing counts (derived, not stored)."""
-        cells = self._cells()
+        cells = _cells(self.counts)
         return [(CountRecord(*a), CountRecord(*b)) for a, b in zip(cells, cells) if a[3] != b[3]]
 
     def to_json_dict(self) -> dict:
@@ -324,8 +280,10 @@ def reproduce_table(table_id: int, cache=None) -> ScanReport:
 def iter_shapes(max_cols: int, max_rows: int):
     """All shapes within the bounds, by total cell count, then lexicographically.
 
-    The rows are generated valid, so the shapes skip the per-row checks.
+    The bounds are checked as a scan's are.  The rows are generated valid, so
+    the shapes skip the per-row checks.
     """
+    check_bounds(max_cols=max_cols, max_rows=max_rows)
     found: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -336,8 +294,7 @@ def iter_shapes(max_cols: int, max_rows: int):
             cap = prefix[-1] if prefix else max_cols
             stack.extend(prefix + (length,) for length in range(1, cap + 1))
     found.sort(key=lambda rows: (sum(rows), rows))
-    for rows in found:
-        yield FerrersShape._generated(rows)
+    return map(FerrersShape._generated, found)
 
 
 def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):

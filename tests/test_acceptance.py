@@ -145,7 +145,8 @@ def test_criterion_4_table_4_reproduction_and_inequality():
     start = time.time()
     report = reproduce_table(4)
     ok = report.verdict == "equal"
-    pairs = list(zip(report.records[::2], report.records[1::2]))
+    records = list(report.records)
+    pairs = list(zip(records[::2], records[1::2]))
     monotone = all(a.count <= b.count for a, b in pairs)
     ok = ok and monotone and len(pairs) == 18
     _line(4, ok, time.time() - start,

@@ -11,7 +11,6 @@ import pytest
 import shapewilf
 from shapewilf import (
     POSITIVE_ROWS,
-    CountRecord,
     Mismatch,
     ScanReport,
     check_equivalence,
@@ -410,6 +409,8 @@ def fail_appends(monkeypatch):
 MALFORMED = {
     "count-not-ferrers": ["count", "--shape", "4,5"],
     "count-shape-text": ["count", "--shape", "5,x"],
+    "count-shape-underscore": ["count", "--shape", "1_0"],
+    "count-content-underscore": ["count", "--shape", "21", "--content", "2_1"],
     "count-superscript-pattern": ["count", "--shape", "5,5,4", "--patterns", "\u00b231"],
     "count-gap-pattern": ["count", "--shape", "3,2", "--patterns", "13"],
     "count-content": ["count", "--shape", "5,5,4", "--content", "2,2"],
@@ -509,14 +510,13 @@ def test_conflicting_cache_records_are_a_damaged_cache(tmp_path, capsys):
 
 def test_scan_conj1_prints_only_the_strict_inequalities_that_hold(capsys, monkeypatch):
     # a counterexample shape (5 > 3) beside one strict pair (2 < 4)
-    counts = {(3, 2): (5, 3), (2, 2): (2, 4), (1,): (1, 1)}
-    records = [
-        CountRecord(make_shape(rows), POSITIVE_ROWS, (pattern,), count)
-        for rows, pair in counts.items()
-        for pattern, count in zip([(2, 3, 1), (3, 1, 2)], pair)
+    pairs = {(3, 2): (5, 3), (2, 2): (2, 4), (1,): (1, 1)}
+    counts = [
+        (make_shape(rows), (POSITIVE_ROWS,), (((2, 3, 1),), ((3, 1, 2),)), ((a,), (b,)))
+        for rows, (a, b) in pairs.items()
     ]
     report = ScanReport(
-        "conjecture1 planted", records, [Mismatch("3,2", POSITIVE_ROWS, 5, 3)],
+        "conjecture1 planted", counts, [Mismatch("3,2", POSITIVE_ROWS, 5, 3)],
         "counterexample-found",
     )
     monkeypatch.setattr(cli, "scan_conjecture1", lambda *args, **kwargs: report)

@@ -24,6 +24,7 @@ from shapewilf import (
     format_word,
     make_composition,
     make_shape,
+    parse_composition,
     parse_patterns,
     parse_shape,
     parse_word,
@@ -206,6 +207,22 @@ def test_text_encodings_round_trip():
 
 
 @pytest.mark.parametrize(
+    "parse, text",
+    [(parse_shape, "1_0"), (parse_shape, "3,1_0"), (parse_composition, "2_1"), (parse_word, "1_2,3")],
+    ids=["shape", "shape-second-row", "composition", "word"],
+)
+def test_digit_group_underscores_are_parse_errors(parse, text):
+    # int() reads "1_0" as 10
+    with pytest.raises(core.ParseError, match="expected comma-separated integers"):
+        parse(text)
+
+
+def test_a_signed_row_still_reaches_the_shape_check():
+    with pytest.raises(NotFerrers, match="non-positive length -1"):
+        parse_shape("-1")
+
+
+@pytest.mark.parametrize(
     "text", ["\u00b231", "2\u00b31", "\u24602"], ids=["superscript-2", "superscript-3", "circled-1"]
 )
 def test_a_word_with_a_digit_int_cannot_read_is_an_invalid_pattern(text):
@@ -327,14 +344,18 @@ def test_shapes_compare_and_hash_on_rows_alone():
 
 def test_scan_reports_are_mutable_values_with_their_own_lists():
     first, second = ScanReport("demo"), ScanReport(scope="demo")
-    assert first == second and first.records is not second.records
+    assert first == second and first.counts is not second.counts
     assert first.mismatches is not second.mismatches
-    first.records.append(FROZEN_VALUES["CountRecord"][1])
-    assert second.records == [] and first != second
-    second.records.append(FROZEN_VALUES["CountRecord"][1])
-    assert first == second
+    record = FROZEN_VALUES["CountRecord"][1]
+    counts = (record.shape, (record.content,), (record.patterns,), ((record.count,),))
+    first.counts.append(counts)
+    assert second.counts == [] and first != second
+    second.counts.append(counts)
+    assert first == second and list(first.records) == [record]
+    assert repr(first).startswith("ScanReport(scope='demo', counts=[(FerrersShape(")
     first.verdict = "unequal"
     assert first != second
     assert pickle.loads(pickle.dumps(first)) == first
+    assert copy.deepcopy(first) == first
     with pytest.raises(TypeError):
         hash(first)

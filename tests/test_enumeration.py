@@ -235,6 +235,22 @@ def test_word_counts():
         count_words(0, 3, [])
 
 
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda: count_words(3, True, [(2, 1)]),
+        lambda: count_words(True, 3, [(2, 1)]),
+        lambda: count_words(3, 2.0, [(2, 1)]),
+        lambda: word_rectangle(2, "2"),
+    ],
+    ids=["bool-alphabet", "bool-length", "float-alphabet", "text-alphabet"],
+)
+def test_word_sizes_must_be_ints(count):
+    # True == 1 and 2.0 == 2, but neither is a length or an alphabet size
+    with pytest.raises(BadComposition, match="length and alphabet size must be integers"):
+        count()
+
+
 def _reverse(p):
     return tuple(reversed(p))
 

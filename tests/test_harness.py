@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 import time
 
 import pytest
@@ -49,6 +51,22 @@ def test_iter_shapes_order_and_bounds():
     assert keys == sorted(keys)
     assert rows[0] == (1,)
     assert all(s.width <= 3 and s.n_rows <= 3 for s in shapes)
+
+
+@pytest.mark.parametrize(
+    "cols, rows, message",
+    [
+        (2.5, 2, "max_cols must be an integer"),
+        ("3", 2, "max_cols must be an integer"),
+        (True, 1, "max_cols must be an integer"),
+        (3, 2.0, "max_rows must be an integer"),
+        (0, 2, "max_cols must be positive"),
+        (2, -1, "max_rows must be positive"),
+    ],
+)
+def test_iter_shapes_rejects_bounds_as_the_scans_do(cols, rows, message):
+    with pytest.raises(BadComposition, match=f"scan bound {message}"):
+        iter_shapes(cols, rows)
 
 
 def test_generated_shapes_equal_checked_ones():
@@ -174,7 +192,8 @@ def test_scan_conjecture2_finds_the_first_witness():
     assert (witness.a, witness.b) == (67853, 67854)
     assert "length 7, alphabet 5" in witness.note
     # everything before the witness was equal
-    paired = list(zip(report.records[:-2:2], report.records[1:-2:2]))
+    records = list(report.records)
+    paired = list(zip(records[:-2:2], records[1:-2:2]))
     assert all(a.count == b.count for a, b in paired)
 
 
@@ -301,7 +320,7 @@ def test_walked_equivalence_scan_matches_per_cell_counts(omega, sigma, cols, row
     report, built = unread(lambda: check_equivalence(omega, sigma, cols, rows))
     assert built == 0
     reference = per_cell_records(cells, (omega, sigma))
-    assert report.records == reference
+    assert list(report.records) == reference
     assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
     mismatches = per_cell_mismatches(reference, int.__ne__)
     assert report.mismatches == mismatches
@@ -315,7 +334,7 @@ def test_walked_conjecture1_scan_matches_per_cell_counts(cols, rows):
     report, built = unread(lambda: scan_conjecture1(cols, rows))
     assert built == 0
     reference = per_cell_records(cells, ((P231,), (P312,)))
-    assert report.records == reference
+    assert list(report.records) == reference
     assert [r.to_json() for r in report.records] == [r.to_json() for r in reference]
     mismatches = per_cell_mismatches(reference, int.__gt__)
     assert report.mismatches == mismatches
@@ -336,6 +355,18 @@ def test_scan_reports_build_records_only_when_read():
     ]
     assert [unread(read)[1] for read in reads] == [0, 0, 0, 0, 6, 662]
     assert len(report.records) == 662 and len(report.strict_inequalities()) == 3
+
+
+def test_comparing_copying_and_pickling_a_report_build_no_record():
+    report = check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 5, 4)
+    rebuilt = ScanReport(report.scope, report.counts, report.mismatches, report.verdict)
+    reads = [
+        lambda: rebuilt == report,
+        lambda: copy.deepcopy(report) == report,
+        lambda: pickle.loads(pickle.dumps(report)) == report,
+    ]
+    assert [unread(read) for read in reads] == [(True, 0)] * 3
+    assert ScanReport.__slots__ == ScanReport._fields == ("scope", "counts", "mismatches", "verdict")
 
 
 def check_walk(patterns, cols, rows, regime) -> dict:
@@ -409,25 +440,23 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
         [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231], [(1, 1)])]
     ):
         path = tmp_path / f"cache{case}.jsonl"
-        cold = check_equivalence(omega, sigma, 4, 3)
+        cold = list(check_equivalence(omega, sigma, 4, 3).records)
         # Every third record is cached with a wrong count, so a reported wrong
         # count shows that the cached value won over the walk.
-        planted = [
-            CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold.records[::3]
-        ]
+        planted = [CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold[::3]]
         with ResultCache(str(path)) as cache:
             for record in planted:
                 cache.add(record.key(), record.count)
         with ResultCache(str(path)) as cache:
             mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
         assert [r.count for r in mixed.records] == [
-            r.count + 1000 if i % 3 == 0 else r.count for i, r in enumerate(cold.records)
+            r.count + 1000 if i % 3 == 0 else r.count for i, r in enumerate(cold)
         ]
         assert mixed.verdict == "unequal"
         # the counted records follow the planted ones in the file, in report order
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == [r.to_json() for r in planted] + [
-            r.to_json() for i, r in enumerate(cold.records) if i % 3
+            r.to_json() for i, r in enumerate(cold) if i % 3
         ]
 
 
@@ -560,7 +589,9 @@ def per_rectangle_conjecture2(beta, max_length, max_alphabet, count):
         for m in range(1, max_alphabet + 1):
             rectangle = make_shape((n,) * m)
             rec_a, rec_b = count(rectangle, x), count(rectangle, y)
-            report.records += [rec_a, rec_b]
+            report.counts.append(
+                (rectangle, (UNCONSTRAINED,), ((x,), (y,)), ((rec_a.count,), (rec_b.count,)))
+            )
             if rec_a.count != rec_b.count:
                 shape = ",".join(map(str, rectangle.rows))
                 note = f"first witness at length {n}, alphabet {m}"
@@ -606,21 +637,22 @@ def test_chained_conjecture2_scan_fills_a_cache_like_the_per_rectangle_loop(tmp_
 
 def test_chained_conjecture2_scan_reports_cached_counts_and_counts_the_rest(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cold = scan_conjecture2((1,), 6, 5)
-    assert cold.verdict == "equal"
+    scanned = scan_conjecture2((1,), 6, 5)
+    assert scanned.verdict == "equal"
+    cold = list(scanned.records)
     # Every third record up to length 4 is cached with its true count, so the
     # column passes must step over those lengths; the count of 231+1 on the
     # 5 x 3 rectangle is planted wrong and must end the scan as it stands.
-    stop = cold.records.index(next(r for r in cold.records if r.shape.rows == (5, 5, 5)))
-    planted = [r for r in cold.records[:stop:3] if r.shape.width <= 4]
-    wrong = cold.records[stop]
+    stop = cold.index(next(r for r in cold if r.shape.rows == (5, 5, 5)))
+    planted = [r for r in cold[:stop:3] if r.shape.width <= 4]
+    wrong = cold[stop]
     planted.append(CountRecord(wrong.shape, wrong.content, wrong.patterns, wrong.count + 1000))
     with ResultCache(str(path)) as cache:
         for record in planted:
             cache.add(record.key(), record.count)
     with ResultCache(str(path)) as cache:
         mixed = scan_conjecture2((1,), 6, 5, cache=cache)
-    assert mixed.records == cold.records[:stop] + [planted[-1], cold.records[stop + 1]]
+    assert list(mixed.records) == cold[:stop] + [planted[-1], cold[stop + 1]]
     assert (mixed.verdict, mixed.mismatches[0].a) == ("unequal", wrong.count + 1000)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines == [r.to_json() for r in planted] + [
