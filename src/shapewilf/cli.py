@@ -24,6 +24,7 @@ from .core import (
     format_shape,
     format_word,
     parse_composition,
+    parse_int,
     parse_patterns,
     parse_shape,
     parse_word,
@@ -72,26 +73,20 @@ def _emit_report(report, args) -> None:
 
 def _cmd_count(args) -> int:
     shape = parse_shape(args.shape)
-    content = check_content(shape, parse_content(args.content))
-    patterns = parse_patterns(args.patterns)
-    with _open_cache(args) as cache:
-        record = counted(shape, content, patterns, cache=cache)
-    if args.out == "json":
-        print(json.dumps(record.to_json()))
-    else:
-        print(record.count)
-    return 0
+    return _count(args, shape, check_content(shape, parse_content(args.content)), {})
 
 
 def _cmd_count_words(args) -> int:
-    rectangle = word_rectangle(args.length, args.alphabet)
+    sizes = {"length": args.length, "alphabet": args.alphabet}
+    return _count(args, word_rectangle(args.length, args.alphabet), UNCONSTRAINED, sizes)
+
+
+def _count(args, shape, content, extra: dict) -> int:
+    """Parse the patterns, count through the cache, print the record (json: plus ``extra``)."""
     patterns = parse_patterns(args.patterns)
     with _open_cache(args) as cache:
-        record = counted(rectangle, UNCONSTRAINED, patterns, cache=cache)
-    if args.out == "json":
-        print(json.dumps({**record.to_json(), "length": args.length, "alphabet": args.alphabet}))
-    else:
-        print(record.count)
+        record = counted(shape, content, patterns, cache=cache)
+    print(json.dumps({**record.to_json(), **extra}) if args.out == "json" else record.count)
     return 0
 
 
@@ -100,7 +95,13 @@ def _cmd_enumerate(args) -> int:
     content = check_content(shape, parse_content(args.content))
     fillings = enumerate_fillings(shape, parse_patterns(args.patterns), content)
     if args.out == "json":
-        print(json.dumps([list(f.col_to_row) for f in fillings]))
+        # The bytes of json.dumps([list(f.col_to_row) for f in fillings]), a filling at a time.
+        write = sys.stdout.write
+        lead = "["
+        for filling in fillings:
+            write(lead + "[" + ", ".join(map(str, filling.col_to_row)) + "]")
+            lead = ", "
+        print("[]" if lead == "[" else "]")
     else:
         for filling in fillings:
             print(format_word(filling.col_to_row))
@@ -158,9 +159,9 @@ def _cmd_scan_conj1(args) -> int:
     with _open_cache(args) as cache:
         report = scan_conjecture1(args.max_cols, args.max_rows, cache=cache)
     if args.out == "plain":
-        for rec_a, rec_b in report.strict_inequalities():
-            if rec_a.count < rec_b.count:
-                print(f"strict: {format_shape(rec_a.shape)}: {rec_a.count} < {rec_b.count}")
+        for shape, _, _, ((a,), (b,)) in report.counts:  # one content and two pattern sets
+            if a < b:
+                print(f"strict: {format_shape(shape)}: {a} < {b}")
     _emit_report(report, args)
     return 0
 
@@ -185,6 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, patterns=False, content=False, cache=True, outs=("plain", "json", "csv")):
+        # Every type=int argument of p is read by parse_int (ASCII digits only),
+        # while argparse still names the type "int" in its usage errors.
+        p.register("type", int, parse_int)
         if patterns:
             p.add_argument("--patterns", default="", help="pattern set, e.g. 231 or 231+221")
         p.add_argument(

@@ -143,10 +143,6 @@ class FerrersShape(FrozenValue):
     def width(self) -> int:
         return self.rows[0]
 
-    @property
-    def n_cells(self) -> int:
-        return sum(self.rows)
-
 
 def _heights(rows: tuple[int, ...]) -> tuple[int, ...]:
     heights = []
@@ -306,9 +302,11 @@ def parse_word(text: str) -> Word:
         return ()
     if "," in text:
         return make_word(_parse_int_list(text, "word"))
-    if not text.isdecimal():
+    try:
+        letters = [parse_int(ch) for ch in text]
+    except ValueError:
         raise InvalidPattern(f"cannot parse word {text!r}")
-    return make_word(int(ch) for ch in text)
+    return make_word(letters)
 
 
 def format_word(word: Word) -> str:
@@ -339,10 +337,22 @@ def format_patterns(patterns) -> str:
     return "+".join(format_word(p) for p in patterns)
 
 
+def parse_int(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits, spaces around it allowed.
+
+    ``int`` alone would also read other decimal digits ("３") and underscores
+    ("1_0"); both raise ``ValueError`` here.
+    """
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        if "_" in text:  # int() would read "1_0" as 10
-            raise ValueError
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(parse_int, text.split(",")))
     except ValueError:
         raise ParseError(f"cannot parse {what} {text!r}: expected comma-separated integers")

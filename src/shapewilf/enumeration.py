@@ -299,47 +299,6 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
                 stack.extend((heights + (g,), states) for g in range(h, 0, -1))
 
 
-def _iter_engine(shape, patterns, content) -> Iterator[tuple[int, ...]]:
-    # Depth first over the same column steps as the count, one state at a
-    # time.  Each move is tagged with its row, so the children of a state stay
-    # apart and come out of ``step`` in increasing row order.
-    regime = _shape_regime(shape, content)
-    if regime is None:
-        return
-    start, moves = regime
-    trackers = _Trackers(patterns, shape.rows)
-    heights = shape.heights
-    width = shape.width
-
-    tags: dict = {}  # (regime, column) -> its tagged moves, shared by every prefix
-
-    def tagged(regime, h: int, done: int) -> list:
-        key = (regime[1], done)
-        out = tags.get(key)
-        if out is None:
-            out = tags[key] = [(row, (row, after)) for row, after in moves(regime[1], h, done)]
-        return out
-
-    placed: list[int] = []
-    # children[j] runs over the states after j columns that are still to expand
-    children = [iter([(trackers.start, (0, start))])]
-    while children:
-        j = len(children) - 1
-        state = next(children[j], None)
-        if state is None:
-            children.pop()
-            continue
-        if j:
-            del placed[j - 1 :]
-            placed.append(state[1][0])
-        after = step({state: 1}, heights[j], j + 1, trackers, tagged)
-        if j + 1 == width:
-            for _, (row, _) in after:
-                yield (*placed, row)
-        else:
-            children.append(iter(after))
-
-
 def check_content(shape: FerrersShape, content):
     """A regime name as it is, else the composition checked against the shape."""
     if content == UNCONSTRAINED or content == POSITIVE_ROWS:
@@ -402,8 +361,44 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
     """
     content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
-    for cols in _iter_engine(shape, patterns, content):
-        yield Filling(shape, cols)
+    # Depth first over the same column steps as the count, one state at a
+    # time.  Each move is tagged with its row, so the children of a state stay
+    # apart and come out of ``step`` in increasing row order.
+    regime = _shape_regime(shape, content)
+    if regime is None:
+        return
+    start, moves = regime
+    trackers = _Trackers(patterns, shape.rows)
+    heights = shape.heights
+    width = shape.width
+
+    tags: dict = {}  # (regime, column) -> its tagged moves, shared by every prefix
+
+    def tagged(regime, h: int, done: int) -> list:
+        key = (regime[1], done)
+        out = tags.get(key)
+        if out is None:
+            out = tags[key] = [(row, (row, after)) for row, after in moves(regime[1], h, done)]
+        return out
+
+    placed: list[int] = []
+    # children[j] runs over the states after j columns that are still to expand
+    children = [iter([(trackers.start, (0, start))])]
+    while children:
+        j = len(children) - 1
+        state = next(children[j], None)
+        if state is None:
+            children.pop()
+            continue
+        if j:
+            del placed[j - 1 :]
+            placed.append(state[1][0])
+        after = step({state: 1}, heights[j], j + 1, trackers, tagged)
+        if j + 1 == width:
+            for _, (row, _) in after:
+                yield Filling(shape, (*placed, row))
+        else:
+            children.append(iter(after))
 
 
 def compositions(total: int, parts: int) -> Iterator[Composition]:
@@ -611,23 +606,19 @@ def shape_counts(shape, contents, pattern_sets, cache, histogram) -> tuple:
     return tuple(map(tuple, counts))
 
 
-def count_content(shape: FerrersShape, content, patterns) -> int:
-    """Count one set: ``content`` checked against the shape, ``patterns`` canonical."""
-    if content == UNCONSTRAINED:
-        return count_all_fillings(shape, patterns)
-    if content == POSITIVE_ROWS:
-        return count_positive_fillings(shape, patterns)
-    return count_fillings(shape, content, patterns)
-
-
 def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:
     """Count one set under any regime, consulting/filling the cache if given."""
     content = check_content(shape, content)
     patterns = canonical_patterns(patterns)
-    ((count,),) = shape_counts(
-        shape, (content,), (patterns,), cache,
-        lambda shape, side: {content: count_content(shape, content, patterns)},
-    )
+
+    def histogram(shape, side: int) -> dict:
+        if content == UNCONSTRAINED:
+            return {content: count_all_fillings(shape, patterns)}
+        if content == POSITIVE_ROWS:
+            return {content: count_positive_fillings(shape, patterns)}
+        return {content: count_fillings(shape, content, patterns)}
+
+    ((count,),) = shape_counts(shape, (content,), (patterns,), cache, histogram)
     return CountRecord(shape, content, patterns, count)
 
 

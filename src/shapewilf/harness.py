@@ -30,7 +30,6 @@ import csv
 import io
 import json
 import os
-from itertools import starmap
 
 from .core import (
     BadChoice,
@@ -54,11 +53,10 @@ from .enumeration import (
     CountRecord,
     canonical_patterns,
     check_bounds,
-    check_content,
     column_states,
     compositions,
     content_text,
-    count_content,
+    counted,
     parse_content,
     patterns_text,
     record_json,
@@ -88,14 +86,6 @@ class Mismatch(FrozenValue):
         return out
 
 
-def _cells(counts):
-    """(shape, content, patterns, count) of every record of ``counts``, in report order."""
-    for shape, contents, pattern_sets, histograms in counts:
-        for content, cell_counts in zip(contents, zip(*histograms)):
-            for patterns, count in zip(pattern_sets, cell_counts):
-                yield shape, content, patterns, count
-
-
 class _Records:
     """The records of a report's counts, one ``CountRecord`` per (shape, content, pattern set).
 
@@ -111,7 +101,10 @@ class _Records:
         return sum(len(contents) * len(sets) for _, contents, sets, _ in self._counts)
 
     def __iter__(self):
-        return starmap(CountRecord, _cells(self._counts))
+        for shape, contents, pattern_sets, histograms in self._counts:
+            for content, cell_counts in zip(contents, zip(*histograms)):
+                for patterns, count in zip(pattern_sets, cell_counts):
+                    yield CountRecord(shape, content, patterns, count)
 
 
 class ScanReport(Value):
@@ -172,11 +165,6 @@ class ScanReport(Value):
             for content, counts in cells:
                 for patterns, count in zip(sides, counts):
                     yield shape, content, patterns, count
-
-    def strict_inequalities(self) -> list[tuple[CountRecord, CountRecord]]:
-        """Consecutive record pairs with differing counts (derived, not stored)."""
-        cells = _cells(self.counts)
-        return [(CountRecord(*a), CountRecord(*b)) for a, b in zip(cells, cells) if a[3] != b[3]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -255,22 +243,19 @@ def reproduce_table(table_id: int, cache=None) -> ScanReport:
     report = ScanReport(scope=f"table {table_id}")
     for cell in fixture["cells"]:
         shape = parse_shape(cell["shape"])
-        content = check_content(shape, parse_content(cell["content"]))
-        contents = (content,)
-        histograms = shape_counts(
-            shape, contents, pattern_sets, cache,
-            lambda shape, side: {content: count_content(shape, content, pattern_sets[side])},
-        )
-        report.counts.append((shape, contents, pattern_sets, histograms))
-        for patterns, (count,), expected in zip(pattern_sets, histograms, (cell["a"], cell["b"])):
-            if count != expected:
+        content = parse_content(cell["content"])
+        records = [counted(shape, content, patterns, cache) for patterns in pattern_sets]
+        histograms = tuple((record.count,) for record in records)
+        report.counts.append((shape, (records[0].content,), pattern_sets, histograms))
+        for record, expected in zip(records, (cell["a"], cell["b"])):
+            if record.count != expected:
                 report.mismatches.append(
                     Mismatch(
                         cell["shape"],
                         cell["content"],
-                        count,
+                        record.count,
                         expected,
-                        note=f"{format_patterns(patterns)}: computed vs published",
+                        note=f"{format_patterns(record.patterns)}: computed vs published",
                     )
                 )
     report.verdict = VERDICT_EQUAL if not report.mismatches else VERDICT_UNEQUAL

@@ -6,7 +6,8 @@ against it.  The package itself calls none of them.
 """
 
 from bisect import bisect_left
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 
 from shapewilf import (
     POSITIVE_ROWS,
@@ -50,34 +51,28 @@ def count_words_direct(n: int, m: int, patterns) -> int:
 def word_contains(word, pattern) -> bool:
     """Subsequence with the same relative order, equal letters matching equal letters.
 
-    This follows the order-theoretic definition directly (pairwise comparisons
-    along a backtracking scan) and is used as an independent cross-check of
-    the matrix-based ``contains``.
+    Two words have the same relative order exactly when replacing each letter
+    by its rank among the word's distinct letters gives the same word, and a
+    pattern is already its own ranks.  So this asks whether the pattern is
+    among the rank words of the subsequences of its length, which are listed
+    once per (word, length).  It is an independent cross-check of the
+    matrix-based ``contains``.
     """
-    pattern = validate_pattern(pattern)
-    r = len(pattern)
-    n = len(word)
-    if r > n:
-        return False
-    chosen: list[int] = []
+    pattern = _validated(tuple(pattern))
+    return pattern in _rank_words(tuple(word), len(pattern))
 
-    def extend(t: int, start: int) -> bool:
-        if t == r:
-            return True
-        for i in range(start, n - (r - t) + 1):
-            wi = word[i]
-            if all(
-                (pattern[s] < pattern[t]) == (word[chosen[s]] < wi)
-                and (pattern[s] == pattern[t]) == (word[chosen[s]] == wi)
-                for s in range(t)
-            ):
-                chosen.append(i)
-                if extend(t + 1, i + 1):
-                    return True
-                chosen.pop()
-        return False
 
-    return extend(0, 0)
+_validated = lru_cache(maxsize=1 << 10)(validate_pattern)
+
+
+@lru_cache(maxsize=1 << 16)
+def _rank_words(word, r: int) -> frozenset:
+    """The rank words of every length-r subsequence of ``word``."""
+    found = set()
+    for sub in combinations(word, r):
+        rank = {v: i for i, v in enumerate(sorted(set(sub)), start=1)}
+        found.add(tuple([rank[v] for v in sub]))
+    return frozenset(found)
 
 
 def region_chain(col_to_row, x: int, y: int) -> int:

@@ -18,6 +18,8 @@ from shapewilf import (
     enumeration,
     format_shape,
     make_shape,
+    parse_patterns,
+    parse_shape,
     reproduce_table,
     scan_conjecture1,
     scan_conjecture2,
@@ -109,6 +111,23 @@ def test_enumerate(capsys):
                          "--patterns", "12")
     assert status == 0
     assert out.splitlines() == ["21"]
+
+
+@pytest.mark.parametrize(
+    "shape, content, patterns",
+    [("2,2", "all", "1"), ("4,3,2", "positive", "312"), ("4,4,2", "2,1,1", "231")],
+    ids=["no-avoider", "positive-rows", "fixed-content"],
+)
+def test_enumerate_json_is_the_bytes_of_the_whole_list(capsys, shape, content, patterns):
+    status, out, _ = run(capsys, "enumerate", "--shape", shape, "--content", content,
+                         "--patterns", patterns, "--out", "json")
+    parsed = parse_shape(shape)
+    fillings = shapewilf.enumerate_fillings(
+        parsed, parse_patterns(patterns), enumeration.parse_content(content)
+    )
+    document = json.dumps([list(f.col_to_row) for f in fillings])
+    assert (status, out) == (0, document + "\n")
+    assert (document == "[]") == (patterns == "1")
 
 
 def test_bijection_forward(capsys):
@@ -412,6 +431,8 @@ MALFORMED = {
     "count-shape-underscore": ["count", "--shape", "1_0"],
     "count-content-underscore": ["count", "--shape", "21", "--content", "2_1"],
     "count-superscript-pattern": ["count", "--shape", "5,5,4", "--patterns", "\u00b231"],
+    "count-full-width-shape": ["count", "--shape", "\uff13,\uff12", "--patterns", "231"],
+    "count-full-width-pattern": ["count", "--shape", "3,2", "--patterns", "\uff12\uff13\uff11"],
     "count-gap-pattern": ["count", "--shape", "3,2", "--patterns", "13"],
     "count-content": ["count", "--shape", "5,5,4", "--content", "2,2"],
     "count-cache-append": ["count", "--shape", "3,3", "--cache", "{cache}"],
@@ -451,6 +472,33 @@ MALFORMED = {
     "scan-conj2-cache-append":
         ["scan-conj2", "--max-length", "3", "--max-alphabet", "2", "--cache", "{cache}"],
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count-words", "--alphabet", "2", "--length", "1_0"],
+        ["count-words", "--length", "3", "--alphabet", "\uff12"],
+        ["count", "--shape", "3,2", "--jobs", "\uff12"],
+        ["table", "\uff12"],
+        ["scan-conj1", "--max-cols", "3", "--max-rows", "2_0"],
+        ["check-equiv", "21", "12", "--max-rows", "2", "--max-cols", "\u0663"],
+        ["scan-conj2", "--max-length", "3", "--max-alphabet", "1_0"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[-2][2:] if argv[-2].startswith('--') else 'id'}",
+)
+def test_integer_options_read_only_ascii_digits(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"invalid int value: {argv[-1]!r}" in err
+
+
+def test_integer_options_keep_signs_and_spaces(capsys):
+    status, out, _ = run(capsys, "count-words", "--length", " 4 ", "--alphabet", "+2",
+                         "--patterns", "21")
+    assert (status, out) == (0, "5\n")
 
 
 def test_malformed_input_reaches_every_command():

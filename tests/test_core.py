@@ -74,7 +74,7 @@ def test_column_heights():
 def test_column_heights_decrease_and_cover_all_cells(shape):
     heights = shape.heights
     assert all(a >= b for a, b in zip(heights, heights[1:]))
-    assert sum(heights) == shape.n_cells
+    assert sum(heights) == sum(shape.rows)
 
 
 def test_word_to_filling():
@@ -231,8 +231,24 @@ def test_a_word_with_a_digit_int_cannot_read_is_an_invalid_pattern(text):
         parse_word(text)
 
 
-def test_a_word_reads_every_decimal_digit_int_reads():
-    assert parse_word("\u0662\u0663\u0661") == (2, 3, 1)  # Arabic-Indic 231
+@pytest.mark.parametrize(
+    "text", ["\u0662\u0663\u0661", "\uff12\uff13\uff11", "\uff12,3,1"],
+    ids=["arabic-indic", "full-width", "full-width-listed"],
+)
+def test_a_word_reads_only_ascii_digits(text):
+    # int() reads each of these as 231 or as its first letter 2
+    with pytest.raises((InvalidPattern, core.ParseError)):
+        parse_word(text)
+
+
+@pytest.mark.parametrize("text", ["\uff13", "1_0", "", "+", "- 3", "3 4", "0x3", "1.0"])
+def test_parse_int_reads_only_a_sign_and_ascii_digits(text):
+    with pytest.raises(ValueError):
+        core.parse_int(text)
+
+
+def test_parse_int_keeps_signs_and_surrounding_spaces():
+    assert [core.parse_int(t) for t in ("7", " +3 ", "-12", "007", "\t5\n")] == [7, 3, -12, 7, 5]
 
 
 def test_every_input_error_is_a_usage_error_and_a_value_error():

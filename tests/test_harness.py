@@ -178,8 +178,7 @@ def test_scan_conjecture1():
     covering = scan_conjecture1(6, 4)
     assert covering.verdict == "conjecture-consistent"
     strict = {
-        rec_a.to_json()["shape"]: (rec_a.count, rec_b.count)
-        for rec_a, rec_b in covering.strict_inequalities()
+        format_shape(shape): (a, b) for shape, _, _, ((a,), (b,)) in covering.counts if a != b
     }
     assert strict["6,6,6,4"] == (425, 429)
 
@@ -344,17 +343,16 @@ def test_walked_conjecture1_scan_matches_per_cell_counts(cols, rows):
 def test_scan_reports_build_records_only_when_read():
     report, built = unread(lambda: check_equivalence([P231], [P312], 5, 4))
     assert built == 0 and len(report.mismatches) == 3
-    # the count, the documents and the strict pairs build no record beyond the pairs
+    # the count and the documents build no record
     reads = [
         lambda: len(report.records),
         report.to_json,
         report.to_csv,
         report.to_json_dict,
-        lambda: len(report.strict_inequalities()),
         lambda: list(report.records),
     ]
-    assert [unread(read)[1] for read in reads] == [0, 0, 0, 0, 6, 662]
-    assert len(report.records) == 662 and len(report.strict_inequalities()) == 3
+    assert [unread(read)[1] for read in reads] == [0, 0, 0, 0, 662]
+    assert len(report.records) == 662
 
 
 def test_comparing_copying_and_pickling_a_report_build_no_record():
@@ -431,6 +429,17 @@ def test_walk_rejects_an_unknown_regime():
 def test_walk_rejects_bounds_as_the_scans_do(cols, rows, bound, message):
     with pytest.raises(BadComposition, match=f"scan bound {bound} {message}"):
         list(walk_shapes([P231], cols, rows, CONTENTS))
+
+
+@pytest.mark.parametrize("table_id", [1, 2, 3, 4])
+def test_a_cold_table_caches_one_line_per_record_in_report_order(tmp_path, table_id):
+    # side a, then side b, cell by cell
+    path = tmp_path / "cache.jsonl"
+    with ResultCache(str(path)) as cache:
+        report = reproduce_table(table_id, cache=cache)
+    lines = path.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [r.to_json() for r in report.records]
+    assert report == reproduce_table(table_id)
 
 
 def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
