@@ -6,10 +6,11 @@ errors (``core.UsageError``), including malformed shapes, patterns, and
 contents, and a --cache path that cannot be read or created (reported before
 any count runs) or appended to (reported when the append fails), 3 when the
 --cache file holds a line that is not a count record or two lines that give
-one record different counts (a torn last line is only skipped, with a
-warning), 4 on an internal error (a bug: its traceback and an ``internal
-error:`` line go to stderr), and 141 when the reader of stdout closes it
-early, as ``| head`` does (quietly, like a process that SIGPIPE stopped).
+one record different counts (a torn last line, one that does not parse as
+JSON, is only skipped, with a warning), 4 on an internal error (a bug: its
+traceback and an ``internal error:`` line go to stderr), and 141 when the
+reader of stdout closes it early, as ``| head`` does, or before reading at
+all (quietly, like a process that SIGPIPE stopped).
 """
 
 import argparse
@@ -21,6 +22,7 @@ from contextlib import nullcontext
 from .core import (
     Filling,
     UsageError,
+    format_composition,
     format_shape,
     format_word,
     parse_composition,
@@ -117,8 +119,8 @@ def _cmd_bijection(args) -> int:
         "variant": args.theorem,
         "direction": "inverse" if args.inverse else "forward",
         "avoids": [format_word(p) for p in steps.avoids],
-        "shape": args.shape,
-        "content": args.content,
+        "shape": format_shape(shape),
+        "content": format_composition(content),
         "filling": format_word(filling.col_to_row),
         "blowup": {
             "shape": format_shape(steps.blowup.shape),
@@ -264,7 +266,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # in the try: the interpreter's own last flush would raise outside it
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,18 +18,19 @@ with positive rows, or none), and a state is pruned when its rows can no
 longer be filled in time (Hall condition: rows have deadlines because column
 heights weakly decrease), which one subtraction tests for every row at once.
 
-Three callers share ``step``, each with its own ``moves(regime, h, done)``:
-``column_states``, which yields a shape's state dict after each column (the
-single-shape count reads the last one, and the conjecture-2 scan reads every
-length of a word rectangle from one pass), ``walk_shapes``, which walks the
-tree of column-height sequences depth first and carries each shape's state
-dict to the shapes one column longer (so a whole scan pays one step per
-shape, and every positive content of a shape is counted at once; its regime
-state is one int too, a bit per empty row and a field per row count, and its
-``moves`` are kept per walk, since the same states recur across shapes), and
+Three callers share ``step``: ``column_states``, which yields a shape's
+state dict after each column (the single-shape count reads the last one, and
+the conjecture-2 scan reads every length of a word rectangle from one pass),
 ``enumerate_fillings``, which expands one state at a time in lexicographic
-order.  None of them recurses, so widths in the thousands are fine.  All counts
-are exact Python integers, and every count runs in the calling process.
+order, and ``walk_shapes``, which walks the tree of column-height sequences
+depth first and carries each shape's state dict to the shapes one column
+longer (so a whole scan pays one step per shape, and every positive content
+of a shape is counted at once).  The first two get their trackers, start
+state and ``moves(regime, h, done)`` from one ``_start``; the walk's regime
+state is one int too, a bit per empty row and a field per row count, and its
+``moves`` are kept per walk, since the same states recur across shapes.  None
+of them recurses, so widths in the thousands are fine.  All counts are exact
+Python integers, and every count runs in the calling process.
 """
 
 import json
@@ -138,25 +139,27 @@ def step(states: dict, h: int, done: int, trackers: _Trackers, moves) -> dict:
     return nxt
 
 
-def _shape_regime(shape, content):
-    """Start state and ``moves(regime, h, done)`` of a count on one shape, or None.
+def _start(shape, patterns, content):
+    """(trackers, start regime state, ``moves(regime, h, done)``) of a one-shape count, or None.
 
-    ``content`` is a checked composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``.
-    The regime state is one int of packed row demands: field t holds D_t, the
-    number of 1's still owed to rows >= t (a composition owes its parts,
-    positive rows one 1 per row, unconstrained nothing).  Rows >= t can only
-    be fed by the columns <= rows[t-1] (Hall condition), so a state is kept
-    while every D_t is at most room_t, the columns after ``done`` that reach
-    row t.  Each field is sized from ``max(width, n_rows)`` with a guard bit on
-    top, and ``room[done]`` packs every room_t with its guard set, so one
-    subtraction tests every row: the condition holds iff no guard is
-    borrowed.  ``moves`` lists the (row, next regime) pairs for column
-    ``done`` of height h: a 1 in a row that still owes subtracts ``pay[row]``,
-    a 1 in every field t <= row, and with positive rows or unconstrained a 1
-    in a row that owes nothing leaves the state as it is.  A start state that
-    already fails the condition (with positive rows: more rows than columns)
-    gives None, so the engines stop before building any tracker.
+    ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``; it is
+    checked first, then the patterns.  The regime state is one int of packed
+    row demands: field t holds D_t, the number of 1's still owed to rows >= t
+    (a composition owes its parts, positive rows one 1 per row, unconstrained
+    nothing).  Rows >= t can only be fed by the columns <= rows[t-1] (Hall
+    condition), so a state is kept while every D_t is at most room_t, the
+    columns after ``done`` that reach row t.  Each field is sized from
+    ``max(width, n_rows)`` with a guard bit on top, and ``room[done]`` packs
+    every room_t with its guard set, so one subtraction tests every row: the
+    condition holds iff no guard is borrowed.  ``moves`` lists the (row, next
+    regime) pairs for column ``done`` of height h: a 1 in a row that still owes
+    subtracts ``pay[row]``, a 1 in every field t <= row, and with positive rows
+    or unconstrained a 1 in a row that owes nothing leaves the state as it is.
+    A start state that already fails the condition (with positive rows: more
+    rows than columns) gives None before any tracker is built.
     """
+    content = check_content(shape, content)
+    patterns = canonical_patterns(patterns)
     bits = max(shape.width, shape.n_rows).bit_length()
     size = bits + 1
     ones = [1 << size * t for t in range(shape.n_rows)]  # ones[t - 1]: a 1 in field t
@@ -187,7 +190,9 @@ def _shape_regime(shape, content):
         start = sum(part * pay[row] for row, part in enumerate(content, start=1))
     else:
         start = sum(pay) if content == POSITIVE_ROWS else 0  # one 1 owed per row, or none
-    return (start, moves) if (room[0] - start) & guard == guard else None
+    if (room[0] - start) & guard != guard:
+        return None
+    return _Trackers(patterns, shape.rows), start, moves
 
 
 def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
@@ -196,13 +201,10 @@ def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for
     ``counted``; a composition is checked first, then the patterns.
     """
-    content = check_content(shape, content)
-    patterns = canonical_patterns(patterns)
-    regime = _shape_regime(shape, content)
-    if regime is None:
+    started = _start(shape, patterns, content)
+    if started is None:
         return
-    start, moves = regime
-    trackers = _Trackers(patterns, shape.rows)
+    trackers, start, moves = started
     states = {(trackers.start, start): 1}
     for done, h in enumerate(shape.heights, start=1):
         states = step(states, h, done, trackers, moves)
@@ -359,16 +361,13 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
 
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, as for ``counted``.
     """
-    content = check_content(shape, content)
-    patterns = canonical_patterns(patterns)
     # Depth first over the same column steps as the count, one state at a
     # time.  Each move is tagged with its row, so the children of a state stay
     # apart and come out of ``step`` in increasing row order.
-    regime = _shape_regime(shape, content)
-    if regime is None:
+    started = _start(shape, patterns, content)
+    if started is None:
         return
-    start, moves = regime
-    trackers = _Trackers(patterns, shape.rows)
+    trackers, start, moves = started
     heights = shape.heights
     width = shape.width
 
@@ -491,16 +490,17 @@ class UnusableCache(UsageError, OSError):
 class ResultCache:
     """Append-only JSONL cache of count records, keyed by the text encodings.
 
-    Records go through one line-buffered handle, opened at the first ``add``
-    and closed by ``close`` or at the end of a ``with`` block, so every record
-    reaches the file as one whole line.  A torn last line, as a crash while
-    appending leaves behind, is skipped with a warning on stderr and cut off
-    the file, so the next record starts a fresh line.  Any other line that is
-    not a count record, or that gives an earlier line's key another count,
-    raises ``CorruptCache``; a repeated record (two runs appending at once)
-    loads.  An ``OSError`` on the path raises ``UnusableCache`` (an
-    ``OSError`` too): here, before any count, for a path that cannot be read
-    or created, and from ``add`` or ``close`` when an append fails.
+    Records go through one line-buffered handle, opened at the first ``add`` and
+    closed by ``close`` or at the end of a ``with`` block, so every record
+    reaches the file as one whole line.  A torn last line, one that does not
+    parse as JSON, as a crash while appending leaves behind, is skipped with a
+    warning on stderr and cut off the file, so the next record starts a fresh
+    line.  Any other line that is not a count record, or that gives an earlier
+    line's key another count, raises ``CorruptCache``; a repeated record (two
+    runs appending at once) loads.  An ``OSError`` on the path raises
+    ``UnusableCache`` (an ``OSError`` too): here, before any count, for a path
+    that cannot be read or created, and from ``add`` or ``close`` when an
+    append fails.
     """
 
     def __init__(self, path: str):
@@ -522,7 +522,9 @@ class ResultCache:
                 try:
                     key, count = _cache_entry(line)
                 except (ValueError, KeyError, TypeError) as exc:
-                    if number < len(lines):
+                    # An append cut short cannot parse: a record ends at its closing brace.
+                    torn = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError))
+                    if number < len(lines) or not torn:
                         raise CorruptCache(
                             f"{path}: line {number} is not a count record ({exc})"
                         ) from exc

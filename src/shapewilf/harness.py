@@ -6,13 +6,15 @@ reports computed-vs-published mismatches.  Equivalence scans sweep all shapes
 within bounds (ordered by cell count, then lexicographically) and all
 positive contents, comparing the avoider counts of two pattern sets.
 
-``check_equivalence`` and ``scan_conjecture1`` count with one
-``walk_shapes`` per pattern set, which pays one column step per shape rather
-than one transfer-matrix count per (shape, content) cell; bounds such as
-7 columns x 5 rows (7,125 cells) or 9 x 5 (2,001 shapes) take well under a
-second.  ``scan_conjecture2``, which stops at its first witness, advances
-one column pass per (alphabet, pattern) by a column per length, and table
-reproduction counts cell by cell.  Every count runs in-process.
+``check_equivalence`` and ``scan_conjecture1`` are one loop, ``_compare``,
+given the test of a pair of counts (``!=`` or ``>``) and the two verdicts.
+It counts with one ``walk_shapes`` per pattern set, which pays one column
+step per shape rather than one transfer-matrix count per (shape, content)
+cell; bounds such as 7 columns x 5 rows (7,125 cells) or 9 x 5 (2,001
+shapes) take well under a second.  ``scan_conjecture2``, which stops at its
+first witness, advances one column pass per (alphabet, pattern) by a column
+per length, and table reproduction counts cell by cell.  Every count runs
+in-process.
 
 A report is its counts: per shape in report order, the shape's contents
 and one histogram per pattern set (the count of each content in turn), which
@@ -30,6 +32,8 @@ import csv
 import io
 import json
 import os
+from itertools import combinations_with_replacement
+from operator import gt, ne
 
 from .core import (
     BadChoice,
@@ -269,28 +273,26 @@ def iter_shapes(max_cols: int, max_rows: int):
     the shapes skip the per-row checks.
     """
     check_bounds(max_cols=max_cols, max_rows=max_rows)
-    found: list[tuple[int, ...]] = []
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        if prefix:
-            found.append(prefix)
-        if len(prefix) < max_rows:
-            cap = prefix[-1] if prefix else max_cols
-            stack.extend(prefix + (length,) for length in range(1, cap + 1))
+    lengths = range(max_cols, 0, -1)  # so each combination's rows weakly decrease
+    found = [rows for r in range(1, max_rows + 1)
+             for rows in combinations_with_replacement(lengths, r)]
     found.sort(key=lambda rows: (sum(rows), rows))
     return map(FerrersShape._generated, found)
 
 
-def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
-    """Yield (shape, contents, histograms) for every shape in the bounds.
+def _compare(scope: str, pattern_sets, regime: str, max_cols: int, max_rows: int, cache,
+             violates, verdicts) -> ScanReport:
+    """Compare two pattern sets' counts on every shape in the bounds, content by content.
 
     Shapes come in ``iter_shapes`` order, and each shape's histograms, one
     per pattern set, come from one ``shape_counts`` call.  The contents of
-    each (width, rows) size are listed once.  Each pattern set is counted by
-    one ``walk_shapes`` over the bounds, run at the first count the cache
-    lacks, so a cached count wins, new counts reach the cache in report
-    order and a warm cache does no counting.
+    each (width, rows) size are listed once: every positive composition
+    (``CONTENTS``) or ``POSITIVE_ROWS`` alone.  Each pattern set is counted
+    by one ``walk_shapes`` over the bounds, run at the first count the cache
+    lacks, so a cached count wins, new counts reach the cache in report order
+    and a warm cache does no counting.  A content whose counts a, b give
+    ``violates(a, b)`` is a mismatch, and the verdict is ``verdicts[0]``
+    without one and ``verdicts[1]`` with one.
     """
     walks = [None] * len(pattern_sets)  # per pattern set: its histograms by column heights
 
@@ -300,6 +302,7 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
             walk = walks[side] = dict(walk_shapes(pattern_sets[side], max_cols, max_rows, regime))
         return walk.pop(shape.heights)  # each shape is read once; the report keeps its counts
 
+    report = ScanReport(scope)
     sizes: dict = {}
     for shape in iter_shapes(max_cols, max_rows):
         size = (shape.width, shape.n_rows)
@@ -308,31 +311,28 @@ def _scan(pattern_sets, regime: str, max_cols: int, max_rows: int, cache):
             contents = sizes[size] = (
                 list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
             )
-        yield shape, contents, shape_counts(shape, contents, pattern_sets, cache, histogram)
-
-
-def check_equivalence(
-    omega, sigma, max_cols: int, max_rows: int, cache=None
-) -> ScanReport:
-    """Compare avoider counts of two pattern sets over all shapes and contents."""
-    check_bounds(max_cols=max_cols, max_rows=max_rows)
-    omega = canonical_patterns(omega)
-    sigma = canonical_patterns(sigma)
-    report = ScanReport(
-        scope=f"equivalence {format_patterns(omega)} vs {format_patterns(sigma)} "
-        f"cols<={max_cols} rows<={max_rows}"
-    )
-    pattern_sets = (omega, sigma)
-    for shape, contents, histograms in _scan(pattern_sets, CONTENTS, max_cols, max_rows, cache):
+        histograms = shape_counts(shape, contents, pattern_sets, cache, histogram)
         report.counts.append((shape, contents, pattern_sets, histograms))
         counts_a, counts_b = histograms
         if counts_a != counts_b:  # the contents are visited only where the histograms differ
             shape_text = format_shape(shape)
             for content, a, b in zip(contents, counts_a, counts_b):
-                if a != b:
+                if violates(a, b):
                     report.mismatches.append(Mismatch(shape_text, content_text(content), a, b))
-    report.verdict = VERDICT_EQUAL if not report.mismatches else VERDICT_UNEQUAL
+    report.verdict = verdicts[bool(report.mismatches)]
     return report
+
+
+def check_equivalence(omega, sigma, max_cols: int, max_rows: int, cache=None) -> ScanReport:
+    """Compare avoider counts of two pattern sets over all shapes and contents."""
+    check_bounds(max_cols=max_cols, max_rows=max_rows)
+    pattern_sets = (canonical_patterns(omega), canonical_patterns(sigma))
+    scope = (
+        f"equivalence {format_patterns(pattern_sets[0])} vs {format_patterns(pattern_sets[1])} "
+        f"cols<={max_cols} rows<={max_rows}"
+    )
+    return _compare(scope, pattern_sets, CONTENTS, max_cols, max_rows, cache, ne,
+                    (VERDICT_EQUAL, VERDICT_UNEQUAL))
 
 
 def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
@@ -344,17 +344,9 @@ def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
     inequality; ties and strict inequalities both count as consistent and
     stay in the records.
     """
-    check_bounds(max_cols=max_cols, max_rows=max_rows)
-    report = ScanReport(scope=f"conjecture1 cols<={max_cols} rows<={max_rows}")
-    pattern_sets = ((P231,), (P312,))
-    scanned = _scan(pattern_sets, POSITIVE_ROWS, max_cols, max_rows, cache)
-    for shape, contents, histograms in scanned:
-        report.counts.append((shape, contents, pattern_sets, histograms))
-        (a,), (b,) = histograms  # the one content, POSITIVE_ROWS
-        if a > b:
-            report.mismatches.append(Mismatch(format_shape(shape), POSITIVE_ROWS, a, b))
-    report.verdict = VERDICT_CONSISTENT if not report.mismatches else VERDICT_COUNTEREXAMPLE
-    return report
+    scope = f"conjecture1 cols<={max_cols} rows<={max_rows}"
+    return _compare(scope, ((P231,), (P312,)), POSITIVE_ROWS, max_cols, max_rows, cache, gt,
+                    (VERDICT_CONSISTENT, VERDICT_COUNTEREXAMPLE))
 
 
 def scan_conjecture2(

@@ -127,7 +127,11 @@ def test_reconstruct_failure_modes():
     with pytest.raises(ShapeMismatch):
         reconstruct(make_shape((3, 1)), (0, 1, 1, 1, 1, 0), "231")  # 2 rows, 3 columns
     with pytest.raises(ShapeMismatch):
-        reconstruct(make_shape((3, 3)), (0, 1, 0), "231")  # wrong sequence length
+        reconstruct(make_shape((3, 3)), (0, 1, 0), "231")  # 2 rows, 3 columns: checked first
+    for kind in ["231", "312"]:  # a square board, so the sequence length check is reached
+        for sequence in [(0, 1, 0), (0, 1, 2, 3, 2, 1, 0, 0)]:
+            with pytest.raises(ShapeMismatch, match=f"sequence has {len(sequence)} values"):
+                reconstruct(SQUARE3, sequence, kind)
 
 
 def test_alpha_on_worked_example():
@@ -348,6 +352,18 @@ def test_internal_failure_is_not_a_caller_error():
     assert issubclass(BijectionFailure, RuntimeError)
     assert not issubclass(BijectionFailure, ValueError)
     assert issubclass(NoSuchPlacement, LookupError)
+
+
+def test_an_unrealizable_partner_sequence_is_a_bijection_failure(monkeypatch):
+    def unrealizable(*args):
+        raise NoSuchPlacement("planted")
+
+    monkeypatch.setattr("shapewilf.bijection.reconstruct", unrealizable)
+    image = placement(BLOWN_SHAPE, IMAGE_PLACEMENT)
+    for mapped, name, source in [(alpha, "alpha", BLOWN), (alpha_inverse, "alpha_inverse", image)]:
+        with pytest.raises(BijectionFailure, match=f"^{name} produced an unrealizable") as exc:
+            mapped(source)
+        assert isinstance(exc.value.__cause__, NoSuchPlacement)
 
 
 def reference_trace(variant, filling, content, inverse):

@@ -12,7 +12,9 @@ import shapewilf
 from shapewilf import (
     POSITIVE_ROWS,
     Mismatch,
+    NoSuchPlacement,
     ScanReport,
+    bijection,
     check_equivalence,
     cli,
     enumeration,
@@ -142,6 +144,32 @@ def test_bijection_forward(capsys):
     assert doc["i_sequence"] == list(CHAIN_SEQ)
     assert doc["transformed_sequence"] == list(FLIPPED_SEQ)
     assert doc["image"] == "5116242333"
+
+
+def test_bijection_echoes_the_shape_and_content_in_canonical_text(capsys):
+    status, out, err = run(
+        capsys, "bijection", "--theorem", "11", "--shape", " 10, 10,10,7,4,4",
+        "--content", "2, 2,3,1,1,1 ", "--filling", "1465213233",
+    )
+    document = json.loads(out)
+    assert (status, err) == (0, "")
+    assert (document["shape"], document["content"]) == ("10,10,10,7,4,4", "2,2,3,1,1,1")
+
+
+def test_an_unrealizable_partner_sequence_is_an_internal_error(capsys, monkeypatch):
+    def unrealizable(*args):
+        raise NoSuchPlacement("planted")
+
+    monkeypatch.setattr(bijection, "reconstruct", unrealizable)
+    status, out, err = run(
+        capsys, "bijection", "--theorem", "11", "--shape", "10,10,10,7,4,4",
+        "--content", "2,2,3,1,1,1", "--filling", "1465213233",
+    )
+    assert (status, out) == (4, "")
+    assert "Traceback" in err and "NoSuchPlacement: planted" in err
+    assert err.splitlines()[-1].startswith(
+        "internal error: BijectionFailure('alpha produced an unrealizable sequence; "
+    )
 
 
 def test_bijection_round_trip(capsys):
@@ -608,6 +636,27 @@ def test_a_reader_that_stops_early_ends_the_command_quietly():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
     ) as command:
         assert command.stdout.readline() == b"1111111\n"
+        command.stdout.close()
+        err = command.stderr.read()
+        status = command.wait(timeout=60)
+    assert (status, err) == (141, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "--shape", "5,5,4", "--patterns", "231"], ["table", "4"]],
+    ids=["count", "table"],
+)
+def test_a_reader_that_closes_before_reading_ends_the_command_quietly(argv):
+    # Without PYTHONUNBUFFERED the short output stays in stdout's buffer until
+    # the command returns, so the broken pipe shows when that buffer is flushed.
+    src = os.path.dirname(os.path.dirname(shapewilf.__file__))
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "shapewilf", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as command:
         command.stdout.close()
         err = command.stderr.read()
         status = command.wait(timeout=60)

@@ -640,11 +640,14 @@ def test_cache_keeps_a_whole_last_record_without_its_newline(tmp_path, capsys):
     assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
 
 
-@pytest.mark.parametrize(
-    "bad_line",
-    ['{"shape": "5,5,4", "content": "2,2', '{"shape": "5,5,4"}', '[1, 2]',
-     '{"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": "18"}'],
-)
+TORN_LINE = '{"shape": "5,5,4", "content": "2,2'  # a record cut short while appended
+BAD_LINES = [
+    TORN_LINE, '{"shape": "5,5,4"}', '[1, 2]',
+    '{"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": "18"}',
+]
+
+
+@pytest.mark.parametrize("bad_line", BAD_LINES)
 def test_cache_rejects_a_bad_line_before_the_last(tmp_path, bad_line):
     path = tmp_path / "counts.jsonl"
     good = json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18})
@@ -657,6 +660,26 @@ def test_cache_rejects_a_bad_line_before_the_last(tmp_path, bad_line):
 
 def cache_line(content, count):
     return json.dumps({"shape": "5,5,4", "content": content, "patterns": "231", "count": count})
+
+
+@pytest.mark.parametrize("bad_line", [*BAD_LINES, cache_line("2,2,1", -5)])
+def test_a_last_line_without_its_newline_is_torn_only_if_it_does_not_parse(
+    tmp_path, capsys, bad_line
+):
+    # An append cut short cannot parse, since a record ends at its closing
+    # brace, so a whole line that parses but is not a record is damaged.
+    path = tmp_path / "counts.jsonl"
+    good = cache_line("2,2,1", 18)
+    text = f"{good}\n{bad_line}"
+    path.write_text(text)
+    if bad_line == TORN_LINE:
+        ResultCache(str(path)).close()
+        assert "skipped torn last line 2" in capsys.readouterr().err
+        assert path.read_text() == f"{good}\n"
+    else:
+        with pytest.raises(CorruptCache, match="line 2 is not a count record"):
+            ResultCache(str(path))
+        assert path.read_text() == text
 
 
 @pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "whole-last-line"])

@@ -183,6 +183,22 @@ def test_scan_conjecture1():
     assert strict["6,6,6,4"] == (425, 429)
 
 
+@pytest.mark.parametrize(
+    "planted, verdict", [((5, 3), "counterexample-found"), ((4, 4), "conjecture-consistent")]
+)
+def test_scan_conjecture1_reports_a_violation_as_a_counterexample(tmp_path, planted, verdict):
+    # No shape in small bounds violates the inequality, so the 3,2 counts are
+    # planted in the cache, whose counts win over the walk's.
+    with ResultCache(str(tmp_path / "cache.jsonl")) as cache:
+        for patterns, count in zip(["231", "312"], planted):
+            cache.add(("3,2", POSITIVE_ROWS, patterns), count)
+        report = scan_conjecture1(3, 2, cache)
+    a, b = planted
+    assert report.mismatches == ([Mismatch("3,2", POSITIVE_ROWS, a, b)] if a > b else [])
+    assert report.verdict == verdict
+    assert [hist for shape, _, _, hist in report.counts if shape.rows == (3, 2)] == [((a,), (b,))]
+
+
 def test_scan_conjecture2_finds_the_first_witness():
     report = scan_conjecture2((1,), 8, 5)
     assert report.verdict == "unequal"
@@ -260,6 +276,21 @@ def test_cache_makes_reports_reproducible(tmp_path):
     # the cache file holds one record per distinct count
     lines = (tmp_path / "cache.jsonl").read_text().splitlines()
     assert len(lines) == len({json.dumps(json.loads(l), sort_keys=True) for l in lines}) == 40
+
+
+def test_streamed_json_of_a_report_larger_than_one_batch_is_the_whole_document():
+    # Theorem 11 within 7 x 5 has 14,250 records, so write_json writes whole
+    # batches of records before its last one.
+    report = check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 7, 5)
+    assert len(report.records) == 14250
+
+    class Writes(list):
+        write = list.append
+
+    writes = Writes()
+    report.write_json(writes)
+    assert sum(text.lstrip(",\n").startswith("    {") for text in writes) > 1  # record batches
+    assert "".join(writes) == report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
 
 def test_scan_report_is_a_plain_document():
@@ -474,8 +505,9 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
     [([P231], [(1, 1)]), ([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([(1, 2)], [(2, 1), (1, 1)])],
 )
 def test_scans_through_a_cold_cache_match_scans_without_one(tmp_path, omega, sigma):
-    # _scan builds records on one path without a cache and on another with
-    # one; both must give the same reports, and the cache every record.
+    # shape_counts reads the counts on one path without a cache and on
+    # another with one; both must give the same reports, and the cache every
+    # record.
     for cols, rows in [(1, 6), (4, 3), (5, 4), (6, 2)]:
         path = tmp_path / f"cache{cols}x{rows}.jsonl"
         with ResultCache(str(path)) as cache:
