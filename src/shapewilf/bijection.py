@@ -216,10 +216,11 @@ def _fits(prefix: _Prefix, checks) -> bool:
     The region of a border vertex (x, y) right of the prefix ends with
     x + y - n 1's, so f more are to come (f < 0 once a row above y has no
     column left).  f never exceeds the columns left before x, as that would
-    take more than n - y placed rows above y.  The chain starts at L[y] and
-    ends, at best, as placed rows up to some v followed by f unused rows in
-    (v, y].  Only rows <= y are read, so a push of row r can change the
-    answer only where y >= r.  ``checks`` runs along the border, y falling;
+    take more than n - y placed rows above y, nor (as x <= n) the unused rows
+    in 1..y, so the scan of those rows ends at a break or a return.  The
+    chain starts at L[y] and ends, at best, as placed rows up to some v
+    followed by f unused rows in (v, y].  Only rows <= y are read, so a push
+    of row r can change the answer only where y >= r.  ``checks`` runs along the border, y falling;
     it is read with y rising, since a prefix that fails mostly fails low.
     """
     mask, L, used = prefix.mask, prefix.L, prefix.used
@@ -240,8 +241,6 @@ def _fits(prefix: _Prefix, checks) -> bool:
                     break
                 if free == f:
                     return False
-        else:
-            return False
     return True
 
 

@@ -10,7 +10,9 @@ one record different counts (a torn last line, one that does not parse as
 JSON, is only skipped, with a warning), 4 on an internal error (a bug: its
 traceback and an ``internal error:`` line go to stderr), and 141 when the
 reader of stdout closes it early, as ``| head`` does, or before reading at
-all (quietly, like a process that SIGPIPE stopped).
+all (quietly, like a process that SIGPIPE stopped).  A usage error in a
+command's own arguments is reported before --cache is read, so the cache
+file is left as it is.
 """
 
 import argparse
@@ -36,6 +38,7 @@ from .enumeration import (
     UNCONSTRAINED,
     CorruptCache,
     ResultCache,
+    check_bounds,
     check_content,
     counted,
     enumerate_fillings,
@@ -45,6 +48,7 @@ from .enumeration import (
 from .harness import (
     VERDICT_EQUAL,
     VERDICT_UNEQUAL,
+    check_beta,
     reproduce_table,
     scan_conjecture1,
     scan_conjecture2,
@@ -145,11 +149,10 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
+    omega, sigma = parse_patterns(args.omega), parse_patterns(args.sigma)
+    check_bounds(max_cols=args.max_cols, max_rows=args.max_rows)
     with _open_cache(args) as cache:
-        report = check_equivalence(
-            parse_patterns(args.omega), parse_patterns(args.sigma), args.max_cols, args.max_rows,
-            cache=cache,
-        )
+        report = check_equivalence(omega, sigma, args.max_cols, args.max_rows, cache=cache)
     _emit_report(report, args)
     if args.expect and report.verdict != args.expect:
         print(f"expected verdict {args.expect}, got {report.verdict}", file=sys.stderr)
@@ -158,6 +161,7 @@ def _cmd_check_equiv(args) -> int:
 
 
 def _cmd_scan_conj1(args) -> int:
+    check_bounds(max_cols=args.max_cols, max_rows=args.max_rows)
     with _open_cache(args) as cache:
         report = scan_conjecture1(args.max_cols, args.max_rows, cache=cache)
     if args.out == "plain":
@@ -169,10 +173,11 @@ def _cmd_scan_conj1(args) -> int:
 
 
 def _cmd_scan_conj2(args) -> int:
+    beta = parse_word(args.beta)
+    check_bounds(max_length=args.max_length, max_alphabet=args.max_alphabet)
+    beta = check_beta(beta)
     with _open_cache(args) as cache:
-        report = scan_conjecture2(
-            parse_word(args.beta), args.max_length, args.max_alphabet, cache=cache
-        )
+        report = scan_conjecture2(beta, args.max_length, args.max_alphabet, cache=cache)
     _emit_report(report, args)
     if args.out == "plain" and report.verdict == VERDICT_UNEQUAL:
         witness = report.mismatches[0]

@@ -438,7 +438,9 @@ def parse_content(text: str):
 class CountRecord(FrozenValue):
     """One counted set: shape, content constraint, pattern set, cardinality.
 
-    ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``.
+    ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, and
+    ``patterns`` a canonical set (as ``counted`` returns it), whose
+    ``format_patterns`` text keys the record.
     """
 
     __slots__ = _fields = ("shape", "content", "patterns", "count")
@@ -453,14 +455,9 @@ class CountRecord(FrozenValue):
         return record_json(*self.key(), self.count)
 
 
-def patterns_text(patterns) -> str:
-    """Canonical text for a pattern set; the empty set is the empty string."""
-    return format_patterns(canonical_patterns(patterns)) if patterns else ""
-
-
 def _record_key(shape: FerrersShape, content, patterns) -> tuple[str, str, str]:
     """The text encodings that key a count record in the result cache."""
-    return format_shape(shape), content_text(content), patterns_text(patterns)
+    return format_shape(shape), content_text(content), format_patterns(patterns)
 
 
 def record_json(shape: str, content: str, patterns: str, count: int) -> dict:
@@ -521,9 +518,11 @@ class ResultCache:
                     continue
                 try:
                     key, count = _cache_entry(line)
-                except (ValueError, KeyError, TypeError) as exc:
-                    # An append cut short cannot parse: a record ends at its closing brace.
-                    torn = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError))
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    # An append cut short cannot parse (a record ends at its closing
+                    # brace), nor can a line nested deeper than the parser recurses.
+                    torn = isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError,
+                                            RecursionError))
                     if number < len(lines) or not torn:
                         raise CorruptCache(
                             f"{path}: line {number} is not a count record ({exc})"

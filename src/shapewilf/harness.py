@@ -24,15 +24,16 @@ scans find their mismatches by comparing a shape's histograms and visit its
 contents only where they differ.  ``ScanReport.records`` is a read-only
 view: its length builds no ``CountRecord`` and iterating it builds one at a
 time, while comparing, copying and pickling a report read only its counts.
-The JSON and CSV writers stream the records from the histograms, with each
-shape, content and pattern text formatted once.
+``to_json_dict`` and the JSON and CSV writers read one pass over the rows of
+texts, ``ScanReport._rows``, which formats each content and pattern text once
+per report, and the JSON writer fills one record template per row.
 """
 
 import csv
 import io
 import json
 import os
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from operator import gt, ne
 
 from .core import (
@@ -62,7 +63,6 @@ from .enumeration import (
     content_text,
     counted,
     parse_content,
-    patterns_text,
     record_json,
     shape_counts,
     walk_shapes,
@@ -73,6 +73,11 @@ VERDICT_EQUAL = "equal"
 VERDICT_UNEQUAL = "unequal"
 VERDICT_CONSISTENT = "conjecture-consistent"
 VERDICT_COUNTEREXAMPLE = "counterexample-found"
+
+# A record as json.dumps(to_json_dict(), indent=2) lays it out: its texts are canonical
+# encodings (digits, commas, "+", "unconstrained", "positive-rows"), which JSON never escapes.
+_RECORD_JSON = ('    {\n      "shape": "%s",\n      "content": "%s",\n      "patterns": "%s",'
+                '\n      "count": %d\n    }')
 
 
 class Mismatch(FrozenValue):
@@ -119,9 +124,10 @@ class ScanReport(Value):
     its histogram over them, the number of avoiders of each content in turn
     (as ``enumeration.shape_counts`` gives them).  ``records`` reads them as
     one ``CountRecord`` per (shape, content, pattern set), built only when
-    iterated; the JSON and CSV writers format each shape, content and pattern
-    text once and build no record.  Reports compare by value, and each gets
-    its own lists unless given some.
+    iterated.  Each pattern set is canonical (as ``counted`` gives it), so
+    ``format_patterns`` gives its text.  ``to_json_dict`` and the JSON and CSV
+    writers read the rows of texts from ``_rows`` and build no record.
+    Reports compare by value, and each gets its own lists unless given some.
     """
 
     __slots__ = _fields = ("scope", "counts", "mismatches", "verdict")
@@ -142,33 +148,21 @@ class ScanReport(Value):
     def records(self) -> _Records:
         return _Records(self.counts)
 
-    def _texts(self, encode):
-        """Per shape: its text, its pattern set texts, and (content text, counts) per content.
-
-        Each text is encoded once per shape, content or pattern sets, in
-        report order; the counts are one per pattern set.
-        """
-        content_texts: dict = {}  # content -> its encoded text
-        pattern_texts: dict = {}  # pattern sets -> their encoded texts
+    def _rows(self):
+        """(shape, content, patterns) texts and count of every record, in report order."""
+        content_texts: dict = {}  # content -> its text, formatted once per report
+        pattern_texts: dict = {}  # pattern sets -> their texts, formatted once per report
         for shape, contents, pattern_sets, histograms in self.counts:
+            shape_text = format_shape(shape)
             sides = pattern_texts.get(pattern_sets)
             if sides is None:
-                sides = [encode(patterns_text(patterns)) for patterns in pattern_sets]
-                pattern_texts[pattern_sets] = sides
-            texts = []
-            for content in contents:
+                sides = pattern_texts[pattern_sets] = [format_patterns(p) for p in pattern_sets]
+            for content, counts in zip(contents, zip(*histograms)):
                 text = content_texts.get(content)
                 if text is None:
-                    text = content_texts[content] = encode(content_text(content))
-                texts.append(text)
-            yield encode(format_shape(shape)), sides, zip(texts, zip(*histograms))
-
-    def _rows(self):
-        """(shape, content, patterns, count) texts and count of every record, in report order."""
-        for shape, sides, cells in self._texts(str):
-            for content, counts in cells:
+                    text = content_texts[content] = content_text(content)
                 for patterns, count in zip(sides, counts):
-                    yield shape, content, patterns, count
+                    yield shape_text, text, patterns, count
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,19 +176,8 @@ class ScanReport(Value):
         """Write ``to_json()`` to ``stream`` a batch of records at a time."""
         dumps = json.dumps
         stream.write('{\n  "scope": ' + dumps(self.scope) + ',\n  "records": [')
-        # Each record laid out as json.dumps(to_json_dict(), indent=2) lays it
-        # out, joined from the texts of its shape, its content and its patterns.
-        lead, batch = "\n", []
-        for shape, sides, cells in self._texts(dumps):
-            head = '    {\n      "shape": ' + shape + ',\n      "content": '
-            tails = [f',\n      "patterns": {patterns},\n      "count": ' for patterns in sides]
-            for content, counts in cells:
-                record = head + content
-                batch += [f"{record}{tail}{count}\n    }}" for tail, count in zip(tails, counts)]
-            if len(batch) >= 4096:
-                stream.write(lead + ",\n".join(batch))
-                lead, batch = ",\n", []
-        if batch:
+        rows, lead = self._rows(), "\n"
+        while batch := [_RECORD_JSON % row for row in islice(rows, 4096)]:
             stream.write(lead + ",\n".join(batch))
             lead = ",\n"
         stream.write("]" if lead == "\n" else "\n  ]")
@@ -349,6 +332,16 @@ def scan_conjecture1(max_cols: int, max_rows: int, cache=None) -> ScanReport:
                     (VERDICT_CONSISTENT, VERDICT_COUNTEREXAMPLE))
 
 
+def check_beta(beta):
+    """The word ``beta`` if it is a permutation (possibly empty), else ``InvalidPattern``."""
+    beta = make_word(beta)
+    if beta:
+        validate_pattern(beta)
+        if len(set(beta)) != len(beta):
+            raise InvalidPattern(f"beta must be a permutation, got {beta}")
+    return beta
+
+
 def scan_conjecture2(
     beta, max_length: int, max_alphabet: int, cache=None
 ) -> ScanReport:
@@ -361,11 +354,7 @@ def scan_conjecture2(
     (possibly empty).
     """
     check_bounds(max_length=max_length, max_alphabet=max_alphabet)
-    beta = make_word(beta)
-    if beta:
-        validate_pattern(beta)
-        if len(set(beta)) != len(beta):
-            raise InvalidPattern(f"beta must be a permutation, got {beta}")
+    beta = check_beta(beta)
     x = direct_sum(P231, beta)
     y = direct_sum(P312, beta)
     report = ScanReport(

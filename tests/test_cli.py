@@ -584,6 +584,53 @@ def test_conflicting_cache_records_are_a_damaged_cache(tmp_path, capsys):
     )
 
 
+GOOD_LINE = json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18})
+NESTED_LINE = "[" * 100000  # json.loads gives up on it with a RecursionError
+
+
+def test_a_deeply_nested_cache_line_before_the_last_is_a_damaged_cache(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    text = f"{NESTED_LINE}\n{GOOD_LINE}\n"
+    cache.write_text(text)
+    status, out, err = run(capsys, "count", "--shape", "3,3", "--patterns", "231",
+                           "--cache", str(cache))
+    assert (status, out) == (3, "")
+    assert err.startswith(f"error: damaged cache: {cache}: line 1 is not a count record (")
+    assert err.count("\n") == 1
+    assert cache.read_text() == text
+
+
+def test_a_deeply_nested_last_line_without_its_newline_is_torn(tmp_path, capsys):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(f"{GOOD_LINE}\n{NESTED_LINE}")
+    status, out, err = run(capsys, "count", "--shape", "3,3", "--patterns", "231",
+                           "--cache", str(cache))
+    assert (status, out, err) == (0, "8\n", f"warning: {cache}: skipped torn last line 2\n")
+    record = {"shape": "3,3", "content": "unconstrained", "patterns": "231", "count": 8}
+    assert cache.read_text() == f"{GOOD_LINE}\n{json.dumps(record)}\n"
+
+
+# A usage error in each scan command's own arguments, the pattern, the bound
+# and beta, each reported before the cache file is read.
+USAGE_ERRORS = {
+    "check-equiv-pattern": ["check-equiv", "23x", "312", "--max-cols", "2", "--max-rows", "2"],
+    "scan-conj1-bound": ["scan-conj1", "--max-cols", "0", "--max-rows", "2"],
+    "scan-conj2-beta": ["scan-conj2", "--beta", "11", "--max-length", "3", "--max-alphabet", "3"],
+}
+
+
+@pytest.mark.parametrize("lines", [f"{GOOD_LINE}\n{GOOD_LINE[:30]}", f"[1, 2]\n{GOOD_LINE}\n"],
+                         ids=["torn", "damaged"])
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_a_usage_error_is_reported_before_the_cache_is_read(tmp_path, capsys, name, lines):
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(lines)
+    status, out, err = run(capsys, *USAGE_ERRORS[name], "--cache", str(cache))
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "damaged" not in err
+    assert cache.read_text() == lines  # a torn last line is not cut off
+
+
 def test_scan_conj1_prints_only_the_strict_inequalities_that_hold(capsys, monkeypatch):
     # a counterexample shape (5 > 3) beside one strict pair (2 < 4)
     pairs = {(3, 2): (5, 3), (2, 2): (2, 4), (1,): (1, 1)}

@@ -85,6 +85,11 @@ def test_word_to_filling():
     assert word_to_filling((1, 1)).col_to_row == (1, 1)
 
 
+def test_the_empty_word_has_no_filling():
+    with pytest.raises(InvalidPattern, match="empty word"):
+        word_to_filling(())
+
+
 @given(words)
 def test_word_to_filling_content_counts_letters(word):
     content = filling_content(word_to_filling(word))

@@ -629,6 +629,21 @@ def test_cache_skips_a_torn_last_line_and_cuts_it_off(tmp_path, capsys):
     assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
 
 
+def test_adding_a_key_the_cache_holds_appends_nothing(tmp_path):
+    path = tmp_path / "counts.jsonl"
+    key = ("5,5,4", "2,2,1", "231")
+    with ResultCache(str(path)) as cache:
+        cache.add(key, 18)
+        text = path.read_text()
+        cache.add(key, 18)
+        cache.add(key, 99)  # the count it holds stands
+        assert cache.get(key) == 18
+    with ResultCache(str(path)) as cache:  # a key loaded from the file
+        cache.add(key, 18)
+    assert path.read_text() == text == json.dumps({"shape": "5,5,4", "content": "2,2,1",
+                                                   "patterns": "231", "count": 18}) + "\n"
+
+
 def test_cache_keeps_a_whole_last_record_without_its_newline(tmp_path, capsys):
     path = tmp_path / "counts.jsonl"
     path.write_text(json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231",
