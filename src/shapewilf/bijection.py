@@ -10,18 +10,20 @@ is x + y - n at (x, y) whatever the placement.
 
 alpha sends a 231-avoiding full rook placement to the unique 312-avoiding one
 whose I-sequence is, vertex by vertex, 0 where I was 0 and N - I + 1
-elsewhere (alpha_inverse swaps the kinds).  Conjugating alpha with a row
-blowup (each row i becomes a band of content[i] rows, its 1's re-stacked
-monotonically) and the inverse shrink turns it into content-preserving
-bijections between fillings avoiding {231,221} and {312,212}, and between
-fillings avoiding {231,121} and {312,211}.  ``EquivalenceVariant.trace`` is
-that map's one pipeline: it blows the input up (checking its content),
-applies alpha (or alpha_inverse) and shrinks, and keeps every step.  A
-filling avoids the variant's two patterns exactly when its blowup avoids 231
-(or 312), so alpha's own test of the blowup decides the input's avoidance.
-``forward``, ``inverse`` and the CLI's ``bijection`` command all go through
-it.  The bands are given by the content alone: ``blowup`` and ``shrink``
-both take it, and band i covers the next content[i] rows from the bottom.
+elsewhere (alpha_inverse swaps the kinds).  Both are one step, ``_alpha``:
+test and read the placement, flip its I-sequence and rebuild the partner.
+Conjugating alpha with a row blowup (each row i becomes a band of content[i]
+rows, its 1's re-stacked monotonically) and the inverse shrink turns it into
+content-preserving bijections between fillings avoiding {231,221} and
+{312,212}, and between fillings avoiding {231,121} and {312,211}.
+``EquivalenceVariant.trace`` is that map's one pipeline: it blows the input
+up (checking its content against the shape, then the filling), takes the
+``_alpha`` step once and shrinks, and keeps every step.  A filling avoids
+the variant's two patterns exactly when its blowup avoids 231 (or 312), so
+alpha's own test of the blowup decides the input's avoidance.  ``forward``,
+``inverse`` and the CLI's ``bijection`` command all go through it.  The
+bands are given by the content alone: ``blowup`` and ``shrink`` both take
+it, and band i covers the next content[i] rows from the bottom.
 
 ``reconstruct`` finds the partner from its I-sequence alone.  It searches
 column by column, on its own stack, over one prefix state (``_Prefix``)
@@ -56,6 +58,7 @@ from .core import (
     make_composition,
     make_shape,
 )
+from .enumeration import check_content
 from .matcher import contains
 
 BorderSequence = tuple[int, ...]
@@ -323,23 +326,23 @@ def reconstruct(shape: FerrersShape, sequence, kind: str) -> FullRookPlacement:
     return _transpose(found) if mirrored else found
 
 
-def _flipped(placement: FullRookPlacement, kind: str):
-    """Check that ``placement`` avoids ``kind``; return its I, N and flipped sequences.
+def _alpha(placement: FullRookPlacement, kind: str):
+    """alpha (``kind`` 231) or alpha_inverse (312) of ``placement``, with its sequences.
 
-    One pass of a ``_Prefix`` gives the test and I, and N needs no scan.
-    The flip sends 0 to 0 and I to N - I + 1; N is shared between partners,
-    so the flip is an involution and serves alpha and its inverse alike.
+    One pass of a ``_Prefix`` tests that the placement avoids ``kind`` and
+    gives I, and N needs no scan.  The flip sends 0 to 0 and I to N - I + 1;
+    N is shared between partners, so the flip is an involution and serves
+    both maps.  ``reconstruct`` rebuilds the partner of the other kind from
+    the flip; it never raises NotAvoiding, so only the test does, and a
+    NoSuchPlacement there is an internal inconsistency, raised as
+    BijectionFailure.  Returns (I, N, flipped I, partner).
     """
     iseq = _chains(placement, kind)
     nseq = n_sequence(placement)
-    return iseq, nseq, tuple(0 if i == 0 else n - i + 1 for i, n in zip(iseq, nseq))
-
-
-def _partner(placement: FullRookPlacement, kind: str, iseq, nseq, target) -> FullRookPlacement:
-    """The placement of the other kind with I-sequence ``target``, or BijectionFailure."""
+    target = tuple(0 if i == 0 else n - i + 1 for i, n in zip(iseq, nseq))
     name, other = ("alpha", "312") if kind == "231" else ("alpha_inverse", "231")
     try:
-        return reconstruct(placement.shape, target, other)
+        return iseq, nseq, target, reconstruct(placement.shape, target, other)
     except NoSuchPlacement as exc:
         raise BijectionFailure(
             f"{name} produced an unrealizable sequence; "
@@ -350,12 +353,12 @@ def _partner(placement: FullRookPlacement, kind: str, iseq, nseq, target) -> Ful
 
 def alpha(placement: FullRookPlacement) -> FullRookPlacement:
     """Map a 231-avoiding full rook placement to its 312-avoiding partner."""
-    return _partner(placement, "231", *_flipped(placement, "231"))
+    return _alpha(placement, "231")[3]
 
 
 def alpha_inverse(placement: FullRookPlacement) -> FullRookPlacement:
     """Map a 312-avoiding full rook placement back to its 231-avoiding partner."""
-    return _partner(placement, "312", *_flipped(placement, "312"))
+    return _alpha(placement, "312")[3]
 
 
 def blowup(filling: Filling, content, direction: Direction) -> FullRookPlacement:
@@ -364,10 +367,11 @@ def blowup(filling: Filling, content, direction: Direction) -> FullRookPlacement
     Every 1 keeps its column; within band i the 1's are assigned to the
     band's rows bottom-up in column order (INCREASING) or top-down
     (DECREASING).  The result has exactly one 1 per row and per column.
+    The content must fit the shape (``check_content``), then the filling.
     """
     if not isinstance(direction, Direction):
         raise BadChoice(f"direction must be a Direction, got {direction!r}")
-    comp = make_composition(content)
+    comp = check_content(filling.shape, make_composition(content))
     if filling_content(filling) != comp:
         raise ContentMismatch(
             f"filling has content {filling_content(filling)}, expected {comp}"
@@ -446,13 +450,13 @@ class EquivalenceVariant(FrozenValue):
             avoids, stacking, kind = self.source, self.forward_direction, "231"
         placement = blowup(filling, content, stacking)
         try:
-            iseq, nseq, target = _flipped(placement, kind)
+            iseq, nseq, target, partner = _alpha(placement, kind)
         except NotAvoiding:
-            # The blowup contains kind exactly when the filling contains one
-            # of ``avoids``: name the first.
+            # Only _alpha's test of the blowup raises it (reconstruct never
+            # does), and the blowup contains kind exactly when the filling
+            # contains one of ``avoids``: name the first.
             found = next(p for p in avoids if contains(filling, p))
             raise NotAvoiding(f"input filling contains {format_word(found)}") from None
-        partner = _partner(placement, kind, iseq, nseq, target)
         return MapTrace(
             avoids, stacking, placement, iseq, nseq, target, partner, shrink(partner, content)
         )

@@ -1,10 +1,11 @@
 """Table reproduction, equivalence scanning, and conjecture scanning.
 
 Every published count lives in a fixture file (fixtures/table*.json) so that
-reproducing a table is a regression check: the scan recomputes each cell and
-reports computed-vs-published mismatches.  Equivalence scans sweep all shapes
-within bounds (ordered by cell count, then lexicographically) and all
-positive contents, comparing the avoider counts of two pattern sets.
+reproducing a table is a regression check: ``reproduce_table`` reads the
+fixture, its two pattern texts through ``parse_patterns``, recomputes each
+cell and reports computed-vs-published mismatches.  Equivalence scans sweep
+all shapes within bounds (ordered by cell count, then lexicographically) and
+all positive contents, comparing the avoider counts of two pattern sets.
 
 ``check_equivalence`` and ``scan_conjecture1`` are one loop, ``_compare``,
 given the test of a pair of counts (``!=`` or ``>``) and the two verdicts.
@@ -46,8 +47,8 @@ from .core import (
     format_patterns,
     format_shape,
     make_word,
+    parse_patterns,
     parse_shape,
-    parse_word,
     validate_pattern,
 )
 from .bijection import P231, P312
@@ -213,20 +214,14 @@ class ScanReport(Value):
         return buf.getvalue()
 
 
-def _load_table(table_id: int) -> dict:
+def reproduce_table(table_id: int, cache=None) -> ScanReport:
+    """Recompute every cell of a published table and compare exactly."""
     if type(table_id) is not int or table_id not in (1, 2, 3, 4):
         raise BadChoice(f"table id must be 1..4, got {table_id}")
     path = os.path.join(os.path.dirname(__file__), "fixtures", f"table{table_id}.json")
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def reproduce_table(table_id: int, cache=None) -> ScanReport:
-    """Recompute every cell of a published table and compare exactly."""
-    fixture = _load_table(table_id)
-    pattern_sets = tuple(
-        (validate_pattern(parse_word(fixture[side])),) for side in ("pattern_a", "pattern_b")
-    )
+        fixture = json.load(handle)
+    pattern_sets = tuple(parse_patterns(fixture[side]) for side in ("pattern_a", "pattern_b"))
     report = ScanReport(scope=f"table {table_id}")
     for cell in fixture["cells"]:
         shape = parse_shape(cell["shape"])

@@ -354,16 +354,33 @@ def test_internal_failure_is_not_a_caller_error():
     assert issubclass(NoSuchPlacement, LookupError)
 
 
-def test_an_unrealizable_partner_sequence_is_a_bijection_failure(monkeypatch):
+def plant_unrealizable(monkeypatch):
     def unrealizable(*args):
         raise NoSuchPlacement("planted")
 
     monkeypatch.setattr("shapewilf.bijection.reconstruct", unrealizable)
+
+
+def test_an_unrealizable_partner_sequence_is_a_bijection_failure(monkeypatch):
+    plant_unrealizable(monkeypatch)
     image = placement(BLOWN_SHAPE, IMAGE_PLACEMENT)
     for mapped, name, source in [(alpha, "alpha", BLOWN), (alpha_inverse, "alpha_inverse", image)]:
         with pytest.raises(BijectionFailure, match=f"^{name} produced an unrealizable") as exc:
             mapped(source)
         assert isinstance(exc.value.__cause__, NoSuchPlacement)
+
+
+@pytest.mark.parametrize("inverse, name, cols", [
+    (False, "alpha", FILLING), (True, "alpha_inverse", IMAGE_FILLING),
+], ids=["forward", "inverse"])
+def test_trace_reports_an_unrealizable_partner_as_a_bijection_failure(monkeypatch, inverse, name,
+                                                                      cols):
+    # trace rebuilds the partner inside its ``except NotAvoiding``: a
+    # NoSuchPlacement there still comes out as BijectionFailure
+    plant_unrealizable(monkeypatch)
+    with pytest.raises(BijectionFailure, match=f"^{name} produced an unrealizable") as exc:
+        VARIANTS["11"].trace(Filling(SHAPE, cols), CONTENT, inverse=inverse)
+    assert isinstance(exc.value.__cause__, NoSuchPlacement)
 
 
 def reference_trace(variant, filling, content, inverse):

@@ -220,6 +220,24 @@ def test_bijection_document_on_the_worked_example(capsys, inverse):
     assert out == json.dumps(expected, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("shape, content, filling, message", [
+    ("2,2", "2", "11", "composition has 1 parts but the shape 2 rows"),
+    ("3,3", "1,1", "121", "composition sums to 2 but the shape has 3 columns"),
+], ids=["rows", "columns"])
+def test_bijection_reports_a_content_that_does_not_fit_as_enumerate_does(capsys, shape, content,
+                                                                         filling, message):
+    argv = ["--shape", shape, "--content", content]
+    status, out, err = run(capsys, "bijection", "--theorem", "11", *argv, "--filling", filling)
+    assert (status, out, err) == (2, "", f"error: {message}\n")
+    assert run(capsys, "enumerate", *argv, "--patterns", "231") == (status, out, err)
+
+
+def test_bijection_rejects_a_content_that_fits_the_shape_but_not_the_filling(capsys):
+    status, out, err = run(capsys, "bijection", "--theorem", "11", "--shape", "3,3",
+                           "--content", "1,2", "--filling", "121")
+    assert (status, out, err) == (2, "", "error: filling has content (2, 1), expected (1, 2)\n")
+
+
 def test_bijection_rejects_non_avoiding_input(capsys):
     status, _, err = run(
         capsys, "bijection", "--theorem", "11", "--shape", "3,3,3",

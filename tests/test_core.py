@@ -211,6 +211,11 @@ def test_text_encodings_round_trip():
         parse_shape("5,x")
 
 
+def test_the_empty_word_formats_as_the_empty_text():
+    assert format_word(()) == ""
+    assert parse_word(format_word(())) == ()
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [(parse_shape, "1_0"), (parse_shape, "3,1_0"), (parse_composition, "2_1"), (parse_word, "1_2,3")],
