@@ -20,6 +20,7 @@ from .core import (
     NotFerrers,
     ParseError,
     ShapeMismatch,
+    UsageError,
     Word,
     border_path,
     direct_sum,
@@ -38,10 +39,7 @@ from .core import (
     validate_pattern,
     word_to_filling,
 )
-from .matcher import (
-    avoids_all,
-    contains,
-)
+from .matcher import contains
 from .enumeration import (
     CONTENTS,
     POSITIVE_ROWS,
@@ -49,6 +47,7 @@ from .enumeration import (
     CorruptCache,
     CountRecord,
     ResultCache,
+    UnusableCache,
     compositions,
     count_all_fillings,
     count_fillings,

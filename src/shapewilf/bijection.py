@@ -15,7 +15,9 @@ test and read the placement, flip its I-sequence and rebuild the partner.
 Conjugating alpha with a row blowup (each row i becomes a band of content[i]
 rows, its 1's re-stacked monotonically) and the inverse shrink turns it into
 content-preserving bijections between fillings avoiding {231,221} and
-{312,212}, and between fillings avoiding {231,121} and {312,211}.
+{312,212}, and between fillings avoiding {231,121} and {312,211}.  Each
+variant keeps only its forward stacking; the inverse map stacks the bands
+the other way.
 ``EquivalenceVariant.trace`` is that map's one pipeline: it blows the input
 up (checking its content against the shape, then the filling), takes the
 ``_alpha`` step once and shrinks, and keeps every step.  A filling avoids
@@ -428,9 +430,13 @@ class MapTrace(FrozenValue):
 
 
 class EquivalenceVariant(FrozenValue):
-    """One of the two content-preserving equivalences: blowup, alpha, shrink."""
+    """One of the two content-preserving equivalences: blowup, alpha, shrink.
 
-    __slots__ = _fields = ("name", "source", "target", "forward_direction", "inverse_direction")
+    ``forward_direction`` stacks the bands of a source filling's blowup; the
+    inverse map stacks a target filling's bands the other way.
+    """
+
+    __slots__ = _fields = ("name", "source", "target", "forward_direction")
 
     def __init__(
         self,
@@ -438,14 +444,17 @@ class EquivalenceVariant(FrozenValue):
         source: tuple[Word, Word],
         target: tuple[Word, Word],
         forward_direction: Direction,
-        inverse_direction: Direction,
     ):
-        self._assign(name, source, target, forward_direction, inverse_direction)
+        self._assign(name, source, target, forward_direction)
 
     def trace(self, filling: Filling, content, inverse: bool = False) -> MapTrace:
         """Map ``filling`` (with ``inverse``, map it back) and keep every step."""
         if inverse:
-            avoids, stacking, kind = self.target, self.inverse_direction, "312"
+            # The blowup turns the pattern with a repeated letter into alpha's:
+            # the source's (221 or 121) into 231 under the forward stacking, the
+            # target's (212 or 211) into 312 only under the other one.
+            stacking = next(d for d in Direction if d is not self.forward_direction)
+            avoids, kind = self.target, "312"
         else:
             avoids, stacking, kind = self.source, self.forward_direction, "231"
         placement = blowup(filling, content, stacking)
@@ -469,10 +478,6 @@ class EquivalenceVariant(FrozenValue):
 
 
 VARIANTS = {
-    "11": EquivalenceVariant(
-        "11", (P231, P221), (P312, P212), Direction.INCREASING, Direction.DECREASING
-    ),
-    "12": EquivalenceVariant(
-        "12", (P231, P121), (P312, P211), Direction.DECREASING, Direction.INCREASING
-    ),
+    "11": EquivalenceVariant("11", (P231, P221), (P312, P212), Direction.INCREASING),
+    "12": EquivalenceVariant("12", (P231, P121), (P312, P211), Direction.DECREASING),
 }

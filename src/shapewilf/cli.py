@@ -58,7 +58,7 @@ from .harness import (
 
 def _open_cache(args):
     """A context manager giving the --cache ResultCache, or None without --cache."""
-    return ResultCache(args.cache) if args.cache else nullcontext()
+    return ResultCache(args.cache) if args.cache is not None else nullcontext()
 
 
 def _emit_report(report, args) -> None:

@@ -448,11 +448,8 @@ class CountRecord(FrozenValue):
     def __init__(self, shape: FerrersShape, content, patterns: tuple[Word, ...], count: int):
         self._assign(shape, content, patterns, count)
 
-    def key(self) -> tuple[str, str, str]:
-        return _record_key(self.shape, self.content, self.patterns)
-
     def to_json(self) -> dict:
-        return record_json(*self.key(), self.count)
+        return record_json(*_record_key(self.shape, self.content, self.patterns), self.count)
 
 
 def _record_key(shape: FerrersShape, content, patterns) -> tuple[str, str, str]:
@@ -509,7 +506,8 @@ class ResultCache:
                 with open(path, "rb") as handle:
                     data = handle.read()
             except FileNotFoundError:
-                if os.path.isdir(os.path.dirname(path) or "."):
+                # "" names no file, though its directory, "", would read as ".".
+                if path and os.path.isdir(os.path.dirname(path) or "."):
                     return  # the first ``add`` creates the file
                 raise
             lines = data.split(b"\n")  # the last is empty unless it lacks its newline
@@ -554,7 +552,7 @@ class ResultCache:
         return self._known.get(key)
 
     def add(self, key: tuple[str, str, str], count: int) -> None:
-        """Append the record of ``key`` (a ``CountRecord.key()``) unless the key is known."""
+        """Append the record of ``key`` (as ``_record_key`` builds it) unless the key is known."""
         if key in self._known:
             return
         with self._io():

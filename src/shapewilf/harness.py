@@ -25,13 +25,13 @@ scans find their mismatches by comparing a shape's histograms and visit its
 contents only where they differ.  ``ScanReport.records`` is a read-only
 view: its length builds no ``CountRecord`` and iterating it builds one at a
 time, while comparing, copying and pickling a report read only its counts.
-``to_json_dict`` and the JSON and CSV writers read one pass over the rows of
-texts, ``ScanReport._rows``, which formats each content and pattern text once
-per report, and the JSON writer fills one record template per row.
+``to_json_dict`` and the stream writers ``write_json`` and ``write_csv`` read
+one pass over the rows of texts, ``ScanReport._rows``, which formats each
+content and pattern text once per report, and the JSON writer fills one
+record template per row.
 """
 
 import csv
-import io
 import json
 import os
 from itertools import combinations_with_replacement, islice
@@ -174,7 +174,7 @@ class ScanReport(Value):
         }
 
     def write_json(self, stream) -> None:
-        """Write ``to_json()`` to ``stream`` a batch of records at a time."""
+        """Write ``json.dumps(to_json_dict(), indent=2)`` to ``stream``, records in batches."""
         dumps = json.dumps
         stream.write('{\n  "scope": ' + dumps(self.scope) + ',\n  "records": [')
         rows, lead = self._rows(), "\n"
@@ -186,7 +186,7 @@ class ScanReport(Value):
         stream.write(",\n" + dumps(tail, indent=2)[2:])  # its keys, at the document's indent
 
     def write_csv(self, stream) -> None:
-        """Write ``to_csv()`` to ``stream``: flat record rows; tables group contents into columns."""
+        """Write the report as CSV: flat record rows; tables group contents into columns."""
         writer = csv.writer(stream)
         if not self.scope.startswith("table"):
             writer.writerow(["shape", "content", "patterns", "count"])
@@ -202,16 +202,6 @@ class ScanReport(Value):
             for pattern in sorted({p for counts in cols.values() for p in counts}):
                 writer.writerow([pattern] + [cols[c].get(pattern, "") for c in contents])
             writer.writerow([])
-
-    def to_json(self) -> str:
-        buf = io.StringIO()
-        self.write_json(buf)
-        return buf.getvalue()
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def reproduce_table(table_id: int, cache=None) -> ScanReport:

@@ -42,11 +42,6 @@ def contains(filling: Filling, pattern: Word) -> bool:
     return False
 
 
-def avoids_all(filling: Filling, patterns) -> bool:
-    """True iff the filling contains none of the given patterns."""
-    return not any(contains(filling, x) for x in patterns)
-
-
 class LastColumnChecker:
     """Incremental containment test against a growing column prefix.
 

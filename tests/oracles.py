@@ -13,12 +13,16 @@ from shapewilf import (
     POSITIVE_ROWS,
     UNCONSTRAINED,
     Filling,
-    avoids_all,
     border_path,
     contains,
     make_shape,
     validate_pattern,
 )
+
+
+def avoids_all(filling, patterns) -> bool:
+    """True iff the filling contains none of the given patterns."""
+    return not any(contains(filling, x) for x in patterns)
 
 
 def brute_count_fillings(shape, patterns, content=UNCONSTRAINED) -> int:

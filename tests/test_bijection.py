@@ -13,7 +13,6 @@ from shapewilf import (
     ShapeMismatch,
     alpha,
     alpha_inverse,
-    avoids_all,
     blowup,
     contains,
     border_path,
@@ -30,6 +29,7 @@ from shapewilf import (
     VARIANTS,
 )
 from shapewilf.bijection import P121, P211, P212, P221, P231, P312, _chains
+from oracles import avoids_all
 from worked_example import (
     BLOWN_PLACEMENT,
     BLOWN_SHAPE,
@@ -41,6 +41,12 @@ from worked_example import (
     IMAGE_PLACEMENT,
     SHAPE,
 )
+
+# The stacking of a variant's inverse map: the one its forward map does not use.
+OTHER_DIRECTION = {
+    Direction.INCREASING: Direction.DECREASING,
+    Direction.DECREASING: Direction.INCREASING,
+}
 
 
 def placement(shape, cols):
@@ -322,7 +328,7 @@ def test_alphas_pass_over_the_blowup_decides_the_input_avoidance_up_to_5x4():
                 for variant in VARIANTS.values():
                     for inverse, avoids, stacking, kind in (
                         (False, variant.source, variant.forward_direction, "231"),
-                        (True, variant.target, variant.inverse_direction, "312"),
+                        (True, variant.target, OTHER_DIRECTION[variant.forward_direction], "312"),
                     ):
                         found = [p for p in avoids if contains(filling, p)]
                         try:
@@ -388,7 +394,8 @@ def reference_trace(variant, filling, content, inverse):
     # EquivalenceVariant.trace: blowup, border sequences, alpha or
     # alpha_inverse, shrink.
     if inverse:
-        avoids, stacking, step = variant.target, variant.inverse_direction, alpha_inverse
+        avoids, step = variant.target, alpha_inverse
+        stacking = OTHER_DIRECTION[variant.forward_direction]
     else:
         avoids, stacking, step = variant.source, variant.forward_direction, alpha
     placement = blowup(filling, content, stacking)

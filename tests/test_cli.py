@@ -275,6 +275,7 @@ STREAMED = {
         lambda: scan_conjecture2((1,), 7, 5), 0,
     ),
     "table": (["table", "1"], lambda: reproduce_table(1), 1),
+    "table-4": (["table", "4"], lambda: reproduce_table(4), 0),
 }
 
 
@@ -455,6 +456,18 @@ def test_unusable_cache_path_fails_before_counting(tmp_path, capsys, monkeypatch
     status, out, err = run(capsys, "count", "--shape", "3,3", "--cache", path)
     assert (status, out) == (2, "")
     assert err == f"error: cannot use cache {path}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_cache_path_fails_before_counting(tmp_path, capsys, monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted although --cache names no file")
+
+    monkeypatch.setattr(cli, "counted", no_count)
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(capsys, "count", "--shape", "3,3", "--cache", "")
+    assert (status, out) == (2, "")
+    assert err == "error: cannot use cache : No such file or directory\n"
     assert list(tmp_path.iterdir()) == []
 
 

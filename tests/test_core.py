@@ -271,6 +271,9 @@ def test_every_input_error_is_a_usage_error_and_a_value_error():
     assert issubclass(core.UsageError, ValueError)
     assert issubclass(enumeration.UnusableCache, OSError)
     assert not issubclass(enumeration.CorruptCache, core.UsageError)
+    # Exported, so that a library caller can catch them as shapewilf.UsageError.
+    assert shapewilf.UsageError is core.UsageError
+    assert shapewilf.UnusableCache is enumeration.UnusableCache
 
 
 @pytest.mark.parametrize(
@@ -315,8 +318,7 @@ FROZEN_VALUES = {
     ),
     "EquivalenceVariant": (
         lambda: EquivalenceVariant(
-            "11", ((2, 3, 1), (2, 2, 1)), ((3, 1, 2), (2, 1, 2)),
-            Direction.INCREASING, Direction.DECREASING,
+            "11", ((2, 3, 1), (2, 2, 1)), ((3, 1, 2), (2, 1, 2)), Direction.INCREASING
         ),
         VARIANTS["12"],
         "forward_direction",

@@ -34,8 +34,7 @@ from shapewilf import (
 )
 from shapewilf import enumeration
 from shapewilf.enumeration import UnusableCache, _Trackers, column_states, step, word_rectangle
-from shapewilf.matcher import avoids_all
-from oracles import brute_count_fillings, count_words_direct
+from oracles import avoids_all, brute_count_fillings, count_words_direct
 
 P231 = (2, 3, 1)
 P312 = (3, 1, 2)
@@ -738,6 +737,9 @@ def test_an_unreadable_or_uncreatable_cache_path_is_an_unusable_cache(tmp_path, 
         ResultCache(missing)
     assert str(exc.value) == f"cannot use cache {missing}: No such file or directory"
     assert isinstance(exc.value, OSError) and isinstance(exc.value.__cause__, FileNotFoundError)
+    with pytest.raises(UnusableCache) as exc:
+        ResultCache("")  # names no file, though its directory would read as "."
+    assert str(exc.value) == "cannot use cache : No such file or directory"
     path = tmp_path / "counts.jsonl"
     path.write_text(f"{cache_line('2,2,1', 18)}\n")
     fail_opening(monkeypatch, "rb")

@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import os
 import pickle
@@ -32,6 +33,7 @@ from shapewilf import (
     scan_conjecture2,
     walk_shapes,
 )
+from shapewilf.enumeration import _record_key
 
 P231 = (2, 3, 1)
 P312 = (3, 1, 2)
@@ -237,6 +239,13 @@ def test_non_integer_scan_bounds_are_usage_errors(scan, bound):
         scan()
 
 
+def written(write) -> str:
+    """What a report writer (``ScanReport.write_json`` or ``write_csv``) writes to a stream."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
 def test_report_json_and_csv_shapes():
     report = reproduce_table(1)
     doc = report.to_json_dict()
@@ -248,9 +257,9 @@ def test_report_json_and_csv_shapes():
         "count": 18,
     }
     assert all(set(m) >= {"shape", "content", "a", "b"} for m in doc["mismatches"])
-    csv_text = report.to_csv()
+    csv_text = written(report.write_csv)
     assert "shape 5,5,4" in csv_text.splitlines()[0]
-    flat = check_equivalence([(1, 2)], [(2, 1)], 2, 2).to_csv()
+    flat = written(check_equivalence([(1, 2)], [(2, 1)], 2, 2).write_csv)
     assert flat.splitlines()[0] == "shape,content,patterns,count"
 
 
@@ -271,8 +280,8 @@ def test_cache_makes_reports_reproducible(tmp_path):
         cold = reproduce_table(1, cache=cache)
     with ResultCache(path) as cache:
         warm = reproduce_table(1, cache=cache)
-    assert warm.to_json() == cold.to_json()
-    assert warm.to_csv() == cold.to_csv()
+    assert written(warm.write_json) == written(cold.write_json)
+    assert written(warm.write_csv) == written(cold.write_csv)
     # the cache file holds one record per distinct count
     lines = (tmp_path / "cache.jsonl").read_text().splitlines()
     assert len(lines) == len({json.dumps(json.loads(l), sort_keys=True) for l in lines}) == 40
@@ -290,7 +299,7 @@ def test_streamed_json_of_a_report_larger_than_one_batch_is_the_whole_document()
     writes = Writes()
     report.write_json(writes)
     assert sum(text.lstrip(",\n").startswith("    {") for text in writes) > 1  # record batches
-    assert "".join(writes) == report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+    assert "".join(writes) == json.dumps(report.to_json_dict(), indent=2)
 
 
 def test_scan_report_is_a_plain_document():
@@ -377,8 +386,8 @@ def test_scan_reports_build_records_only_when_read():
     # the count and the documents build no record
     reads = [
         lambda: len(report.records),
-        report.to_json,
-        report.to_csv,
+        lambda: written(report.write_json),
+        lambda: written(report.write_csv),
         report.to_json_dict,
         lambda: list(report.records),
     ]
@@ -486,7 +495,7 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
         planted = [CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold[::3]]
         with ResultCache(str(path)) as cache:
             for record in planted:
-                cache.add(record.key(), record.count)
+                cache.add(_record_key(record.shape, record.content, record.patterns), record.count)
         with ResultCache(str(path)) as cache:
             mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
         assert [r.count for r in mixed.records] == [
@@ -516,7 +525,7 @@ def test_scans_through_a_cold_cache_match_scans_without_one(tmp_path, omega, sig
                 scan_conjecture1(cols, rows, cache=cache),
             ]
         plain = [check_equivalence(omega, sigma, cols, rows), scan_conjecture1(cols, rows)]
-        assert [r.to_json() for r in cached] == [r.to_json() for r in plain]
+        assert [written(r.write_json) for r in cached] == [written(r.write_json) for r in plain]
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == [r.to_json() for report in plain for r in report.records]
 
@@ -536,8 +545,8 @@ def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
     with ResultCache(path) as cache:
         warm_equivalence = check_equivalence(omega, sigma, 5, 4, cache=cache)
         warm_conjecture = scan_conjecture1(5, 4, cache=cache)
-    assert warm_equivalence.to_json() == cold_equivalence.to_json()
-    assert warm_conjecture.to_json() == cold_conjecture.to_json()
+    assert written(warm_equivalence.write_json) == written(cold_equivalence.write_json)
+    assert written(warm_conjecture.write_json) == written(cold_conjecture.write_json)
     assert (tmp_path / "cache.jsonl").stat().st_size == size
     with pytest.raises(AssertionError):
         check_equivalence(omega, sigma, 5, 4)  # without the cache it must walk
@@ -658,7 +667,9 @@ def test_chained_conjecture2_scan_matches_per_rectangle_counts(beta):
         for max_alphabet in range(1, 6):
             report = scan_conjecture2(beta, max_length, max_alphabet)
             reference = per_rectangle_conjecture2(beta, max_length, max_alphabet, count)
-            assert report.to_json() == reference.to_json(), (max_length, max_alphabet)
+            assert written(report.write_json) == written(reference.write_json), (
+                max_length, max_alphabet
+            )
     if beta == (1,):  # the 7x5 scan stops at the one witness in the grid
         assert (report.verdict, len(report.records)) == ("unequal", 70)
         assert (report.mismatches[0].a, report.mismatches[0].b) == (67853, 67854)
@@ -672,7 +683,7 @@ def test_chained_conjecture2_scan_fills_a_cache_like_the_per_rectangle_loop(tmp_
         reference = per_rectangle_conjecture2(
             (2, 1), 7, 5, lambda rectangle, p: counted(rectangle, UNCONSTRAINED, (p,), cache=cache)
         )
-    assert cold.to_json() == reference.to_json()
+    assert written(cold.write_json) == written(reference.write_json)
     assert (tmp_path / "chained.jsonl").read_bytes() == (tmp_path / "looped.jsonl").read_bytes()
 
 
@@ -690,7 +701,7 @@ def test_chained_conjecture2_scan_reports_cached_counts_and_counts_the_rest(tmp_
     planted.append(CountRecord(wrong.shape, wrong.content, wrong.patterns, wrong.count + 1000))
     with ResultCache(str(path)) as cache:
         for record in planted:
-            cache.add(record.key(), record.count)
+            cache.add(_record_key(record.shape, record.content, record.patterns), record.count)
     with ResultCache(str(path)) as cache:
         mixed = scan_conjecture2((1,), 6, 5, cache=cache)
     assert list(mixed.records) == cold[:stop] + [planted[-1], cold[stop + 1]]
@@ -713,7 +724,7 @@ def test_a_warm_cache_never_enters_the_column_passes(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "column_states", no_pass)
     with ResultCache(path) as cache:
         warm = [scan_conjecture2(beta, 7, 5, cache=cache) for beta in BETAS]
-    assert [r.to_json() for r in warm] == [r.to_json() for r in cold]
+    assert [written(r.write_json) for r in warm] == [written(r.write_json) for r in cold]
     assert (tmp_path / "cache.jsonl").stat().st_size == size
     with pytest.raises(AssertionError):
         scan_conjecture2((), 3, 2)  # without the cache it must count

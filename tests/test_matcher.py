@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from shapewilf import (
     Filling,
     InvalidPattern,
-    avoids_all,
     contains,
     make_shape,
     parse_word,
     word_to_filling,
 )
 from shapewilf.matcher import LastColumnChecker
-from oracles import word_contains
+from oracles import avoids_all, word_contains
 from worked_example import FILLING, SECOND_FILLING, SHAPE
 
 
