@@ -24,8 +24,9 @@ the conjecture-2 scan reads every length of a word rectangle from one pass),
 ``enumerate_fillings``, which expands one state at a time in lexicographic
 order, and ``walk_shapes``, which walks the tree of column-height sequences
 depth first and carries each shape's state dict to the shapes one column
-longer (so a whole scan pays one step per shape, and every positive content
-of a shape is counted at once).  The first two get their trackers, start
+longer (so a whole scan pays one step per shape, and counts every positive
+content of a shape at once, as the histogram that ``shape_counts`` reads and
+a ``ResultCache`` keeps on one line).  The first two get their trackers, start
 state and ``moves(regime, h, done)`` from one ``_start``; the walk's regime
 state is one int too, a bit per empty row and a field per row count, and its
 ``moves`` are kept per walk, since the same states recur across shapes.  None
@@ -38,6 +39,7 @@ import os
 import sys
 from contextlib import contextmanager
 from itertools import accumulate, combinations, repeat
+from math import comb
 from operator import sub
 from typing import Iterator
 
@@ -449,16 +451,17 @@ class CountRecord(FrozenValue):
         self._assign(shape, content, patterns, count)
 
     def to_json(self) -> dict:
-        return record_json(*_record_key(self.shape, self.content, self.patterns), self.count)
+        return record_json(*_cache_key(self.shape, (self.content,), self.patterns), self.count)
 
 
-def _record_key(shape: FerrersShape, content, patterns) -> tuple[str, str, str]:
-    """The text encodings that key a count record in the result cache."""
-    return format_shape(shape), content_text(content), format_patterns(patterns)
+def _cache_key(shape: FerrersShape, contents, patterns) -> tuple[str, str, str]:
+    """The texts that key a shape's counts of ``contents``: one content's own, else ``CONTENTS``."""
+    text = content_text(contents[0]) if len(contents) == 1 else CONTENTS
+    return format_shape(shape), text, format_patterns(patterns)
 
 
-def record_json(shape: str, content: str, patterns: str, count: int) -> dict:
-    """The JSON object of one count record, from its text encodings."""
+def record_json(shape: str, content: str, patterns: str, count) -> dict:
+    """The JSON object of one count record, or of a ``CONTENTS`` line, from its text encodings."""
     return {"shape": shape, "content": content, "patterns": patterns, "count": count}
 
 
@@ -466,15 +469,21 @@ class CorruptCache(Exception):
     """A result-cache line, other than a torn last line, is not a count record."""
 
 
-def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], int]:
+def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
     row = json.loads(line)
     key = (row["shape"], row["content"], row["patterns"])
     count = row["count"]
-    if not all(isinstance(part, str) for part in key) or type(count) is not int:
-        raise TypeError("shape, content and patterns must be strings and count an integer")
-    if count < 0:
-        raise ValueError(f"count {count} is negative")
-    return key, count
+    many = type(count) is list  # a CONTENTS line: one count per positive composition
+    counts = tuple(count) if many else (count,)
+    if (many != (key[1] == CONTENTS) or not all(isinstance(part, str) for part in key)
+            or not all(type(n) is int for n in counts)):
+        raise TypeError("texts must be strings and counts integers, in a list on a contents line")
+    if min(counts, default=0) < 0:
+        raise ValueError(f"count {min(counts)} is negative")
+    # A shape's text lists its r rows, the first of width w: comb(w - 1, r - 1) contents.
+    if many and len(counts) != comb(int(key[0].split(",", 1)[0]) - 1, key[0].count(",")):
+        raise ValueError(f"{len(counts)} counts for the positive contents of shape {key[0]}")
+    return key, counts
 
 
 class UnusableCache(UsageError, OSError):
@@ -482,24 +491,25 @@ class UnusableCache(UsageError, OSError):
 
 
 class ResultCache:
-    """Append-only JSONL cache of count records, keyed by the text encodings.
+    """Append-only JSONL cache of counts, one line per (shape, contents, pattern set).
 
-    Records go through one line-buffered handle, opened at the first ``add`` and
-    closed by ``close`` or at the end of a ``with`` block, so every record
-    reaches the file as one whole line.  A torn last line, one that does not
-    parse as JSON, as a crash while appending leaves behind, is skipped with a
-    warning on stderr and cut off the file, so the next record starts a fresh
-    line.  Any other line that is not a count record, or that gives an earlier
-    line's key another count, raises ``CorruptCache``; a repeated record (two
-    runs appending at once) loads.  An ``OSError`` on the path raises
-    ``UnusableCache`` (an ``OSError`` too): here, before any count, for a path
-    that cannot be read or created, and from ``add`` or ``close`` when an
-    append fails.
+    A line is a count record of one content or, with the content ``CONTENTS``,
+    the counts of a shape's positive compositions as a list in ``compositions``
+    order (``_cache_key`` keys both); a key maps to its tuple of counts.  Lines
+    go through one line-buffered handle, opened at the first ``add`` and closed
+    by ``close`` or a ``with`` block's end, so each reaches the file whole.  A
+    torn last line, one that does not parse as JSON, as a crash while appending
+    leaves behind, is skipped with a warning on stderr and cut off the file.
+    Any other line of neither kind (a list of the wrong length included), or
+    one that gives an earlier line's key other counts, raises ``CorruptCache``;
+    a repeated line (two runs appending at once) loads.  An ``OSError`` on the
+    path raises ``UnusableCache`` (an ``OSError`` too): here, before any count,
+    for a path that cannot be read or created, and from a failed ``add`` or ``close``.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self._known: dict[tuple[str, str, str], int] = {}
+        self._known: dict[tuple[str, str, str], tuple[int, ...]] = {}
         self._handle = None
         with self._io():
             try:
@@ -515,7 +525,7 @@ class ResultCache:
                 if not line.strip():
                     continue
                 try:
-                    key, count = _cache_entry(line)
+                    key, counts = _cache_entry(line)
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     # An append cut short cannot parse (a record ends at its closing
                     # brace), nor can a line nested deeper than the parser recurses.
@@ -529,14 +539,13 @@ class ResultCache:
                     with open(path, "r+b") as handle:
                         handle.truncate(len(data) - len(line))
                     return
-                known = self._known.setdefault(key, count)
-                if known != count:
-                    keys = [seen.strip() and _cache_entry(seen)[0] for seen in lines[:number]]
+                if self._known.setdefault(key, counts) != counts:
+                    first = [s.strip() and _cache_entry(s)[0] for s in lines[:number]].index(key)
                     raise CorruptCache(
-                        f"{path}: lines {keys.index(key) + 1} and {number} give one record the "
-                        f"counts {known} and {count}"
+                        f"{path}: lines {first + 1} and {number} give one record the counts "
+                        f"{json.loads(lines[first])['count']} and {json.loads(line)['count']}"
                     )
-            if lines[-1].strip():  # a whole last record: end its line
+            if lines[-1].strip():  # a whole last line: end it
                 with open(path, "ab") as handle:
                     handle.write(b"\n")
 
@@ -551,15 +560,16 @@ class ResultCache:
     def get(self, key: tuple[str, str, str]):
         return self._known.get(key)
 
-    def add(self, key: tuple[str, str, str], count: int) -> None:
-        """Append the record of ``key`` (as ``_record_key`` builds it) unless the key is known."""
+    def add(self, key: tuple[str, str, str], counts: tuple[int, ...]) -> None:
+        """Append the line of ``key`` (as ``_cache_key`` builds it) unless the key is known."""
         if key in self._known:
             return
         with self._io():
             if self._handle is None:
                 self._handle = open(self.path, "a", encoding="utf-8", buffering=1)
+            count = list(counts) if key[1] == CONTENTS else counts[0]
             self._handle.write(json.dumps(record_json(*key, count)) + "\n")
-        self._known[key] = count
+        self._known[key] = counts
 
     def close(self) -> None:
         handle, self._handle = self._handle, None
@@ -577,32 +587,26 @@ class ResultCache:
 def shape_counts(shape, contents, pattern_sets, cache, histogram) -> tuple:
     """The histograms of one shape: per pattern set, the count of each content in turn.
 
-    ``histogram(shape, side)`` maps each content to its number of avoiders of
-    ``pattern_sets[side]``; a content it leaves out counts 0.  The tuple
-    returned has, per pattern set, a tuple of counts in the order of
-    ``contents``.  Without a cache they are read from ``histogram``, and no
-    cache key is built.  With one, they are read content by content, then
-    pattern set by pattern set: a cached count wins, ``histogram`` is called
-    at most once per pattern set, at that set's first miss (so a warm cache
-    never counts), and each miss reaches the cache in that order, which is
-    the order of the report's records.
+    ``contents`` is one content or every positive composition of the shape in
+    ``compositions`` order, and ``histogram(shape, side)`` maps each content to
+    its number of avoiders of ``pattern_sets[side]`` (0 if left out).  Each
+    pattern set's tuple of counts is one cache entry: a cached tuple wins, else
+    ``histogram`` is read once and the tuple added, so a warm cache never counts
+    and misses reach the cache in pattern-set order.  Without a cache no key is
+    built, and a shape with no content reads and writes nothing.
     """
-    if cache is None:
-        sides = range(len(pattern_sets))
-        return tuple([tuple(map(histogram(shape, side).get, contents, repeat(0))) for side in sides])
-    walked = [None] * len(pattern_sets)
-    counts = [[] for _ in pattern_sets]
-    for content in contents:
-        for side, patterns in enumerate(pattern_sets):
-            key = _record_key(shape, content, patterns)
-            count = cache.get(key)
-            if count is None:
-                if walked[side] is None:
-                    walked[side] = histogram(shape, side)
-                count = walked[side].get(content, 0)
-                cache.add(key, count)
-            counts[side].append(count)
-    return tuple(map(tuple, counts))
+    if not contents:
+        return ((),) * len(pattern_sets)
+    histograms = []
+    for side, patterns in enumerate(pattern_sets):
+        key = None if cache is None else _cache_key(shape, contents, patterns)
+        counts = None if key is None else cache.get(key)
+        if counts is None:
+            counts = tuple(map(histogram(shape, side).get, contents, repeat(0)))
+            if key is not None:
+                cache.add(key, counts)
+        histograms.append(counts)
+    return tuple(histograms)
 
 
 def counted(shape: FerrersShape, content, patterns, cache=None) -> CountRecord:

@@ -19,8 +19,8 @@ in-process.
 
 A report is its counts: per shape in report order, the shape's contents
 and one histogram per pattern set (the count of each content in turn), which
-every report gets from ``enumeration.shape_counts``, where a ``--cache`` hit
-wins over the count, which runs only when some count is not cached.  The
+every report gets from ``enumeration.shape_counts``, where a ``--cache``
+line, one per histogram, wins over the count, which runs only on a miss.  The
 scans find their mismatches by comparing a shape's histograms and visit its
 contents only where they differ.  ``ScanReport.records`` is a read-only
 view: its length builds no ``CountRecord`` and iterating it builds one at a
@@ -256,9 +256,9 @@ def _compare(scope: str, pattern_sets, regime: str, max_cols: int, max_rows: int
     per pattern set, come from one ``shape_counts`` call.  The contents of
     each (width, rows) size are listed once: every positive composition
     (``CONTENTS``) or ``POSITIVE_ROWS`` alone.  Each pattern set is counted
-    by one ``walk_shapes`` over the bounds, run at the first count the cache
-    lacks, so a cached count wins, new counts reach the cache in report order
-    and a warm cache does no counting.  A content whose counts a, b give
+    by one ``walk_shapes`` over the bounds, run at the first histogram the
+    cache lacks, so a cached histogram wins, new ones reach the cache in report
+    order and a warm cache does no counting.  A content whose counts a, b give
     ``violates(a, b)`` is a mismatch, and the verdict is ``verdicts[0]``
     without one and ``verdicts[1]`` with one.
     """

@@ -34,7 +34,7 @@ from shapewilf import (
     reproduce_table,
 )
 from shapewilf.bijection import Direction, P121, P211, P212, P221, P231, P312
-from shapewilf.enumeration import _record_key
+from shapewilf.enumeration import _cache_key
 from oracles import avoids_all, word_contains
 from worked_example import CHAIN_SEQ, CONTENT, FILLING, FLIPPED_SEQ, IMAGE_FILLING, SHAPE
 
@@ -85,7 +85,7 @@ def test_criterion_1_table_1_reproduction():
         published[(cell["shape"], cell["content"], fixture["pattern_b"])] = cell["b"]
     report = reproduce_table(1)
     computed = {
-        _record_key(record.shape, record.content, record.patterns): record.count
+        _cache_key(record.shape, (record.content,), record.patterns): record.count
         for record in report.records
     }
     assert computed.keys() == published.keys() and len(computed) == 40

@@ -18,7 +18,9 @@ from shapewilf import (
     check_equivalence,
     cli,
     enumeration,
+    format_patterns,
     format_shape,
+    harness,
     make_shape,
     parse_patterns,
     parse_shape,
@@ -613,6 +615,79 @@ def test_conflicting_cache_records_are_a_damaged_cache(tmp_path, capsys):
     assert err == (
         f"error: damaged cache: {cache}: lines 1 and 2 give one record the counts 99 and 18\n"
     )
+
+
+def contents_line(count, shape="4,4,3", content="contents"):
+    """A cache line of 231's counts on a shape, by default of 4,4,3's three positive contents."""
+    return {"shape": shape, "content": content, "patterns": "231", "count": count}
+
+
+# Cache lines that are neither a count record nor a contents line, or two
+# contents lines that give one shape different counts.
+DAMAGED_CONTENTS = {
+    "an-int": ([contents_line(5)], "line 1 is not a count record ("),
+    "a-negative": ([contents_line([1, -2, 3])], "line 1 is not a count record (count -2 is"),
+    "a-bool": ([contents_line([1, True, 3])], "line 1 is not a count record ("),
+    "a-float": ([contents_line([1, 2.0, 3])], "line 1 is not a count record ("),
+    "a-string": ([contents_line("1,2,3")], "line 1 is not a count record ("),
+    "a-record-list": ([contents_line([1], content="2,1,1")], "line 1 is not a count record ("),
+    "too-short": ([contents_line([1, 2])], "line 1 is not a count record (2 counts for the"),
+    "too-long": ([contents_line([1, 2, 3, 4])], "line 1 is not a count record (4 counts for"),
+    "no-shape": ([contents_line([1, 2, 3], shape="x")], "line 1 is not a count record ("),
+    "conflicting": ([contents_line([1, 2, 3]), contents_line([1, 2, 4])],
+                    "lines 1 and 2 give one record the counts [1, 2, 3] and [1, 2, 4]\n"),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "whole-last-line"])
+@pytest.mark.parametrize("name", DAMAGED_CONTENTS)
+def test_a_damaged_contents_line_is_a_damaged_cache(tmp_path, capsys, monkeypatch, name, end):
+    lines, message = DAMAGED_CONTENTS[name]
+    cache = tmp_path / "c.jsonl"
+    text = "\n".join(map(json.dumps, lines)) + end
+    cache.write_text(text)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked although the cache is damaged")
+
+    monkeypatch.setattr(harness, "walk_shapes", no_walk)
+    status, out, err = run(capsys, "check-equiv", "231", "312", "--max-cols", "4",
+                           "--max-rows", "3", "--out", "json", "--cache", str(cache))
+    assert (status, out) == (3, "")
+    assert err.startswith(f"error: damaged cache: {cache}: {message}")
+    assert err.count("\n") == 1
+    assert cache.read_text() == text
+
+
+def test_a_cache_of_one_record_per_cell_still_serves_a_scan(tmp_path, capsys, monkeypatch):
+    # A check-equiv cache as earlier versions wrote it, one count record per
+    # (shape, content, pattern set): its records serve the shapes with one
+    # content, and each shape with several gets one contents line per pattern set.
+    argv = ["check-equiv", "231+221", "312+212", "--max-cols", "5", "--max-rows", "4",
+            "--out", "json"]
+    plain = run(capsys, *argv)
+    report = check_equivalence([(2, 3, 1), (2, 2, 1)], [(3, 1, 2), (2, 1, 2)], 5, 4)
+    old = "".join(json.dumps(record.to_json()) + "\n" for record in report.records)
+    cache = tmp_path / "c.jsonl"
+    cache.write_text(old)
+    assert run(capsys, *argv, "--cache", str(cache)) == plain
+    text = cache.read_text()
+    assert text.startswith(old)  # the old lines come first, untouched
+    added = [
+        {"shape": format_shape(shape), "content": "contents", "patterns": format_patterns(p),
+         "count": list(counts)}
+        for shape, contents, pattern_sets, histograms in report.counts if len(contents) > 1
+        for p, counts in zip(pattern_sets, histograms)
+    ]
+    assert [json.loads(line) for line in text[len(old):].splitlines()] == added
+    assert len(added) == 2 * sum(len(contents) > 1 for _, contents, _, _ in report.counts) > 0
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked although every count was cached")
+
+    monkeypatch.setattr(harness, "walk_shapes", no_walk)
+    assert run(capsys, *argv, "--cache", str(cache)) == plain
+    assert cache.read_text() == text
 
 
 GOOD_LINE = json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231", "count": 18})

@@ -544,19 +544,19 @@ def test_result_cache(tmp_path):
         with ResultCache(str(path)) as cache:
             counted(shape, content, [P231], cache=cache)
     reloaded = ResultCache(str(path))
-    assert reloaded.get(("5,5,4", "2,2,1", "231")) == 18
+    assert reloaded.get(("5,5,4", "2,2,1", "231")) == (18,)
     assert len(path.read_text().splitlines()) == 3
 
 
 def test_a_cell_builds_its_cache_key_once(tmp_path, monkeypatch):
     keys = []
-    record_key = enumeration._record_key
+    cache_key = enumeration._cache_key
 
     def counted_key(*cell):
         keys.append(cell)
-        return record_key(*cell)
+        return cache_key(*cell)
 
-    monkeypatch.setattr(enumeration, "_record_key", counted_key)
+    monkeypatch.setattr(enumeration, "_cache_key", counted_key)
     path = tmp_path / "counts.jsonl"
     with ResultCache(str(path)) as cache:
         shape = parse_shape("5,5,4")
@@ -590,9 +590,11 @@ def test_cache_records_written_by_another_process_read_back(tmp_path):
     )
     run_python(writer, str(path))
     fresh = ResultCache(str(path))
-    assert fresh.get(("5,5,4", "2,2,1", "231")) == 18
-    assert fresh.get(("5,5,4", "1,1,3", "231")) == count_fillings(parse_shape("5,5,4"), (1, 1, 3), [P231])
-    assert fresh.get(("5,5,4", "positive-rows", "231")) == 82
+    assert fresh.get(("5,5,4", "2,2,1", "231")) == (18,)
+    assert fresh.get(("5,5,4", "1,1,3", "231")) == (
+        count_fillings(parse_shape("5,5,4"), (1, 1, 3), [P231]),
+    )
+    assert fresh.get(("5,5,4", "positive-rows", "231")) == (82,)
     assert len(path.read_text().splitlines()) == 3
 
 
@@ -600,7 +602,7 @@ def test_cache_records_are_whole_lines_before_close(tmp_path):
     path = tmp_path / "counts.jsonl"
     with ResultCache(str(path)) as cache:
         counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache)
-        assert ResultCache(str(path)).get(("5,5,4", "2,2,1", "231")) == 18
+        assert ResultCache(str(path)).get(("5,5,4", "2,2,1", "231")) == (18,)
         counted(parse_shape("5,5,4"), (1, 1, 3), [P312], cache=cache)
     assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
 
@@ -622,7 +624,7 @@ def test_cache_skips_a_torn_last_line_and_cuts_it_off(tmp_path, capsys):
     with ResultCache(str(path)) as cache:
         assert "skipped torn last line 2" in capsys.readouterr().err
         assert path.read_bytes() == whole
-        assert cache.get(("5,5,4", "2,2,1", "231")) == 18
+        assert cache.get(("5,5,4", "2,2,1", "231")) == (18,)
         assert cache.get(("5,5,4", "1,1,3", "312")) is None
         assert counted(parse_shape("5,5,4"), (1, 1, 3), [P312], cache=cache).count == 8
     assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
@@ -632,13 +634,13 @@ def test_adding_a_key_the_cache_holds_appends_nothing(tmp_path):
     path = tmp_path / "counts.jsonl"
     key = ("5,5,4", "2,2,1", "231")
     with ResultCache(str(path)) as cache:
-        cache.add(key, 18)
+        cache.add(key, (18,))
         text = path.read_text()
-        cache.add(key, 18)
-        cache.add(key, 99)  # the count it holds stands
-        assert cache.get(key) == 18
+        cache.add(key, (18,))
+        cache.add(key, (99,))  # the count it holds stands
+        assert cache.get(key) == (18,)
     with ResultCache(str(path)) as cache:  # a key loaded from the file
-        cache.add(key, 18)
+        cache.add(key, (18,))
     assert path.read_text() == text == json.dumps({"shape": "5,5,4", "content": "2,2,1",
                                                    "patterns": "231", "count": 18}) + "\n"
 
@@ -648,7 +650,7 @@ def test_cache_keeps_a_whole_last_record_without_its_newline(tmp_path, capsys):
     path.write_text(json.dumps({"shape": "5,5,4", "content": "2,2,1", "patterns": "231",
                                 "count": 18}))
     with ResultCache(str(path)) as cache:
-        assert cache.get(("5,5,4", "2,2,1", "231")) == 18
+        assert cache.get(("5,5,4", "2,2,1", "231")) == (18,)
         counted(parse_shape("5,5,4"), (1, 1, 3), [P312], cache=cache)
     assert capsys.readouterr().err == ""
     assert [json.loads(line)["count"] for line in path.read_text().splitlines()] == [18, 8]
@@ -712,7 +714,7 @@ def test_cache_loads_a_record_repeated_with_the_same_count(tmp_path):
     text = f"{cache_line('2,2,1', 18)}\n{cache_line('1,1,3', 8)}\n{cache_line('2,2,1', 18)}\n"
     path.write_text(text)
     with ResultCache(str(path)) as cache:
-        assert cache.get(("5,5,4", "2,2,1", "231")) == 18
+        assert cache.get(("5,5,4", "2,2,1", "231")) == (18,)
         assert counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache).count == 18
     assert path.read_text() == text
 
@@ -777,7 +779,7 @@ def test_a_failed_close_is_an_unusable_cache(tmp_path, monkeypatch):
     path = tmp_path / "counts.jsonl"
     cache = ResultCache(str(path))
     monkeypatch.setattr(enumeration, "open", lambda *args, **kwargs: FullDisk(), raising=False)
-    cache.add(("5,5,4", "2,2,1", "231"), 18)
+    cache.add(("5,5,4", "2,2,1", "231"), (18,))
     with pytest.raises(UnusableCache, match=f"cannot use cache .*: {os.strerror(errno.ENOSPC)}"):
         cache.close()
     cache.close()  # the handle went with the first close

@@ -33,7 +33,7 @@ from shapewilf import (
     scan_conjecture2,
     walk_shapes,
 )
-from shapewilf.enumeration import _record_key
+from shapewilf.enumeration import _cache_key
 
 P231 = (2, 3, 1)
 P312 = (3, 1, 2)
@@ -193,7 +193,7 @@ def test_scan_conjecture1_reports_a_violation_as_a_counterexample(tmp_path, plan
     # planted in the cache, whose counts win over the walk's.
     with ResultCache(str(tmp_path / "cache.jsonl")) as cache:
         for patterns, count in zip(["231", "312"], planted):
-            cache.add(("3,2", POSITIVE_ROWS, patterns), count)
+            cache.add(("3,2", POSITIVE_ROWS, patterns), (count,))
         report = scan_conjecture1(3, 2, cache)
     a, b = planted
     assert report.mismatches == ([Mismatch("3,2", POSITIVE_ROWS, a, b)] if a > b else [])
@@ -482,6 +482,28 @@ def test_a_cold_table_caches_one_line_per_record_in_report_order(tmp_path, table
     assert report == reproduce_table(table_id)
 
 
+def cache_lines(entries) -> list[dict]:
+    """The cache line of each (shape, contents, patterns, counts) entry, as ``json.loads`` reads it.
+
+    A shape with no content has no line, one content a count record, and
+    several contents a ``CONTENTS`` line with the list of their counts.
+    """
+    return [
+        {**dict(zip(("shape", "content", "patterns"), _cache_key(shape, contents, patterns))),
+         "count": list(counts) if len(contents) > 1 else counts[0]}
+        for shape, contents, patterns, counts in entries if contents
+    ]
+
+
+def report_entries(report) -> list:
+    """One (shape, contents, patterns, counts) entry per shape and pattern set, in report order."""
+    return [
+        (shape, contents, patterns, counts)
+        for shape, contents, pattern_sets, histograms in report.counts
+        for patterns, counts in zip(pattern_sets, histograms)
+    ]
+
+
 def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
     # A theorem pair, and a pair whose counts differ, so that a count taken
     # from the other pattern set's walk would show.
@@ -489,24 +511,29 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
         [([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([P231], [(1, 1)])]
     ):
         path = tmp_path / f"cache{case}.jsonl"
-        cold = list(check_equivalence(omega, sigma, 4, 3).records)
-        # Every third record is cached with a wrong count, so a reported wrong
-        # count shows that the cached value won over the walk.
-        planted = [CountRecord(r.shape, r.content, r.patterns, r.count + 1000) for r in cold[::3]]
+        cold = report_entries(check_equivalence(omega, sigma, 4, 3))
+        # Every third (shape, pattern set) with a content is cached whole with
+        # wrong counts, so a reported wrong count shows that the cached line
+        # won over the walk.
+        entries = [
+            (shape, contents, patterns, tuple(n + 1000 for n in counts) if i % 3 == 0 else counts)
+            for i, (shape, contents, patterns, counts) in enumerate(e for e in cold if e[1])
+        ]
+        planted = entries[::3]
         with ResultCache(str(path)) as cache:
-            for record in planted:
-                cache.add(_record_key(record.shape, record.content, record.patterns), record.count)
+            for shape, contents, patterns, counts in planted:
+                cache.add(_cache_key(shape, contents, patterns), counts)
         with ResultCache(str(path)) as cache:
             mixed = check_equivalence(omega, sigma, 4, 3, cache=cache)
-        assert [r.count for r in mixed.records] == [
-            r.count + 1000 if i % 3 == 0 else r.count for i, r in enumerate(cold)
-        ]
+        assert [e for e in report_entries(mixed) if e[1]] == entries
         assert mixed.verdict == "unequal"
-        # the counted records follow the planted ones in the file, in report order
+        # the counted lines follow the planted ones in the file, one per
+        # (shape, pattern set), in report order
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == [r.to_json() for r in planted] + [
-            r.to_json() for i, r in enumerate(cold) if i % 3
-        ]
+        assert lines == cache_lines(planted) + cache_lines(
+            e for i, e in enumerate(entries) if i % 3
+        )
+        assert len(lines) == len(entries) and any(len(e[1]) > 1 for e in planted)
 
 
 @pytest.mark.parametrize(
@@ -514,9 +541,8 @@ def test_scans_report_cached_counts_and_count_the_rest(tmp_path):
     [([P231], [(1, 1)]), ([P231, (2, 2, 1)], [P312, (2, 1, 2)]), ([(1, 2)], [(2, 1), (1, 1)])],
 )
 def test_scans_through_a_cold_cache_match_scans_without_one(tmp_path, omega, sigma):
-    # shape_counts reads the counts on one path without a cache and on
-    # another with one; both must give the same reports, and the cache every
-    # record.
+    # Through a cold cache, shape_counts must give the reports it gives
+    # without one, and write one line per (shape, pattern set) with a content.
     for cols, rows in [(1, 6), (4, 3), (5, 4), (6, 2)]:
         path = tmp_path / f"cache{cols}x{rows}.jsonl"
         with ResultCache(str(path)) as cache:
@@ -527,7 +553,7 @@ def test_scans_through_a_cold_cache_match_scans_without_one(tmp_path, omega, sig
         plain = [check_equivalence(omega, sigma, cols, rows), scan_conjecture1(cols, rows)]
         assert [written(r.write_json) for r in cached] == [written(r.write_json) for r in plain]
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert lines == [r.to_json() for report in plain for r in report.records]
+        assert lines == cache_lines(e for report in plain for e in report_entries(report))
 
 
 def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
@@ -556,7 +582,7 @@ def test_scans_without_a_cache_build_no_cache_key(monkeypatch):
     def no_key(*cell):
         raise AssertionError("built a cache key without a cache")
 
-    monkeypatch.setattr(enumeration, "_record_key", no_key)
+    monkeypatch.setattr(enumeration, "_cache_key", no_key)
     assert check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 4, 3).verdict == "equal"
     assert scan_conjecture1(4, 3).verdict == "conjecture-consistent"
     assert scan_conjecture2((1,), 4, 3).verdict == "equal"
@@ -701,7 +727,7 @@ def test_chained_conjecture2_scan_reports_cached_counts_and_counts_the_rest(tmp_
     planted.append(CountRecord(wrong.shape, wrong.content, wrong.patterns, wrong.count + 1000))
     with ResultCache(str(path)) as cache:
         for record in planted:
-            cache.add(_record_key(record.shape, record.content, record.patterns), record.count)
+            cache.add(_cache_key(record.shape, (record.content,), record.patterns), (record.count,))
     with ResultCache(str(path)) as cache:
         mixed = scan_conjecture2((1,), 6, 5, cache=cache)
     assert list(mixed.records) == cold[:stop] + [planted[-1], cold[stop + 1]]
