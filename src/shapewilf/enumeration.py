@@ -26,17 +26,20 @@ order, and ``walk_shapes``, which walks the tree of column-height sequences
 depth first and carries each shape's state dict to the shapes one column
 longer (so a whole scan pays one step per shape, and counts every positive
 content of a shape at once, as the histogram that ``shape_counts`` reads and
-a ``ResultCache`` keeps on one line).  The first two get their trackers, start
-state and ``moves(regime, h, done)`` from one ``_start``; the walk's regime
-state is one int too, a bit per empty row and a field per row count, and its
-``moves`` are kept per walk, since the same states recur across shapes.  None
-of them recurses, so widths in the thousands are fine.  All counts are exact
-Python integers, and every count runs in the calling process.
+a ``ResultCache`` keeps on one line).  Each caller hands ``step`` a table of
+the column's moves per regime state and a builder for the states it lacks.
+The first two get their trackers, start state and builder from one ``_start``
+and use a fresh table per column; the walk's regime state is one int too, a
+bit per empty row and a field per row count, and it keeps one table per
+(height, column) for a whole walk, since the same states recur across shapes.
+None of them recurses, so widths in the thousands are fine.  All counts are
+exact Python integers, and every count runs in the calling process.
 """
 
 import json
 import os
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from itertools import accumulate, combinations, repeat
 from math import comb
@@ -111,28 +114,28 @@ class _Trackers:
         self.live = [(1 << bits) - 1 for bits in accumulate(below, max)]
 
 
-def step(states: dict, h: int, done: int, trackers: _Trackers, moves) -> dict:
+def step(states: dict, h: int, done: int, trackers: _Trackers, table: dict, build) -> dict:
     """Advance a state dict by one column of height h, the ``done``-th column.
 
     A state is (progress int of the trackers, regime state).  On entry each
     progress is cut to ``trackers.live[h]``; states that then coincide reach
-    the same successors and are summed there.  ``moves(regime, h, done)``
-    lists the (row, next regime) pairs a regime state allows in this column;
-    it is called once per distinct regime state.  A 1 in a row kills the
-    branch when it completes some tracker (``kill[row]``), and otherwise adds
-    the progress bits that wait for the row (``move[row]``) to themselves, so
-    each carries one place up and every waiting tracker advances at once.
+    the same successors and are summed there.  ``table`` maps a regime state
+    to the (row, next regime) pairs it allows in this column; a state it lacks
+    is listed by ``build(regime, h, done)`` and kept there, so the caller
+    decides which columns share a table.  A 1 in a row kills the branch when
+    it completes some tracker (``kill[row]``), and otherwise adds the progress
+    bits that wait for the row (``move[row]``) to themselves, so each carries
+    one place up and every waiting tracker advances at once.
     """
     live = trackers.live[h]
     kill = trackers.kill
     move = trackers.move
-    options: dict = {}  # regime -> its moves in this column
     nxt: dict = {}
     get = nxt.get
     for (progress, regime), n in states.items():
-        rows = options.get(regime)
+        rows = table.get(regime)
         if rows is None:
-            rows = options[regime] = moves(regime, h, done)
+            rows = table[regime] = build(regime, h, done)
         progress &= live
         for row, after in rows:
             if not progress & kill[row]:
@@ -209,7 +212,7 @@ def column_states(shape, patterns, content=UNCONSTRAINED) -> Iterator[dict]:
     trackers, start, moves = started
     states = {(trackers.start, start): 1}
     for done, h in enumerate(shape.heights, start=1):
-        states = step(states, h, done, trackers, moves)
+        states = step(states, h, done, trackers, {}, moves)
         yield states
 
 
@@ -232,8 +235,8 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
     ``POSITIVE_ROWS`` there are no fields).  A 1 in a row clears its bit and
     adds one to its field; a state dies once an empty row lies above the
     column or more rows are empty than columns remain within ``max_cols``.
-    The moves of each (state, height, column) are listed once per walk of one
-    first-column height, in a dict that the next height empties.  The
+    Each (height, column) has one table of moves per walk of one first-column
+    height, which ``step`` reads and fills and the next height empties.  The
     histogram maps every positive content to its number of avoiders
     (``CONTENTS``), or ``POSITIVE_ROWS`` to the number of avoiders with no
     empty row; counts of 0 are left out.  Shapes come in
@@ -250,27 +253,21 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
     one = 1 if regime == CONTENTS else 0  # a 1 counted in its row's field, or not at all
     fill = [0, *(one << max_rows + bits * r for r in range(max_rows))]  # fill[row]
     keep = [0, *(~(1 << r) for r in range(max_rows))]  # keep[row]: all but row's empty bit
-    memo: dict = {}  # (state, h, done) -> its moves, for the walk of one m only
+    tables: dict = defaultdict(dict)  # (h, done) -> {state: its moves}, for one m's walk
 
     def moves(state, h: int, done: int) -> list:
-        key = (state, h, done)
-        out = memo.get(key)
-        if out is None:
-            # A move fills at most one empty row and must leave no more empty
-            # rows than columns that may still follow this one; an empty row
-            # above h stays empty.
-            vacant = state & empty
-            short = vacant.bit_count() - (max_cols - done)
-            if vacant >> h or short > 1:
-                out = []
-            else:
-                out = [
-                    (row, (state & keep[row]) + fill[row])
-                    for row in range(1, h + 1)
-                    if short < 1 or vacant >> row - 1 & 1
-                ]
-            memo[key] = out
-        return out
+        # A move fills at most one empty row and must leave no more empty rows
+        # than columns that may still follow this one; an empty row above h
+        # stays empty.
+        vacant = state & empty
+        short = vacant.bit_count() - (max_cols - done)
+        if vacant >> h or short > 1:
+            return []
+        return [
+            (row, (state & keep[row]) + fill[row])
+            for row in range(1, h + 1)
+            if short < 1 or vacant >> row - 1 & 1
+        ]
 
     # A final state with no empty bit names a positive content: its m row
     # counts, or POSITIVE_ROWS, the one such state when there are no fields.
@@ -281,14 +278,14 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
     trackers = _Trackers(patterns, (max_cols,) * max_rows)
     for m in range(1, max_rows + 1):
         # Row m is empty or counted in every state of this m's walk, so with
-        # CONTENTS no state recurs in another m's walk, and emptying the memo
-        # keeps it to the size of one walk's.
-        memo.clear()
+        # CONTENTS no state recurs in another m's walk, and emptying the tables
+        # keeps them to the size of one walk's.
+        tables.clear()
         stack = [((m,), {(trackers.start, (1 << m) - 1): 1})]
         while stack:
             heights, states = stack.pop()
-            h = heights[-1]
-            states = step(states, h, len(heights), trackers, moves)
+            h, done = heights[-1], len(heights)
+            states = step(states, h, done, trackers, tables[h, done], moves)
             histogram: dict = {}
             for (_, state), n in states.items():
                 if not state & empty:
@@ -299,7 +296,7 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
                         )
                     histogram[name] = histogram.get(name, 0) + n
             yield heights, histogram
-            if len(heights) < max_cols:
+            if done < max_cols:
                 stack.extend((heights + (g,), states) for g in range(h, 0, -1))
 
 
@@ -373,14 +370,10 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
     heights = shape.heights
     width = shape.width
 
-    tags: dict = {}  # (regime, column) -> its tagged moves, shared by every prefix
+    tables = [{} for _ in heights]  # tables[j]: each tagged state's tagged moves in column j + 1
 
     def tagged(regime, h: int, done: int) -> list:
-        key = (regime[1], done)
-        out = tags.get(key)
-        if out is None:
-            out = tags[key] = [(row, (row, after)) for row, after in moves(regime[1], h, done)]
-        return out
+        return [(row, (row, after)) for row, after in moves(regime[1], h, done)]
 
     placed: list[int] = []
     # children[j] runs over the states after j columns that are still to expand
@@ -394,7 +387,7 @@ def enumerate_fillings(shape: FerrersShape, patterns, content=UNCONSTRAINED) -> 
         if j:
             del placed[j - 1 :]
             placed.append(state[1][0])
-        after = step({state: 1}, heights[j], j + 1, trackers, tagged)
+        after = step({state: 1}, heights[j], j + 1, trackers, tables[j], tagged)
         if j + 1 == width:
             for _, (row, _) in after:
                 yield Filling(shape, (*placed, row))
@@ -466,7 +459,7 @@ def record_json(shape: str, content: str, patterns: str, count) -> dict:
 
 
 class CorruptCache(Exception):
-    """A result-cache line, other than a torn last line, is not a count record."""
+    """A result-cache line, other than a torn last line, is not a count record, or two disagree."""
 
 
 def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
@@ -486,6 +479,11 @@ def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
     return key, counts
 
 
+def _line_of(lines: list, key) -> int:
+    """The number of the first of ``lines`` with ``key``; the lines before it must parse."""
+    return next(n for n, s in enumerate(lines, 1) if s.strip() and _cache_entry(s)[0] == key)
+
+
 class UnusableCache(UsageError, OSError):
     """The result-cache path cannot be read, created or appended to."""
 
@@ -500,11 +498,13 @@ class ResultCache:
     by ``close`` or a ``with`` block's end, so each reaches the file whole.  A
     torn last line, one that does not parse as JSON, as a crash while appending
     leaves behind, is skipped with a warning on stderr and cut off the file.
-    Any other line of neither kind (a list of the wrong length included), or
-    one that gives an earlier line's key other counts, raises ``CorruptCache``;
-    a repeated line (two runs appending at once) loads.  An ``OSError`` on the
-    path raises ``UnusableCache`` (an ``OSError`` too): here, before any count,
-    for a path that cannot be read or created, and from a failed ``add`` or ``close``.
+    Any other line of neither kind (a list of the wrong length included), one
+    that gives an earlier line's key other counts, or a record of one content
+    whose count is not its entry on a ``CONTENTS`` line of the same shape and
+    pattern set raises ``CorruptCache`` and leaves the file as it is; a repeated
+    line (two runs appending at once) loads.  An ``OSError`` on the path raises
+    ``UnusableCache`` (an ``OSError`` too): here, before any count, for a path
+    that cannot be read or created, and from a failed ``add`` or ``close``.
     """
 
     def __init__(self, path: str):
@@ -521,6 +521,7 @@ class ResultCache:
                     return  # the first ``add`` creates the file
                 raise
             lines = data.split(b"\n")  # the last is empty unless it lacks its newline
+            torn = False
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
@@ -535,17 +536,31 @@ class ResultCache:
                         raise CorruptCache(
                             f"{path}: line {number} is not a count record ({exc})"
                         ) from exc
-                    print(f"warning: {path}: skipped torn last line {number}", file=sys.stderr)
-                    with open(path, "r+b") as handle:
-                        handle.truncate(len(data) - len(line))
-                    return
+                    break
                 if self._known.setdefault(key, counts) != counts:
-                    first = [s.strip() and _cache_entry(s)[0] for s in lines[:number]].index(key)
+                    first = _line_of(lines, key)
                     raise CorruptCache(
-                        f"{path}: lines {first + 1} and {number} give one record the counts "
-                        f"{json.loads(lines[first])['count']} and {json.loads(line)['count']}"
+                        f"{path}: lines {first} and {number} give one record the counts "
+                        f"{json.loads(lines[first - 1])['count']} and {json.loads(line)['count']}"
                     )
-            if lines[-1].strip():  # a whole last line: end it
+            for (shape, content, patterns), counts in self._known.items():
+                listed = content != CONTENTS and self._known.get((shape, CONTENTS, patterns))
+                if not listed:
+                    continue
+                try:  # its index in compositions order, a list no longer than the contents line
+                    width, rows = int(shape.split(",", 1)[0]), shape.count(",") + 1
+                    at = [*compositions(width, rows)].index(parse_composition(content))
+                except ValueError:
+                    continue  # no positive content of the shape, so no count reads it
+                if listed[at] != counts[0]:
+                    one, many = (_line_of(lines, (shape, c, patterns)) for c in (content, CONTENTS))
+                    raise CorruptCache(f"{path}: line {one} counts {content} on shape {shape} as "
+                                       f"{counts[0]} and line {many} as {listed[at]}")
+            if torn:
+                print(f"warning: {path}: skipped torn last line {number}", file=sys.stderr)
+                with open(path, "r+b") as handle:
+                    handle.truncate(len(data) - len(line))
+            elif lines[-1].strip():  # a whole last line: end it
                 with open(path, "ab") as handle:
                     handle.write(b"\n")
 

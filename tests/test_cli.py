@@ -617,6 +617,27 @@ def test_conflicting_cache_records_are_a_damaged_cache(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["count", "--shape", "3,3", "--content", "1,2", "--patterns", "231"],
+    ["check-equiv", "231", "312", "--max-cols", "3", "--max-rows", "2"],
+], ids=["count", "check-equiv"])
+def test_a_record_that_its_contents_line_counts_otherwise_is_a_damaged_cache(
+    tmp_path, capsys, command
+):
+    # Without the check, count would print 99 and check-equiv read 3 from this file.
+    cache = tmp_path / "c.jsonl"
+    text = (
+        '{"shape": "3,3", "content": "contents", "patterns": "231", "count": [3, 3]}\n'
+        '{"shape": "3,3", "content": "1,2", "patterns": "231", "count": 99}\n'
+    )
+    cache.write_text(text)
+    status, out, err = run(capsys, *command, "--cache", str(cache))
+    assert (status, out) == (3, "")
+    message = "line 2 counts 1,2 on shape 3,3 as 99 and line 1 as 3"
+    assert err == f"error: damaged cache: {cache}: {message}\n"
+    assert cache.read_text() == text
+
+
 def contents_line(count, shape="4,4,3", content="contents"):
     """A cache line of 231's counts on a shape, by default of 4,4,3's three positive contents."""
     return {"shape": shape, "content": content, "patterns": "231", "count": count}

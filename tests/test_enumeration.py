@@ -368,7 +368,7 @@ def test_a_stepped_filling_dies_at_its_first_prefix_that_contains_a_pattern(patt
             moves = lambda regime, h, done: [(cols[done - 1], None)]  # noqa: E731
             states = {(trackers.start, None): 1}
             for done, h in enumerate(shape.heights, start=1):
-                states = step(states, h, done, trackers, moves)
+                states = step(states, h, done, trackers, {}, moves)
                 cut = make_shape([min(length, done) for length in shape.rows])
                 assert len(states) == avoids_all(Filling(cut, cols[:done]), patterns), (cols, done)
 
@@ -717,6 +717,38 @@ def test_cache_loads_a_record_repeated_with_the_same_count(tmp_path):
         assert cache.get(("5,5,4", "2,2,1", "231")) == (18,)
         assert counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache).count == 18
     assert path.read_text() == text
+
+
+# 231's counts of the six positive contents of 5,5,4 in compositions order:
+# 1,1,3 1,2,2 1,3,1 2,1,2 2,2,1 3,1,1, so 2,2,1's is the fifth.
+CONTENTS_LINE = cache_line("contents", [8, 15, 13, 15, 18, 13])
+
+
+@pytest.mark.parametrize("record_first", [True, False], ids=["record-first", "contents-first"])
+def test_cache_rejects_a_record_that_its_contents_line_counts_otherwise(tmp_path, record_first):
+    path = tmp_path / "counts.jsonl"
+    lines = [cache_line("2,2,1", 99), cache_line("1,1,3", 8), CONTENTS_LINE]
+    lines = lines if record_first else lines[::-1]
+    text = "\n".join(lines) + "\n"
+    path.write_text(text)
+    one, many = (1, 3) if record_first else (3, 1)
+    with pytest.raises(CorruptCache, match=f"line {one} counts 2,2,1 on shape 5,5,4 as 99 and "
+                                           f"line {many} as 18$"):
+        ResultCache(str(path))
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("record_first", [True, False], ids=["record-first", "contents-first"])
+def test_cache_loads_records_that_agree_with_their_contents_line(tmp_path, record_first):
+    # Records of a regime, or of text that is no content of the shape, are not compared.
+    lines = [cache_line("2,2,1", 18), cache_line("3,1,1", 13), cache_line("unconstrained", 99),
+             cache_line("2,2", 99), cache_line("x", 99), CONTENTS_LINE]
+    lines = lines if record_first else lines[::-1]
+    path = tmp_path / "counts.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with ResultCache(str(path)) as cache:
+        assert counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache).count == 18
+        assert cache.get(("5,5,4", "contents", "231"))[4] == 18
 
 
 def fail_opening(monkeypatch, failing_mode):

@@ -1,9 +1,12 @@
 import copy
+import hashlib
 import io
 import json
 import os
 import pickle
 import time
+import tracemalloc
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,12 +448,59 @@ def test_walks_at_the_regime_field_width_boundaries(cols):
         check_walk(patterns, cols, rows, POSITIVE_ROWS)
 
 
-def test_walks_share_no_moves_across_calls():
+def test_walks_share_no_moves_across_calls(monkeypatch):
     # 5 x 4 and 6 x 4 pack their states alike, but a state's moves depend on
     # the columns left, so moves kept from one walk would miscount the next.
     for cols in (5, 6, 5):
         for regime in (CONTENTS, POSITIVE_ROWS):
             check_walk([P231, (2, 2, 1)], cols, 4, regime)
+    # Each (state, h, done) is listed at most once per first-column height,
+    # and a second walk lists its own moves again.
+    built = []
+    real_step = enumeration.step
+
+    def counting_step(states, h, done, trackers, table, build):
+        def counting_build(state, h, done):
+            built.append((state, h, done))
+            return build(state, h, done)
+
+        return real_step(states, h, done, trackers, table, counting_build)
+
+    monkeypatch.setattr(enumeration, "step", counting_step)
+    for regime in (CONTENTS, POSITIVE_ROWS):
+        walks = []
+        for _ in range(2):
+            per_height = defaultdict(list)  # first-column height -> its walk's builds
+            for heights, _ in walk_shapes([P231, (2, 2, 1)], 6, 4, regime):
+                per_height[heights[0]] += built  # the step of this shape built them
+                built.clear()
+            walks.append(dict(per_height))
+        assert all(len(set(builds)) == len(builds) for builds in walks[0].values())
+        assert sum(map(len, walks[0].values())) > 0
+        assert walks[1] == walks[0]
+
+
+# sha256 of repr((heights, sorted histogram items)) over a walk's shapes in
+# walk order.  Theorem 11's pair gives one digest: every histogram is equal.
+WALK_DIGESTS = [
+    ((P231, (2, 2, 1)), 8, 6, CONTENTS,
+     "9e05501d6cff8272b3c7441952d6f8afd4c9173de0a9884e93a51025fe22380c"),
+    ((P312, (2, 1, 2)), 8, 6, CONTENTS,
+     "9e05501d6cff8272b3c7441952d6f8afd4c9173de0a9884e93a51025fe22380c"),
+    ((P231,), 10, 6, POSITIVE_ROWS,
+     "e3df4e4815490e9f38cd8a1fcd08f5e3a23e9815a389d48ceb3a618da464d7d0"),
+    ((P312,), 10, 6, POSITIVE_ROWS,
+     "ffecef24dc61f5c355c75c96b6163e4a2e139ba76e8a8fdd482425140b3a73af"),
+]
+
+
+@pytest.mark.parametrize("patterns, cols, rows, regime, digest", WALK_DIGESTS,
+                         ids=["231+221-8x6", "312+212-8x6", "231-10x6", "312-10x6"])
+def test_walk_histograms_keep_their_pinned_digests(patterns, cols, rows, regime, digest):
+    hashed = hashlib.sha256()
+    for heights, histogram in walk_shapes(patterns, cols, rows, regime):
+        hashed.update(repr((heights, sorted(histogram.items()))).encode())
+    assert hashed.hexdigest() == digest
 
 
 def test_walk_rejects_an_unknown_regime():
@@ -576,6 +626,22 @@ def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
     assert (tmp_path / "cache.jsonl").stat().st_size == size
     with pytest.raises(AssertionError):
         check_equivalence(omega, sigma, 5, 4)  # without the cache it must walk
+
+
+def test_a_warm_8x7_cache_loads_within_10_mb(tmp_path):
+    # One line per (shape, pattern set) with a positive content, all of them
+    # contents lines but those of the one-content shapes.
+    path = str(tmp_path / "cache.jsonl")
+    with ResultCache(path) as cache:
+        check_equivalence([P231, (2, 2, 1)], [P312, (2, 1, 2)], 8, 7, cache=cache)
+    tracemalloc.start()
+    try:
+        warm = ResultCache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(warm._known) == 10712
+    assert peak < 10_000_000
 
 
 def test_scans_without_a_cache_build_no_cache_key(monkeypatch):
