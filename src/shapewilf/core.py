@@ -208,7 +208,10 @@ def make_shape(rows) -> FerrersShape:
 
 
 def make_word(letters) -> Word:
-    word = tuple(letters)
+    try:
+        word = tuple(letters)
+    except TypeError:
+        raise InvalidPattern(f"a word is a sequence of letters, got {letters!r}") from None
     for v in word:
         if type(v) is not int or v < 1:
             raise InvalidPattern(f"letters must be positive integers, got {v!r}")

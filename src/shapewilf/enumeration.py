@@ -23,15 +23,17 @@ state dict after each column (the single-shape count reads the last one, and
 the conjecture-2 scan reads every length of a word rectangle from one pass),
 ``enumerate_fillings``, which expands one state at a time in lexicographic
 order, and ``walk_shapes``, which walks the tree of column-height sequences
-depth first and carries each shape's state dict to the shapes one column
-longer (so a whole scan pays one step per shape, and counts every positive
-content of a shape at once, as the histogram that ``shape_counts`` reads and
-a ``ResultCache`` keeps on one line).  Each caller hands ``step`` a table of
-the column's moves per regime state and a builder for the states it lacks.
-The first two get their trackers, start state and builder from one ``_start``
-and use a fresh table per column; the walk's regime state is one int too, a
-bit per empty row and a field per row count, and it keeps one table per
-(height, column) for a whole walk, since the same states recur across shapes.
+depth first for every pattern set of a scan and carries each shape's state
+dict to the shapes one column longer (so a whole scan pays one step per shape
+and set, and counts every positive content of a shape at once, as the
+histogram that ``shape_counts`` reads and a ``ResultCache`` keeps on one
+line).  Each caller hands ``step`` a table of the column's moves per regime
+state and a builder for the states it lacks.  The first two get their
+trackers, start state and builder from one ``_start`` and use a fresh table
+per column; the walk's regime state is one int too, a bit per empty row and a
+field per row count, and since its moves read no tracker, every set's walk
+reads one table per (height, column): the same states recur across shapes
+and sets.
 None of them recurses, so widths in the thousands are fine.  All counts are
 exact Python integers, and every count runs in the calling process.
 """
@@ -53,6 +55,7 @@ from .core import (
     FerrersShape,
     Filling,
     FrozenValue,
+    InvalidPattern,
     UsageError,
     Word,
     format_composition,
@@ -70,7 +73,13 @@ CONTENTS = "contents"  # walk_shapes regime: one count per positive content
 
 
 def canonical_patterns(patterns) -> tuple[Word, ...]:
-    """Validate, deduplicate and sort a pattern collection."""
+    """Validate, deduplicate and sort a pattern collection, an iterable of words."""
+    try:
+        patterns = iter(patterns)
+    except TypeError:
+        raise InvalidPattern(
+            f"a pattern collection is an iterable of words, got {patterns!r}"
+        ) from None
     unique = {validate_pattern(p) for p in patterns}
     return tuple(sorted(unique, key=lambda p: (len(p), p)))
 
@@ -223,37 +232,40 @@ def _count_engine(shape, patterns, content) -> int:
     return sum(states.values())
 
 
-def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
-    """Yield (column heights, histogram) for every shape within the bounds.
+def walk_shapes(pattern_sets, max_cols: int, max_rows: int, regime: str):
+    """Yield (set index, column heights, histogram) for every pattern set and shape in the bounds.
 
-    One depth-first walk per first-column height m covers every weakly
-    decreasing height sequence that starts with m, carrying the state dict of
-    each shape to the shapes that extend it by one column, so every shape
-    costs one ``step``.  The regime state is one int: bit r-1 is set while row
-    r has no 1, and with ``CONTENTS`` row r's count so far is a field of
-    ``max_cols.bit_length()`` bits above those ``max_rows`` bits (with
-    ``POSITIVE_ROWS`` there are no fields).  A 1 in a row clears its bit and
-    adds one to its field; a state dies once an empty row lies above the
-    column or more rows are empty than columns remain within ``max_cols``.
-    Each (height, column) has one table of moves per walk of one first-column
-    height, which ``step`` reads and fills and the next height empties.  The
-    histogram maps every positive content to its number of avoiders
+    One depth-first walk per pattern set and first-column height m covers
+    every weakly decreasing height sequence that starts with m, carrying the
+    state dict of each shape to the shapes that extend it by one column, so
+    every shape costs one ``step`` per set (none once its dict is empty).  The
+    regime state is one int: bit r-1 is set while row r has no 1, and with
+    ``CONTENTS`` row r's count so far is a field of ``max_cols.bit_length()``
+    bits above those ``max_rows`` bits (with ``POSITIVE_ROWS`` there are no
+    fields).  A 1 in a row clears its bit and adds one to its field; a state
+    dies once an empty row lies above the column or more rows are empty than
+    columns remain within ``max_cols``.  A state's moves read only the regime
+    state, so each (height, column) has one table of moves per first-column
+    height, which every set's walk of that height reads and fills through
+    ``step`` and the next height empties; each set keeps its own trackers.
+    The histogram maps every positive content to its number of avoiders
     (``CONTENTS``), or ``POSITIVE_ROWS`` to the number of avoiders with no
-    empty row; counts of 0 are left out.  Shapes come in
-    depth-first order, not in ``iter_shapes`` order.  A bound that is not a
-    positive int raises ``BadComposition``.
+    empty row; counts of 0 are left out, and a shape with fewer columns than
+    rows has none.  For each m the sets' walks come in turn, so each set's
+    own stream comes in the same depth-first order, not in ``iter_shapes``
+    order.  A bound that is not a positive int raises ``BadComposition``.
     """
     if regime not in (CONTENTS, POSITIVE_ROWS):
         raise BadChoice(f"regime must be {CONTENTS!r} or {POSITIVE_ROWS!r}, got {regime!r}")
     check_bounds(max_cols=max_cols, max_rows=max_rows)
-    patterns = canonical_patterns(patterns)
+    pattern_sets = [canonical_patterns(patterns) for patterns in pattern_sets]
     empty = (1 << max_rows) - 1  # the empty-row bits
     bits = max_cols.bit_length()
     field = (1 << bits) - 1
     one = 1 if regime == CONTENTS else 0  # a 1 counted in its row's field, or not at all
     fill = [0, *(one << max_rows + bits * r for r in range(max_rows))]  # fill[row]
     keep = [0, *(~(1 << r) for r in range(max_rows))]  # keep[row]: all but row's empty bit
-    tables: dict = defaultdict(dict)  # (h, done) -> {state: its moves}, for one m's walk
+    tables: dict = defaultdict(dict)  # (h, done) -> {state: its moves}, for one m's walks
 
     def moves(state, h: int, done: int) -> list:
         # A move fills at most one empty row and must leave no more empty rows
@@ -275,29 +287,33 @@ def walk_shapes(patterns, max_cols: int, max_rows: int, regime: str):
 
     # Every row of a shape in the walk is at most max_cols long, and the first
     # step of each walk cuts the start to the trackers on rows 1..m.
-    trackers = _Trackers(patterns, (max_cols,) * max_rows)
+    rows = (max_cols,) * max_rows
+    walks = list(enumerate(_Trackers(patterns, rows) for patterns in pattern_sets))
     for m in range(1, max_rows + 1):
-        # Row m is empty or counted in every state of this m's walk, so with
+        # Row m is empty or counted in every state of this m's walks, so with
         # CONTENTS no state recurs in another m's walk, and emptying the tables
-        # keeps them to the size of one walk's.
+        # keeps them to the size of one m's walks.
         tables.clear()
-        stack = [((m,), {(trackers.start, (1 << m) - 1): 1})]
-        while stack:
-            heights, states = stack.pop()
-            h, done = heights[-1], len(heights)
-            states = step(states, h, done, trackers, tables[h, done], moves)
-            histogram: dict = {}
-            for (_, state), n in states.items():
-                if not state & empty:
-                    name = contents.get(state)
-                    if name is None:
-                        name = contents[state] = tuple(
-                            state >> max_rows + bits * r & field for r in range(m)
-                        )
-                    histogram[name] = histogram.get(name, 0) + n
-            yield heights, histogram
-            if done < max_cols:
-                stack.extend((heights + (g,), states) for g in range(h, 0, -1))
+        for side, trackers in walks:
+            stack = [((m,), {(trackers.start, (1 << m) - 1): 1})]
+            while stack:
+                heights, states = stack.pop()
+                h, done = heights[-1], len(heights)
+                if states:  # an empty dict stays empty in every longer shape
+                    states = step(states, h, done, trackers, tables[h, done], moves)
+                histogram: dict = {}
+                if done >= m:  # with fewer columns than rows, some row is empty
+                    for (_, state), n in states.items():
+                        if not state & empty:
+                            name = contents.get(state)
+                            if name is None:
+                                name = contents[state] = tuple(
+                                    state >> max_rows + bits * r & field for r in range(m)
+                                )
+                            histogram[name] = histogram.get(name, 0) + n
+                yield side, heights, histogram
+                if done < max_cols:
+                    stack.extend((heights + (g,), states) for g in range(h, 0, -1))
 
 
 def check_content(shape: FerrersShape, content):
@@ -462,6 +478,11 @@ class CorruptCache(Exception):
     """A result-cache line, other than a torn last line, is not a count record, or two disagree."""
 
 
+def _text_size(shape: str) -> tuple[int, int]:
+    """(width, rows) of a shape's text, which lists its rows, the first the widest."""
+    return int(shape.split(",", 1)[0]), shape.count(",") + 1
+
+
 def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
     row = json.loads(line)
     key = (row["shape"], row["content"], row["patterns"])
@@ -473,9 +494,19 @@ def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
         raise TypeError("texts must be strings and counts integers, in a list on a contents line")
     if min(counts, default=0) < 0:
         raise ValueError(f"count {min(counts)} is negative")
-    # A shape's text lists its r rows, the first of width w: comb(w - 1, r - 1) contents.
-    if many and len(counts) != comb(int(key[0].split(",", 1)[0]) - 1, key[0].count(",")):
-        raise ValueError(f"{len(counts)} counts for the positive contents of shape {key[0]}")
+    shape, content = key[0], key[1]
+    if content == UNCONSTRAINED or content == POSITIVE_ROWS:
+        return key, counts
+    # A shape of width w with r rows has comb(w - 1, r - 1) contents, each r
+    # positive parts that sum to w.
+    width, rows = _text_size(shape)
+    if many:
+        if len(counts) != comb(width - 1, rows - 1):
+            raise ValueError(f"{len(counts)} counts for the positive contents of shape {shape}")
+    else:
+        parts = parse_composition(content)
+        if len(parts) != rows or sum(parts) != width or format_composition(parts) != content:
+            raise ValueError(f"{content} is no content of shape {shape}")
     return key, counts
 
 
@@ -498,10 +529,12 @@ class ResultCache:
     by ``close`` or a ``with`` block's end, so each reaches the file whole.  A
     torn last line, one that does not parse as JSON, as a crash while appending
     leaves behind, is skipped with a warning on stderr and cut off the file.
-    Any other line of neither kind (a list of the wrong length included), one
-    that gives an earlier line's key other counts, or a record of one content
-    whose count is not its entry on a ``CONTENTS`` line of the same shape and
-    pattern set raises ``CorruptCache`` and leaves the file as it is; a repeated
+    Any other line of neither kind (a list of the wrong length included, and
+    a record whose content text is neither a regime name nor a positive
+    composition of its shape), one that gives an earlier line's key other
+    counts, or a record of one content whose count is not its entry on a
+    ``CONTENTS`` line of the same shape and pattern set raises
+    ``CorruptCache`` and leaves the file as it is; a repeated
     line (two runs appending at once) loads.  An ``OSError`` on the path raises
     ``UnusableCache`` (an ``OSError`` too): here, before any count, for a path
     that cannot be read or created, and from a failed ``add`` or ``close``.
@@ -544,14 +577,13 @@ class ResultCache:
                         f"{json.loads(lines[first - 1])['count']} and {json.loads(line)['count']}"
                     )
             for (shape, content, patterns), counts in self._known.items():
-                listed = content != CONTENTS and self._known.get((shape, CONTENTS, patterns))
+                if content in (CONTENTS, UNCONSTRAINED, POSITIVE_ROWS):
+                    continue
+                listed = self._known.get((shape, CONTENTS, patterns))
                 if not listed:
                     continue
-                try:  # its index in compositions order, a list no longer than the contents line
-                    width, rows = int(shape.split(",", 1)[0]), shape.count(",") + 1
-                    at = [*compositions(width, rows)].index(parse_composition(content))
-                except ValueError:
-                    continue  # no positive content of the shape, so no count reads it
+                # its index in compositions order, since it is a positive content of the shape
+                at = [*compositions(*_text_size(shape))].index(parse_composition(content))
                 if listed[at] != counts[0]:
                     one, many = (_line_of(lines, (shape, c, patterns)) for c in (content, CONTENTS))
                     raise CorruptCache(f"{path}: line {one} counts {content} on shape {shape} as "

@@ -9,14 +9,13 @@ all positive contents, comparing the avoider counts of two pattern sets.
 
 ``check_equivalence`` and ``scan_conjecture1`` are one loop, ``_compare``,
 given the test of a pair of counts (``!=`` or ``>``) and the two verdicts.
-It counts with one ``walk_shapes`` per pattern set, which pays one column
-step per shape rather than one transfer-matrix count per (shape, content)
-cell, and looks up each recurring regime state's moves in the walk's
-tables; bounds such as 7 columns x 5 rows (7,125 cells) or 9 x 5 (2,001
-shapes) take about 0.03 s each.  ``scan_conjecture2``, which stops at its
-first witness, advances one column pass per (alphabet, pattern) by a column
-per length, and table reproduction counts cell by cell.  Every count runs
-in-process.
+It counts with one ``walk_shapes`` over both pattern sets, which pays one
+column step per shape and set rather than one transfer-matrix count per
+(shape, content) cell, and in which both sets look up each recurring regime
+state's moves in the same tables (README gives the timings).
+``scan_conjecture2``, which stops at its first witness, advances one column
+pass per (alphabet, pattern) by a column per length, and table reproduction
+counts cell by cell.  Every count runs in-process.
 
 A report is its counts: per shape in report order, the shape's contents
 and one histogram per pattern set (the count of each content in turn), which
@@ -256,20 +255,23 @@ def _compare(scope: str, pattern_sets, regime: str, max_cols: int, max_rows: int
     Shapes come in ``iter_shapes`` order, and each shape's histograms, one
     per pattern set, come from one ``shape_counts`` call.  The contents of
     each (width, rows) size are listed once: every positive composition
-    (``CONTENTS``) or ``POSITIVE_ROWS`` alone.  Each pattern set is counted
+    (``CONTENTS``) or ``POSITIVE_ROWS`` alone.  Both pattern sets are counted
     by one ``walk_shapes`` over the bounds, run at the first histogram the
-    cache lacks, so a cached histogram wins, new ones reach the cache in report
-    order and a warm cache does no counting.  A content whose counts a, b give
-    ``violates(a, b)`` is a mismatch, and the verdict is ``verdicts[0]``
-    without one and ``verdicts[1]`` with one.
+    cache lacks, which fills one dict of histograms per set; a cached histogram
+    wins (a half-warm cache walks both sets, and the cached set's histograms
+    go unread), new ones reach the cache in report order and a warm cache does
+    no counting.  A content whose counts a, b give ``violates(a, b)`` is a
+    mismatch, and the verdict is ``verdicts[0]`` without one and
+    ``verdicts[1]`` with one.
     """
-    walks = [None] * len(pattern_sets)  # per pattern set: its histograms by column heights
+    walks = []  # per pattern set: its histograms by column heights, once walked
 
     def histogram(shape, side: int) -> dict:
-        walk = walks[side]
-        if walk is None:
-            walk = walks[side] = dict(walk_shapes(pattern_sets[side], max_cols, max_rows, regime))
-        return walk.pop(shape.heights)  # each shape is read once; the report keeps its counts
+        if not walks:
+            walks.extend({} for _ in pattern_sets)
+            for at, heights, found in walk_shapes(pattern_sets, max_cols, max_rows, regime):
+                walks[at][heights] = found
+        return walks[side].pop(shape.heights)  # read once; the report keeps its counts
 
     report = ScanReport(scope)
     sizes: dict = {}

@@ -638,6 +638,23 @@ def test_a_record_that_its_contents_line_counts_otherwise_is_a_damaged_cache(
     assert cache.read_text() == text
 
 
+@pytest.mark.parametrize("content, message", [
+    ("x", "cannot parse composition 'x'"), ("2,2", "2,2 is no content of shape 5,5,4"),
+], ids=["text", "too-few-parts"])
+def test_a_record_of_no_content_of_its_shape_is_a_damaged_cache(tmp_path, capsys, content,
+                                                                 message):
+    cache = tmp_path / "c.jsonl"
+    record = {"shape": "5,5,4", "content": content, "patterns": "231", "count": 99}
+    text = GOOD_LINE + "\n" + json.dumps(record) + "\n"
+    cache.write_text(text)
+    status, out, err = run(capsys, "count", "--shape", "5,5,4", "--content", "2,2,1",
+                           "--patterns", "231", "--cache", str(cache))
+    assert (status, out) == (3, "")
+    assert err.startswith(f"error: damaged cache: {cache}: line 2 is not a count record ({message}")
+    assert err.count("\n") == 1
+    assert cache.read_text() == text
+
+
 def contents_line(count, shape="4,4,3", content="contents"):
     """A cache line of 231's counts on a shape, by default of 4,4,3's three positive contents."""
     return {"shape": shape, "content": content, "patterns": "231", "count": count}

@@ -285,7 +285,7 @@ def test_every_input_error_is_a_usage_error_and_a_value_error():
             lambda: shapewilf.blowup(Filling(make_shape((1,)), (1,)), (1,), "increasing"),
             "direction must be a Direction",
         ),
-        (lambda: list(shapewilf.walk_shapes([(1, 2)], 2, 2, "unconstrained")), "regime must be"),
+        (lambda: list(shapewilf.walk_shapes([[(1, 2)]], 2, 2, "unconstrained")), "regime must be"),
     ],
     ids=["table-id", "reconstruct-kind", "blowup-direction", "walk-regime"],
 )

@@ -75,6 +75,20 @@ def test_fixed_content_validation():
         count_fillings(shape, (3, 2, 0), [P231])  # zero part
 
 
+@pytest.mark.parametrize("patterns", [5, P231], ids=["an-int", "a-flat-word"])
+def test_a_collection_of_non_words_is_an_invalid_pattern(patterns):
+    # A usage error, like a letter below 1, not a TypeError from iterating an int.
+    with pytest.raises(InvalidPattern):
+        enumeration.canonical_patterns(patterns)
+    with pytest.raises(InvalidPattern):
+        count_all_fillings(make_shape((3, 3)), patterns)
+    with pytest.raises(InvalidPattern, match="a word is a sequence of letters, got 2"):
+        shapewilf.make_word(2)
+    # walk_shapes takes a list of pattern sets, so one set there is a list of non-words.
+    with pytest.raises(InvalidPattern):
+        list(shapewilf.walk_shapes([P231, (2, 2, 1)], 3, 3, shapewilf.CONTENTS))
+
+
 @pytest.mark.parametrize(
     "content", [POSITIVE_ROWS, ("a", 1), (1.0, 1.0)], ids=["regime-name", "letter", "float"]
 )
@@ -740,15 +754,33 @@ def test_cache_rejects_a_record_that_its_contents_line_counts_otherwise(tmp_path
 
 @pytest.mark.parametrize("record_first", [True, False], ids=["record-first", "contents-first"])
 def test_cache_loads_records_that_agree_with_their_contents_line(tmp_path, record_first):
-    # Records of a regime, or of text that is no content of the shape, are not compared.
+    # Records of a regime are not compared.
     lines = [cache_line("2,2,1", 18), cache_line("3,1,1", 13), cache_line("unconstrained", 99),
-             cache_line("2,2", 99), cache_line("x", 99), CONTENTS_LINE]
+             CONTENTS_LINE]
     lines = lines if record_first else lines[::-1]
     path = tmp_path / "counts.jsonl"
     path.write_text("\n".join(lines) + "\n")
     with ResultCache(str(path)) as cache:
         assert counted(parse_shape("5,5,4"), (2, 2, 1), [P231], cache=cache).count == 18
         assert cache.get(("5,5,4", "contents", "231"))[4] == 18
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "whole-last-line"])
+@pytest.mark.parametrize("content, message", [
+    ("x", "cannot parse composition 'x'"),
+    ("2,2", "2,2 is no content of shape 5,5,4"),
+    ("2,2,2", "2,2,2 is no content of shape 5,5,4"),
+    ("2, 2,1", "2, 2,1 is no content of shape 5,5,4"),
+    ("3,2,0", "composition parts must be positive integers"),
+], ids=["text", "too-few-parts", "wrong-sum", "not-canonical", "zero-part"])
+def test_cache_rejects_a_record_of_no_content_of_its_shape(tmp_path, content, message, end):
+    # No count can read such a record, so it is damage, not a count to keep.
+    path = tmp_path / "counts.jsonl"
+    text = f"{cache_line('2,2,1', 18)}\n{cache_line(content, 99)}{end}"
+    path.write_text(text)
+    with pytest.raises(CorruptCache, match=f"line 2 is not a count record \\({message}"):
+        ResultCache(str(path))
+    assert path.read_text() == text
 
 
 def fail_opening(monkeypatch, failing_mode):

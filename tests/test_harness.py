@@ -44,6 +44,7 @@ P312 = (3, 1, 2)
 # taller than most shapes in the bounds drawn below.
 WALK_PATTERNS = [P231, P312, (2, 2, 1), (1, 2, 1), (2, 1, 2), (2, 1, 1), (1, 1), (1, 2, 3, 4)]
 pattern_sets = st.lists(st.sampled_from(WALK_PATTERNS), min_size=1, max_size=3)
+walked_sets = st.lists(pattern_sets, min_size=1, max_size=2)
 max_cols = st.integers(1, 5)
 max_rows = st.integers(1, 4)
 
@@ -410,30 +411,44 @@ def test_comparing_copying_and_pickling_a_report_build_no_record():
     assert ScanReport.__slots__ == ScanReport._fields == ("scope", "counts", "mismatches", "verdict")
 
 
-def check_walk(patterns, cols, rows, regime) -> dict:
-    """Walk the bounds, check every shape's histogram against per-cell counts, return them."""
-    walked = list(walk_shapes(patterns, cols, rows, regime))
-    histograms = dict(walked)
+def walk_streams(sets, cols, rows, regime) -> list:
+    """One walk over the pattern sets: each set's (heights, histogram) stream, in walk order."""
+    streams = [[] for _ in sets]
+    for side, heights, histogram in walk_shapes(sets, cols, rows, regime):
+        streams[side].append((heights, histogram))
+    return streams
+
+
+def check_walk(sets, cols, rows, regime) -> list:
+    """Walk the bounds over the pattern sets at once, check every set's histogram of every
+    shape against per-cell counts, and return each set's histograms by column heights."""
     shapes = list(iter_shapes(cols, rows))
-    assert len(walked) == len(histograms) == len(shapes)
-    for shape in shapes:
-        histogram = histograms[shape.heights]
-        if regime == POSITIVE_ROWS:
-            contents = [POSITIVE_ROWS]
-        else:
-            contents = list(compositions(shape.width, shape.n_rows))
-        assert set(histogram) <= set(contents)
-        assert 0 not in histogram.values()
-        for content in contents:
-            expected = counted(shape, content, patterns).count
-            assert histogram.get(content, 0) == expected, (cols, rows, shape, content)
-    return histograms
+    found = []
+    for patterns, walked in zip(sets, walk_streams(sets, cols, rows, regime), strict=True):
+        histograms = dict(walked)
+        assert len(walked) == len(histograms) == len(shapes)
+        for shape in shapes:
+            histogram = histograms[shape.heights]
+            if regime == POSITIVE_ROWS:
+                contents = [POSITIVE_ROWS]
+            else:
+                contents = list(compositions(shape.width, shape.n_rows))
+            assert set(histogram) <= set(contents)
+            assert 0 not in histogram.values()
+            for content in contents:
+                expected = counted(shape, content, patterns).count
+                assert histogram.get(content, 0) == expected, (cols, rows, shape, content)
+        found.append(histograms)
+    return found
 
 
-@given(pattern_sets, max_cols, max_rows, st.sampled_from([CONTENTS, POSITIVE_ROWS]))
+@given(walked_sets, max_cols, max_rows, st.sampled_from([CONTENTS, POSITIVE_ROWS]))
 @settings(max_examples=20, deadline=None)
-def test_walk_yields_every_shape_once_with_per_cell_counts(patterns, cols, rows, regime):
-    check_walk(patterns, cols, rows, regime)
+def test_walk_yields_every_shape_once_with_per_cell_counts(sets, cols, rows, regime):
+    # A set's stream in a walk of several sets is its stream walked alone.
+    streams = walk_streams(sets, cols, rows, regime)
+    assert streams == [walk_streams([patterns], cols, rows, regime)[0] for patterns in sets]
+    check_walk(sets, cols, rows, regime)
 
 
 @pytest.mark.parametrize("cols", [3, 4, 7, 8, 15, 16])
@@ -442,20 +457,13 @@ def test_walks_at_the_regime_field_width_boundaries(cols):
     # these bounds put the largest count, cols in a one-row shape, just below
     # and at a power of two; a field one bit short carries into its neighbour.
     rows = 3 if cols <= 8 else 2
-    for patterns in [(), (P231,)]:
-        histograms = check_walk(patterns, cols, rows, CONTENTS)
+    for histograms in check_walk([(), (P231,)], cols, rows, CONTENTS):
         assert histograms[(1,) * cols] == {(cols,): 1}
-        check_walk(patterns, cols, rows, POSITIVE_ROWS)
+    check_walk([(), (P231,)], cols, rows, POSITIVE_ROWS)
 
 
-def test_walks_share_no_moves_across_calls(monkeypatch):
-    # 5 x 4 and 6 x 4 pack their states alike, but a state's moves depend on
-    # the columns left, so moves kept from one walk would miscount the next.
-    for cols in (5, 6, 5):
-        for regime in (CONTENTS, POSITIVE_ROWS):
-            check_walk([P231, (2, 2, 1)], cols, 4, regime)
-    # Each (state, h, done) is listed at most once per first-column height,
-    # and a second walk lists its own moves again.
+def count_builds(monkeypatch) -> list:
+    """Make every ``step`` append each (state, h, done) it builds moves for to the list returned."""
     built = []
     real_step = enumeration.step
 
@@ -467,17 +475,48 @@ def test_walks_share_no_moves_across_calls(monkeypatch):
         return real_step(states, h, done, trackers, table, counting_build)
 
     monkeypatch.setattr(enumeration, "step", counting_step)
+    return built
+
+
+def builds_per_height(built, sets, cols, rows, regime) -> dict:
+    """First-column height -> the builds of one walk over the sets, in build order."""
+    per_height = defaultdict(list)
+    for _, heights, _ in walk_shapes(sets, cols, rows, regime):
+        per_height[heights[0]] += built  # the step of this shape built them
+        built.clear()
+    return dict(per_height)
+
+
+def test_walks_share_no_moves_across_calls(monkeypatch):
+    # 5 x 4 and 6 x 4 pack their states alike, but a state's moves depend on
+    # the columns left, so moves kept from one walk would miscount the next.
+    for cols in (5, 6, 5):
+        for regime in (CONTENTS, POSITIVE_ROWS):
+            check_walk([[P231, (2, 2, 1)]], cols, 4, regime)
+    # Each (state, h, done) is listed at most once per first-column height,
+    # and a second walk lists its own moves again.
+    built = count_builds(monkeypatch)
     for regime in (CONTENTS, POSITIVE_ROWS):
-        walks = []
-        for _ in range(2):
-            per_height = defaultdict(list)  # first-column height -> its walk's builds
-            for heights, _ in walk_shapes([P231, (2, 2, 1)], 6, 4, regime):
-                per_height[heights[0]] += built  # the step of this shape built them
-                built.clear()
-            walks.append(dict(per_height))
+        walks = [builds_per_height(built, [[P231, (2, 2, 1)]], 6, 4, regime) for _ in range(2)]
         assert all(len(set(builds)) == len(builds) for builds in walks[0].values())
         assert sum(map(len, walks[0].values())) > 0
         assert walks[1] == walks[0]
+
+
+def test_a_walk_of_two_sets_builds_the_union_of_their_moves_once(monkeypatch):
+    # A state's moves read no tracker, so the sets of one walk share them: per
+    # first-column height, each (state, h, done) is built at most once, and
+    # the builds are exactly those of the two walks of one set.
+    built = count_builds(monkeypatch)
+    sets = [[P231, (2, 2, 1)], [P312, (2, 1, 2)]]
+    for regime in (CONTENTS, POSITIVE_ROWS):
+        both = builds_per_height(built, sets, 6, 4, regime)
+        alone = [builds_per_height(built, [patterns], 6, 4, regime) for patterns in sets]
+        assert both.keys() == alone[0].keys() == alone[1].keys()
+        for m, builds in both.items():
+            assert len(set(builds)) == len(builds)
+            assert set(builds) == set(alone[0][m]) | set(alone[1][m])
+        assert sum(map(len, both.values())) < sum(len(b) for a in alone for b in a.values())
 
 
 # sha256 of repr((heights, sorted histogram items)) over a walk's shapes in
@@ -494,18 +533,30 @@ WALK_DIGESTS = [
 ]
 
 
+def walk_digests(sets, cols, rows, regime) -> list:
+    """The digest of each set's stream in one walk over the sets."""
+    hashed = [hashlib.sha256() for _ in sets]
+    for side, heights, histogram in walk_shapes(sets, cols, rows, regime):
+        hashed[side].update(repr((heights, sorted(histogram.items()))).encode())
+    return [h.hexdigest() for h in hashed]
+
+
 @pytest.mark.parametrize("patterns, cols, rows, regime, digest", WALK_DIGESTS,
                          ids=["231+221-8x6", "312+212-8x6", "231-10x6", "312-10x6"])
 def test_walk_histograms_keep_their_pinned_digests(patterns, cols, rows, regime, digest):
-    hashed = hashlib.sha256()
-    for heights, histogram in walk_shapes(patterns, cols, rows, regime):
-        hashed.update(repr((heights, sorted(histogram.items()))).encode())
-    assert hashed.hexdigest() == digest
+    assert walk_digests([patterns], cols, rows, regime) == [digest]
+
+
+@pytest.mark.parametrize("pair", [WALK_DIGESTS[:2], WALK_DIGESTS[2:]], ids=["8x6", "10x6"])
+def test_one_walk_over_two_sets_keeps_both_pinned_digests(pair):
+    (omega, cols, rows, regime, a), (sigma, *bounds, b) = pair
+    assert bounds == [cols, rows, regime]
+    assert walk_digests([omega, sigma], cols, rows, regime) == [a, b]
 
 
 def test_walk_rejects_an_unknown_regime():
     with pytest.raises(ValueError):
-        list(walk_shapes([P231], 3, 3, "unconstrained"))
+        list(walk_shapes([[P231]], 3, 3, "unconstrained"))
 
 
 @pytest.mark.parametrize(
@@ -518,7 +569,7 @@ def test_walk_rejects_an_unknown_regime():
 )
 def test_walk_rejects_bounds_as_the_scans_do(cols, rows, bound, message):
     with pytest.raises(BadComposition, match=f"scan bound {bound} {message}"):
-        list(walk_shapes([P231], cols, rows, CONTENTS))
+        list(walk_shapes([[P231]], cols, rows, CONTENTS))
 
 
 @pytest.mark.parametrize("table_id", [1, 2, 3, 4])
@@ -606,6 +657,32 @@ def test_scans_through_a_cold_cache_match_scans_without_one(tmp_path, omega, sig
         assert lines == cache_lines(e for report in plain for e in report_entries(report))
 
 
+@pytest.mark.parametrize("kept", [0, 1], ids=["first-set-cached", "second-set-cached"])
+def test_a_half_warm_cache_gains_the_other_sets_lines_in_report_order(tmp_path, kept):
+    # The one walk counts both sets; the cached set's lines win and stay as
+    # they are, and only the other set's lines are added.
+    omega, sigma = [P231, (2, 2, 1)], [P312, (2, 1, 2)]
+    scans = {
+        "equivalence": lambda cache: check_equivalence(omega, sigma, 5, 4, cache=cache),
+        "conjecture1": lambda cache: scan_conjecture1(5, 4, cache=cache),
+    }
+    for name, scan in scans.items():
+        plain = scan(None)
+        entries = report_entries(plain)
+        cached = plain.counts[0][2][kept]
+        planted = [e for e in entries if e[2] == cached]
+        path = tmp_path / f"{name}.jsonl"
+        with ResultCache(str(path)) as cache:
+            for shape, contents, patterns, counts in planted:
+                if contents:
+                    cache.add(_cache_key(shape, contents, patterns), counts)
+        with ResultCache(str(path)) as cache:
+            half = scan(cache)
+        assert written(half.write_json) == written(plain.write_json)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines == cache_lines(planted) + cache_lines(e for e in entries if e[2] != cached)
+
+
 def test_a_warm_cache_never_enters_the_walk(tmp_path, monkeypatch):
     path = str(tmp_path / "cache.jsonl")
     omega, sigma = [P231, (1, 2, 1)], [P312, (2, 1, 1)]
@@ -655,7 +732,7 @@ def test_scans_without_a_cache_build_no_cache_key(monkeypatch):
     assert counted(make_shape((3, 2)), (2, 1), [P231]).count == 2
 
 
-def test_a_walk_builds_its_trackers_once(monkeypatch):
+def test_a_walk_builds_its_trackers_once_per_pattern_set(monkeypatch):
     built = []
 
     class Counted(enumeration._Trackers):
@@ -664,11 +741,14 @@ def test_a_walk_builds_its_trackers_once(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(enumeration, "_Trackers", Counted)
+    sets = [[P231, (2, 2, 1)], [P312, (2, 1, 2)]]
     for regime in (CONTENTS, POSITIVE_ROWS):
-        built.clear()
-        walked = list(walk_shapes([P231, (2, 2, 1)], 5, 4, regime))
-        assert len(walked) == len(list(iter_shapes(5, 4)))
-        assert len(built) == 1
+        for walked_sets in (sets[:1], sets):
+            built.clear()
+            walked = list(walk_shapes(walked_sets, 5, 4, regime))
+            assert len(walked) == len(walked_sets) * len(list(iter_shapes(5, 4)))
+            canonical = [enumeration.canonical_patterns(p) for p in walked_sets]
+            assert [patterns for patterns, _ in built] == canonical
 
 
 def test_scans_of_very_wide_shapes_do_not_recurse():
