@@ -48,10 +48,10 @@ from .core import (
     ContentMismatch,
     FerrersShape,
     Filling,
-    FrozenValue,
     FullRookPlacement,
     NotAvoiding,
     ShapeMismatch,
+    Value,
     Word,
     border_path,
     filling_content,
@@ -409,7 +409,7 @@ def shrink(placement: FullRookPlacement, content) -> Filling:
     return Filling(make_shape([rows[last - 1] for last in accumulate(comp)]), col_to_row)
 
 
-class MapTrace(FrozenValue):
+class MapTrace(Value):
     """Every step of one equivalence map (or its inverse) on one filling.
 
     ``avoids`` are the patterns the input must avoid, ``blowup`` the
@@ -429,7 +429,7 @@ class MapTrace(FrozenValue):
         self._assign(avoids, stacking, blowup, i_sequence, n_sequence, transformed, partner, image)
 
 
-class EquivalenceVariant(FrozenValue):
+class EquivalenceVariant(Value):
     """One of the two content-preserving equivalences: blowup, alpha, shrink.
 
     ``forward_direction`` stacks the bands of a source filling's blowup; the

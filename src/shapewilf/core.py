@@ -48,16 +48,24 @@ BorderVertexPath = tuple[tuple[int, int], ...]
 
 
 class Value:
-    """Value equality and a ``Name(field=value, ...)`` repr over ``_fields``.
+    """A record whose attributes cannot change after ``__init__``.
 
-    The package's record classes derive from this or from ``FrozenValue``,
-    list their attributes in ``__slots__`` and set them in an explicit
-    ``__init__`` whose positional parameters are ``_fields`` in order, so
-    pickling and copying rebuild an object through its constructor.
+    It compares and hashes on its ``_fields`` (a record with a list field has
+    no hash) and reprs as ``Name(field=value, ...)``.  Every record class of
+    the package derives from it, lists its attributes in ``__slots__`` and
+    sets them through ``_assign`` in an explicit ``__init__`` whose positional
+    parameters are ``_fields`` in order, so pickling and copying rebuild an
+    object through its constructor.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        """From ``__init__``: set the attributes named in ``__slots__``, in that order."""
+        setter = object.__setattr__
+        for name, value in zip(self.__slots__, values):
+            setter(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -67,27 +75,15 @@ class Value:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class FrozenValue(Value):
-    """A hashable ``Value`` whose attributes cannot change after ``__init__``."""
-
-    __slots__ = ()
-
-    def _assign(self, *values) -> None:
-        """From ``__init__``: set the attributes named in ``__slots__``, in that order."""
-        setter = object.__setattr__
-        for name, value in zip(self.__slots__, values):
-            setter(self, name, value)
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
@@ -96,7 +92,7 @@ class FrozenValue(Value):
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
-class FerrersShape(FrozenValue):
+class FerrersShape(Value):
     """Left-justified rows with weakly decreasing lengths bottom to top.
 
     ``rows[i-1]`` is the length of row i.  ``heights[j-1]`` is the number of
@@ -154,7 +150,7 @@ def _heights(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(heights)
 
 
-class Filling(FrozenValue):
+class Filling(Value):
     """A 0-1 filling with exactly one 1 per column.
 
     ``col_to_row[j-1]`` is the row of the 1 in column j; it must lie inside
@@ -178,7 +174,7 @@ class Filling(FrozenValue):
         self._assign(shape, col_to_row)
 
 
-class FullRookPlacement(FrozenValue):
+class FullRookPlacement(Value):
     """A filling that also has exactly one 1 per row (a square-content filling)."""
 
     __slots__ = _fields = ("filling",)

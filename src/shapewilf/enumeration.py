@@ -45,7 +45,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from itertools import accumulate, combinations, repeat
 from math import comb
-from operator import sub
+from operator import itemgetter, sub
 from typing import Iterator
 
 from .core import (
@@ -54,9 +54,9 @@ from .core import (
     Composition,
     FerrersShape,
     Filling,
-    FrozenValue,
     InvalidPattern,
     UsageError,
+    Value,
     Word,
     format_composition,
     format_patterns,
@@ -64,6 +64,8 @@ from .core import (
     make_composition,
     make_shape,
     parse_composition,
+    parse_patterns,
+    parse_shape,
     validate_pattern,
 )
 
@@ -72,15 +74,18 @@ POSITIVE_ROWS = "positive-rows"
 CONTENTS = "contents"  # walk_shapes regime: one count per positive content
 
 
+def _items(collection, kind: str):
+    """An iterator over ``collection``, else ``InvalidPattern`` saying what it must be."""
+    try:
+        return iter(collection)
+    except TypeError:
+        raise InvalidPattern(f"{kind}, got {collection!r}") from None
+
+
 def canonical_patterns(patterns) -> tuple[Word, ...]:
     """Validate, deduplicate and sort a pattern collection, an iterable of words."""
-    try:
-        patterns = iter(patterns)
-    except TypeError:
-        raise InvalidPattern(
-            f"a pattern collection is an iterable of words, got {patterns!r}"
-        ) from None
-    unique = {validate_pattern(p) for p in patterns}
+    kind = "a pattern collection is an iterable of words"
+    unique = {validate_pattern(p) for p in _items(patterns, kind)}
     return tuple(sorted(unique, key=lambda p: (len(p), p)))
 
 
@@ -258,7 +263,8 @@ def walk_shapes(pattern_sets, max_cols: int, max_rows: int, regime: str):
     if regime not in (CONTENTS, POSITIVE_ROWS):
         raise BadChoice(f"regime must be {CONTENTS!r} or {POSITIVE_ROWS!r}, got {regime!r}")
     check_bounds(max_cols=max_cols, max_rows=max_rows)
-    pattern_sets = [canonical_patterns(patterns) for patterns in pattern_sets]
+    kind = "pattern_sets is an iterable of pattern collections"
+    pattern_sets = [canonical_patterns(patterns) for patterns in _items(pattern_sets, kind)]
     empty = (1 << max_rows) - 1  # the empty-row bits
     bits = max_cols.bit_length()
     field = (1 << bits) - 1
@@ -446,7 +452,7 @@ def parse_content(text: str):
     return parse_composition(text)
 
 
-class CountRecord(FrozenValue):
+class CountRecord(Value):
     """One counted set: shape, content constraint, pattern set, cardinality.
 
     ``content`` is a composition, ``UNCONSTRAINED`` or ``POSITIVE_ROWS``, and
@@ -478,14 +484,17 @@ class CorruptCache(Exception):
     """A result-cache line, other than a torn last line, is not a count record, or two disagree."""
 
 
-def _text_size(shape: str) -> tuple[int, int]:
-    """(width, rows) of a shape's text, which lists its rows, the first the widest."""
-    return int(shape.split(",", 1)[0]), shape.count(",") + 1
+_key = itemgetter("shape", "content", "patterns")  # a cache line's key, from its JSON object
 
 
-def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
+def _cache_entry(line: bytes, sizes: dict, sets: set) -> tuple[tuple[str, str, str], tuple]:
+    """The key and counts of a cache line, else an error.
+
+    ``sizes`` maps each shape text checked so far to its (width, rows), and
+    ``sets`` holds the pattern-set texts checked, so a load parses each once.
+    """
     row = json.loads(line)
-    key = (row["shape"], row["content"], row["patterns"])
+    key = _key(row)
     count = row["count"]
     many = type(count) is list  # a CONTENTS line: one count per positive composition
     counts = tuple(count) if many else (count,)
@@ -494,12 +503,21 @@ def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
         raise TypeError("texts must be strings and counts integers, in a list on a contents line")
     if min(counts, default=0) < 0:
         raise ValueError(f"count {min(counts)} is negative")
-    shape, content = key[0], key[1]
+    shape, content, patterns = key
+    if shape not in sizes:
+        parsed = parse_shape(shape)
+        if format_shape(parsed) != shape:
+            raise ValueError(f"shape text {shape!r} is not canonical")
+        sizes[shape] = parsed.width, parsed.n_rows
+    if patterns not in sets:
+        if format_patterns(canonical_patterns(parse_patterns(patterns))) != patterns:
+            raise ValueError(f"pattern set text {patterns!r} is not canonical")
+        sets.add(patterns)
     if content == UNCONSTRAINED or content == POSITIVE_ROWS:
         return key, counts
     # A shape of width w with r rows has comb(w - 1, r - 1) contents, each r
     # positive parts that sum to w.
-    width, rows = _text_size(shape)
+    width, rows = sizes[shape]
     if many:
         if len(counts) != comb(width - 1, rows - 1):
             raise ValueError(f"{len(counts)} counts for the positive contents of shape {shape}")
@@ -511,8 +529,8 @@ def _cache_entry(line: bytes) -> tuple[tuple[str, str, str], tuple[int, ...]]:
 
 
 def _line_of(lines: list, key) -> int:
-    """The number of the first of ``lines`` with ``key``; the lines before it must parse."""
-    return next(n for n, s in enumerate(lines, 1) if s.strip() and _cache_entry(s)[0] == key)
+    """The number of the first of ``lines`` with ``key``; the lines before it must be records."""
+    return next(n for n, s in enumerate(lines, 1) if s.strip() and _key(json.loads(s)) == key)
 
 
 class UnusableCache(UsageError, OSError):
@@ -529,13 +547,14 @@ class ResultCache:
     by ``close`` or a ``with`` block's end, so each reaches the file whole.  A
     torn last line, one that does not parse as JSON, as a crash while appending
     leaves behind, is skipped with a warning on stderr and cut off the file.
-    Any other line of neither kind (a list of the wrong length included, and
-    a record whose content text is neither a regime name nor a positive
-    composition of its shape), one that gives an earlier line's key other
-    counts, or a record of one content whose count is not its entry on a
-    ``CONTENTS`` line of the same shape and pattern set raises
-    ``CorruptCache`` and leaves the file as it is; a repeated
-    line (two runs appending at once) loads.  An ``OSError`` on the path raises
+    Any other line of neither kind (a list of the wrong length included, a
+    shape or pattern-set text that ``format_shape`` or ``format_patterns``
+    would not write, and a record whose content text is neither a regime name
+    nor a positive composition of its shape), one that gives an earlier line's
+    key other counts, or a record of one content whose count is not its entry
+    on a ``CONTENTS`` line of the same shape and pattern set raises
+    ``CorruptCache`` and leaves the file as it is; a repeated line (two runs
+    appending at once) loads.  An ``OSError`` on the path raises
     ``UnusableCache`` (an ``OSError`` too): here, before any count, for a path
     that cannot be read or created, and from a failed ``add`` or ``close``.
     """
@@ -554,12 +573,12 @@ class ResultCache:
                     return  # the first ``add`` creates the file
                 raise
             lines = data.split(b"\n")  # the last is empty unless it lacks its newline
-            torn = False
+            torn, sizes, sets = False, {}, set()
             for number, line in enumerate(lines, start=1):
                 if not line.strip():
                     continue
                 try:
-                    key, counts = _cache_entry(line)
+                    key, counts = _cache_entry(line, sizes, sets)
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     # An append cut short cannot parse (a record ends at its closing
                     # brace), nor can a line nested deeper than the parser recurses.
@@ -583,7 +602,7 @@ class ResultCache:
                 if not listed:
                     continue
                 # its index in compositions order, since it is a positive content of the shape
-                at = [*compositions(*_text_size(shape))].index(parse_composition(content))
+                at = [*compositions(*sizes[shape])].index(parse_composition(content))
                 if listed[at] != counts[0]:
                     one, many = (_line_of(lines, (shape, c, patterns)) for c in (content, CONTENTS))
                     raise CorruptCache(f"{path}: line {one} counts {content} on shape {shape} as "

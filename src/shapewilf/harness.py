@@ -40,7 +40,6 @@ from operator import gt, ne
 from .core import (
     BadChoice,
     FerrersShape,
-    FrozenValue,
     InvalidPattern,
     Value,
     direct_sum,
@@ -81,7 +80,7 @@ _RECORD_JSON = ('    {\n      "shape": "%s",\n      "content": "%s",\n      "pat
                 '\n      "count": %d\n    }')
 
 
-class Mismatch(FrozenValue):
+class Mismatch(Value):
     """One differing pair of counts (computed vs published, or side A vs side B)."""
 
     __slots__ = _fields = ("shape", "content", "a", "b", "note")
@@ -127,23 +126,16 @@ class ScanReport(Value):
     one ``CountRecord`` per (shape, content, pattern set), built only when
     iterated.  Each pattern set is canonical (as ``counted`` gives it), so
     ``format_patterns`` gives its text.  ``to_json_dict`` and the JSON and CSV
-    writers read the rows of texts from ``_rows`` and build no record.
-    Reports compare by value, and each gets its own lists unless given some.
+    writers read the rows of texts from ``_rows`` and build no record.  A
+    report is a frozen value: each builder collects its counts and mismatches
+    first and builds the report once, with the verdict they imply.  Its
+    fields are lists, so it has no hash.
     """
 
     __slots__ = _fields = ("scope", "counts", "mismatches", "verdict")
 
-    def __init__(
-        self,
-        scope: str,
-        counts: list | None = None,
-        mismatches: list[Mismatch] | None = None,
-        verdict: str = VERDICT_EQUAL,
-    ):
-        self.scope = scope
-        self.counts = [] if counts is None else counts
-        self.mismatches = [] if mismatches is None else mismatches
-        self.verdict = verdict
+    def __init__(self, scope: str, counts: list, mismatches: list[Mismatch], verdict: str):
+        self._assign(scope, counts, mismatches, verdict)
 
     @property
     def records(self) -> _Records:
@@ -211,27 +203,24 @@ def reproduce_table(table_id: int, cache=None) -> ScanReport:
     path = os.path.join(os.path.dirname(__file__), "fixtures", f"table{table_id}.json")
     with open(path, encoding="utf-8") as handle:
         fixture = json.load(handle)
-    pattern_sets = tuple(parse_patterns(fixture[side]) for side in ("pattern_a", "pattern_b"))
-    report = ScanReport(scope=f"table {table_id}")
+    pattern_sets = tuple(
+        canonical_patterns(parse_patterns(fixture[side])) for side in ("pattern_a", "pattern_b")
+    )
+    counts, mismatches = [], []
     for cell in fixture["cells"]:
         shape = parse_shape(cell["shape"])
         content = parse_content(cell["content"])
         records = [counted(shape, content, patterns, cache) for patterns in pattern_sets]
         histograms = tuple((record.count,) for record in records)
-        report.counts.append((shape, (records[0].content,), pattern_sets, histograms))
+        counts.append((shape, (records[0].content,), pattern_sets, histograms))
         for record, expected in zip(records, (cell["a"], cell["b"])):
             if record.count != expected:
-                report.mismatches.append(
-                    Mismatch(
-                        cell["shape"],
-                        cell["content"],
-                        record.count,
-                        expected,
-                        note=f"{format_patterns(record.patterns)}: computed vs published",
-                    )
+                note = f"{format_patterns(record.patterns)}: computed vs published"
+                mismatches.append(
+                    Mismatch(cell["shape"], cell["content"], record.count, expected, note)
                 )
-    report.verdict = VERDICT_EQUAL if not report.mismatches else VERDICT_UNEQUAL
-    return report
+    verdict = VERDICT_EQUAL if not mismatches else VERDICT_UNEQUAL
+    return ScanReport(f"table {table_id}", counts, mismatches, verdict)
 
 
 def iter_shapes(max_cols: int, max_rows: int):
@@ -273,7 +262,7 @@ def _compare(scope: str, pattern_sets, regime: str, max_cols: int, max_rows: int
                 walks[at][heights] = found
         return walks[side].pop(shape.heights)  # read once; the report keeps its counts
 
-    report = ScanReport(scope)
+    counts, mismatches = [], []
     sizes: dict = {}
     for shape in iter_shapes(max_cols, max_rows):
         size = (shape.width, shape.n_rows)
@@ -283,15 +272,14 @@ def _compare(scope: str, pattern_sets, regime: str, max_cols: int, max_rows: int
                 list(compositions(*size)) if regime == CONTENTS else [POSITIVE_ROWS]
             )
         histograms = shape_counts(shape, contents, pattern_sets, cache, histogram)
-        report.counts.append((shape, contents, pattern_sets, histograms))
+        counts.append((shape, contents, pattern_sets, histograms))
         counts_a, counts_b = histograms
         if counts_a != counts_b:  # the contents are visited only where the histograms differ
             shape_text = format_shape(shape)
             for content, a, b in zip(contents, counts_a, counts_b):
                 if violates(a, b):
-                    report.mismatches.append(Mismatch(shape_text, content_text(content), a, b))
-    report.verdict = verdicts[bool(report.mismatches)]
-    return report
+                    mismatches.append(Mismatch(shape_text, content_text(content), a, b))
+    return ScanReport(scope, counts, mismatches, verdicts[bool(mismatches)])
 
 
 def check_equivalence(omega, sigma, max_cols: int, max_rows: int, cache=None) -> ScanReport:
@@ -345,8 +333,8 @@ def scan_conjecture2(
     beta = check_beta(beta)
     x = direct_sum(P231, beta)
     y = direct_sum(P312, beta)
-    report = ScanReport(
-        scope=f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
+    scope = (
+        f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
         f"n<={max_length} m<={max_alphabet}"
     )
     pattern_sets = ((x,), (y,))
@@ -363,24 +351,15 @@ def scan_conjecture2(
             if length == n:
                 return {UNCONSTRAINED: sum(states.values())}
 
-    contents = (UNCONSTRAINED,)
+    contents, counts = (UNCONSTRAINED,), []
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
             rectangle = word_rectangle(n, m)
             histograms = shape_counts(rectangle, contents, pattern_sets, cache, histogram)
-            report.counts.append((rectangle, contents, pattern_sets, histograms))
+            counts.append((rectangle, contents, pattern_sets, histograms))
             (a,), (b,) = histograms
             if a != b:
-                report.mismatches.append(
-                    Mismatch(
-                        format_shape(rectangle),
-                        UNCONSTRAINED,
-                        a,
-                        b,
-                        note=f"first witness at length {n}, alphabet {m}",
-                    )
-                )
-                report.verdict = VERDICT_UNEQUAL
-                return report
-    report.verdict = VERDICT_EQUAL
-    return report
+                note = f"first witness at length {n}, alphabet {m}"
+                witness = Mismatch(format_shape(rectangle), UNCONSTRAINED, a, b, note)
+                return ScanReport(scope, counts, [witness], VERDICT_UNEQUAL)
+    return ScanReport(scope, counts, [], VERDICT_EQUAL)

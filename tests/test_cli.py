@@ -655,6 +655,27 @@ def test_a_record_of_no_content_of_its_shape_is_a_damaged_cache(tmp_path, capsys
     assert cache.read_text() == text
 
 
+@pytest.mark.parametrize("shape, content, patterns, message", [
+    ("x", "unconstrained", "231", "cannot parse shape 'x'"),
+    ("5, 4", "positive-rows", "231", "shape text '5, 4' is not canonical"),
+    ("4,5", "2,2", "231", "row lengths must not grow upwards"),
+    ("5,5,4", "2,2,1", "nonsense", "cannot parse word 'nonsense'"),
+    ("5,5,4", "2,2,1", "312+231", "pattern set text '312+231' is not canonical"),
+], ids=["shape-text", "spaced-shape", "not-ferrers", "pattern-text", "unsorted-set"])
+def test_a_line_of_non_canonical_key_texts_is_a_damaged_cache(tmp_path, capsys, shape, content,
+                                                              patterns, message):
+    cache = tmp_path / "c.jsonl"
+    record = {"shape": shape, "content": content, "patterns": patterns, "count": 99}
+    text = GOOD_LINE + "\n" + json.dumps(record) + "\n"
+    cache.write_text(text)
+    status, out, err = run(capsys, "count", "--shape", "5,5,4", "--content", "2,2,1",
+                           "--patterns", "231", "--cache", str(cache))
+    assert (status, out) == (3, "")
+    assert err.startswith(f"error: damaged cache: {cache}: line 2 is not a count record ({message}")
+    assert err.count("\n") == 1
+    assert cache.read_text() == text
+
+
 def contents_line(count, shape="4,4,3", content="contents"):
     """A cache line of 231's counts on a shape, by default of 4,4,3's three positive contents."""
     return {"shape": shape, "content": content, "patterns": "231", "count": count}

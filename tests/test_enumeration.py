@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -87,6 +88,9 @@ def test_a_collection_of_non_words_is_an_invalid_pattern(patterns):
     # walk_shapes takes a list of pattern sets, so one set there is a list of non-words.
     with pytest.raises(InvalidPattern):
         list(shapewilf.walk_shapes([P231, (2, 2, 1)], 3, 3, shapewilf.CONTENTS))
+    for pattern_sets in (7, None):  # no collection of pattern sets at all
+        with pytest.raises(InvalidPattern, match="an iterable of pattern collections"):
+            list(shapewilf.walk_shapes(pattern_sets, 3, 3, shapewilf.CONTENTS))
 
 
 @pytest.mark.parametrize(
@@ -781,6 +785,53 @@ def test_cache_rejects_a_record_of_no_content_of_its_shape(tmp_path, content, me
     with pytest.raises(CorruptCache, match=f"line 2 is not a count record \\({message}"):
         ResultCache(str(path))
     assert path.read_text() == text
+
+
+# Lines whose shape or pattern-set text is not as format_shape and
+# format_patterns write it: no count builds their key.
+NON_CANONICAL_KEYS = {
+    "shape-text": (("x", UNCONSTRAINED, "231"), "cannot parse shape 'x'"),
+    "spaced-shape": (("5, 4", POSITIVE_ROWS, "231"), "shape text '5, 4' is not canonical"),
+    "not-ferrers": (("4,5", "2,2", "231"), "row lengths must not grow upwards"),
+    "pattern-text": (("5,5,4", UNCONSTRAINED, "nonsense"), "cannot parse word 'nonsense'"),
+    "unsorted-set": (
+        ("5,5,4", UNCONSTRAINED, "312+231"), "pattern set text '312+231' is not canonical"
+    ),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", ""], ids=["newline", "whole-last-line"])
+@pytest.mark.parametrize("key, message", NON_CANONICAL_KEYS.values(), ids=NON_CANONICAL_KEYS)
+def test_cache_rejects_a_line_whose_key_texts_are_not_canonical(tmp_path, key, message, end):
+    path = tmp_path / "counts.jsonl"
+    shape, content, patterns = key
+    line = json.dumps({"shape": shape, "content": content, "patterns": patterns, "count": 7})
+    text = f"{cache_line('2,2,1', 18)}\n{line}{end}"
+    path.write_text(text)
+    with pytest.raises(CorruptCache, match=re.escape(f"line 2 is not a count record ({message}")):
+        ResultCache(str(path))
+    assert path.read_text() == text
+
+
+def test_a_cache_load_checks_each_distinct_key_text_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "counts.jsonl")
+    with ResultCache(path) as cache:
+        shapewilf.check_equivalence([P231], [(3, 1, 2)], 4, 3, cache=cache)
+    with open(path) as lines:
+        rows = [json.loads(line) for line in lines]
+    assert len(rows) == 58 and len({row["shape"] for row in rows}) == 29  # two sets per shape
+    calls = Counter()
+
+    def counting(parse):
+        def wrapped(text):
+            calls[parse.__name__] += 1
+            return parse(text)
+        return wrapped
+
+    for parse in (enumeration.parse_shape, enumeration.parse_patterns):
+        monkeypatch.setattr(enumeration, parse.__name__, counting(parse))
+    assert len(ResultCache(path)._known) == 58
+    assert calls == {"parse_shape": 29, "parse_patterns": 2}
 
 
 def fail_opening(monkeypatch, failing_mode):

@@ -307,7 +307,7 @@ def test_streamed_json_of_a_report_larger_than_one_batch_is_the_whole_document()
 
 
 def test_scan_report_is_a_plain_document():
-    report = ScanReport(scope="demo")
+    report = ScanReport("demo", [], [], "equal")
     assert report.to_json_dict() == {
         "scope": "demo",
         "records": [],
@@ -803,26 +803,24 @@ BETAS = [(), (1,), (1, 2), (2, 1)]
 def per_rectangle_conjecture2(beta, max_length, max_alphabet, count):
     """``scan_conjecture2`` as one ``count(rectangle, pattern)`` per rectangle, as its oracle."""
     x, y = direct_sum(P231, beta), direct_sum(P312, beta)
-    report = ScanReport(
-        scope=f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
+    scope = (
+        f"conjecture2 beta={format_patterns((beta,)) if beta else '(empty)'} "
         f"n<={max_length} m<={max_alphabet}"
     )
+    counts, mismatches = [], []
     for n in range(1, max_length + 1):
         for m in range(1, max_alphabet + 1):
             rectangle = make_shape((n,) * m)
             rec_a, rec_b = count(rectangle, x), count(rectangle, y)
-            report.counts.append(
+            counts.append(
                 (rectangle, (UNCONSTRAINED,), ((x,), (y,)), ((rec_a.count,), (rec_b.count,)))
             )
             if rec_a.count != rec_b.count:
                 shape = ",".join(map(str, rectangle.rows))
                 note = f"first witness at length {n}, alphabet {m}"
-                report.mismatches.append(
-                    Mismatch(shape, UNCONSTRAINED, rec_a.count, rec_b.count, note)
-                )
-                report.verdict = "unequal"
-                return report
-    return report
+                mismatches.append(Mismatch(shape, UNCONSTRAINED, rec_a.count, rec_b.count, note))
+                return ScanReport(scope, counts, mismatches, "unequal")
+    return ScanReport(scope, counts, mismatches, "equal")
 
 
 @pytest.mark.parametrize("beta", BETAS)
